@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 invariant failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,10 +19,11 @@ from .gibbs import prepared_gibbs
 from .qfi import bounds_chain, check_bounds_report, uncertainty_report
 from .fluctuation import autocorrelation_spectrum, dissipation_spectrum
 from .sld import TimeKernelSpec, kernel_g_integral, lyapunov_residual, sld_matrix
-from .locality import DressSpec, commutator_decay_profile, local_approximation
+from .locality import DressSpec, commutator_decay_profile
 from .harness import (
     ConfigError,
     SweepConfig,
+    checked_number,
     config_from_dict,
     emit_report,
     load_config,
@@ -32,7 +34,6 @@ from .harness import (
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps-deg", type=float, default=None,
                    help="degeneracy tolerance (default: 1e-8 x spectral range)")
     p.add_argument("--out", type=Path, default=Path("out"))
@@ -44,8 +45,16 @@ def _add_model(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, default=0.0)
 
 
+def _spec(cls, *fields):
+    """Build an input spec; its validation error is a configuration error."""
+    try:
+        return cls(*fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _model(args) -> ModelSpec:
-    return ModelSpec(args.n_sites, args.gamma, args.theta)
+    return _spec(ModelSpec, args.n_sites, args.gamma, args.theta)
 
 
 def _sweep_config(args, axis: str) -> SweepConfig:
@@ -61,8 +70,6 @@ def _sweep_config(args, axis: str) -> SweepConfig:
         if args.out != Path("out"):
             overrides["outputs"] = str(args.out)
         if overrides:
-            import dataclasses
-
             cfg = dataclasses.replace(cfg, **overrides)
         return cfg
     raw = {
@@ -76,7 +83,6 @@ def _sweep_config(args, axis: str) -> SweepConfig:
         },
         "eps_deg": args.eps_deg,
         "outputs": str(args.out),
-        "seed": args.seed,
     }
     if axis == "gamma":
         raw["fixed"] = {"beta": args.beta}
@@ -163,6 +169,10 @@ def _prepared(args):
 
 def _dispatch(args) -> int:
     cmd = args.command
+    if args.eps_deg is not None:
+        checked_number(args.eps_deg, "eps_deg", positive=True)
+    if getattr(args, "beta", None) is not None:
+        checked_number(args.beta, "beta", positive=cmd in ("sld-check", "locality"))
 
     if cmd in ("sweep-temperature", "sweep-gamma"):
         axis = "temperature" if cmd == "sweep-temperature" else "gamma"
@@ -195,9 +205,9 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "sld-check":
+        tks = _spec(TimeKernelSpec, args.beta, args.horizon_betas * args.beta, args.panels)
         model, O, ens = _prepared(args)
         res = sld_matrix(ens, O)
-        tks = TimeKernelSpec(args.beta, args.horizon_betas * args.beta, args.panels)
         from .sld import sld_time_domain
 
         L_time = sld_time_domain(ens, O, tks)
@@ -226,7 +236,7 @@ def _dispatch(args) -> int:
         eigs = eigendecompose(H, DegeneracyPolicy(args.eps_deg))
         a_loc = pauli_string_matrix(PauliString({0: "X"}), model.n_sites)
         profile = commutator_decay_profile(
-            eigs, a_loc, DressSpec(mu=mu), probe_kind=args.probe
+            eigs, a_loc, _spec(DressSpec, mu), probe_kind=args.probe
         )
         args.out.mkdir(parents=True, exist_ok=True)
         csv_path = args.out / "locality_profile.csv"

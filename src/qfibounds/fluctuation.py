@@ -1,18 +1,20 @@
 """Exact delta-spike line spectra for fluctuation and dissipation, the
 generalized fluctuation-dissipation relation with its zero-frequency
-correction, and kernel moments that reproduce the QFI and both bounds."""
+correction, and kernel moments that reproduce the QFI and both bounds.
+
+Both spectra aggregate the same pair table (``gibbs._pair_table``) whose
+three kernel sums are F, beta chi and beta^2 Var, so the moments of the
+autocorrelation spectrum reproduce those scalars line for line.
+"""
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import check_hermitian
-from .gibbs import GibbsEnsemble, _classical_weights, iter_distinct_cluster_pairs
-from .spectral import to_eigenbasis
+from .gibbs import GibbsEnsemble, KernelKind, _pair_table
 
 FREQ_MERGE_TOL = 1e-10
 
@@ -39,35 +41,6 @@ class LineSpectrum:
         return zip(self.omegas.tolist(), self.weights.tolist())
 
 
-class KernelKind(enum.Enum):
-    """Integral kernels of the three line-sum representations.
-
-    Pointwise qfi <= susceptibility <= variance for every frequency, which is
-    the whole content of the bounds chain.  The omega -> 0 limits are encoded
-    explicitly; naive substitution at omega = 0 is ill-defined.
-    """
-
-    QFI = "qfi_kernel"
-    SUSCEPTIBILITY = "susceptibility_kernel"
-    VARIANCE = "variance_kernel"
-
-    def evaluate(self, omega: np.ndarray, beta: float) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        limit = beta**2 / 4.0
-        if self is KernelKind.VARIANCE:
-            return np.full_like(omega, limit)
-        out = np.full_like(omega, limit)
-        # below this the formula is the limit to better than 1e-12 relative,
-        # and evaluating it directly risks underflow (0/0 for subnormal omega)
-        nz = np.abs(beta * omega) > 1e-6
-        w = omega[nz]
-        if self is KernelKind.QFI:
-            out[nz] = np.tanh(beta * w / 2.0) ** 2 / w**2
-        else:
-            out[nz] = np.tanh(beta * w / 2.0) * beta / (2.0 * w)
-        return out
-
-
 def _aggregate(omegas, weights, kind: str) -> LineSpectrum:
     omegas = np.asarray(omegas, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -85,25 +58,6 @@ def _aggregate(omegas, weights, kind: str) -> LineSpectrum:
     return LineSpectrum(out_o, out_w, kind)
 
 
-def _pair_lines(ens: GibbsEnsemble, O: np.ndarray):
-    """(dE, p_m, p_n, |O_mn|^2) flattened over distinct-cluster pairs plus
-    the classical zero-frequency weight sum."""
-    O = check_hermitian(O)
-    if O.shape[0] != ens.dim:
-        raise ValueError("dimension mismatch")
-    Oe = to_eigenbasis(ens.eigs, O)
-    zero_weight = 2.0 * math.pi * float(np.sum(_classical_weights(ens, Oe)))
-    chunks = list(iter_distinct_cluster_pairs(ens, Oe))
-    if chunks:
-        dE = np.concatenate([c[0] for c in chunks])
-        pm = np.concatenate([c[1] for c in chunks])
-        pn = np.concatenate([c[2] for c in chunks])
-        o2 = np.concatenate([c[3] for c in chunks])
-    else:
-        dE = pm = pn = o2 = np.zeros(0)
-    return dE, pm, pn, o2, zero_weight
-
-
 def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     """Symmetrized fluctuation spectrum S(omega).
 
@@ -111,16 +65,17 @@ def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     pi (p_m + p_n) |O_mn|^2, plus the zero-frequency line
     2 pi sum_n p_n (O_nn - <O>)^2.  Sum rule: total weight = 2 pi Var(O).
     """
-    dE, pm, pn, o2, zero_weight = _pair_lines(ens, O)
-    omegas = np.concatenate([-dE, [0.0]])
-    weights = np.concatenate([math.pi * (pm + pn) * o2, [zero_weight]])
+    t = _pair_table(ens, O)
+    omegas = np.concatenate([-t.dE, [0.0]])
+    weights = np.concatenate([math.pi * t.w_sum, [2.0 * math.pi * t.classical]])
     return _aggregate(omegas, weights, AUTOCORRELATION)
 
 
 def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
-    """Im chi(omega): odd line spectrum with no zero-frequency weight."""
-    dE, pm, pn, o2, _ = _pair_lines(ens, O)
-    return _aggregate(-dE, math.pi * (pm - pn) * o2, DISSIPATION)
+    """Im chi(omega): odd line spectrum with weights pi (p_m - p_n) |O_mn|^2
+    and no zero-frequency weight."""
+    t = _pair_table(ens, O)
+    return _aggregate(-t.dE, math.pi * t.w_diff, DISSIPATION)
 
 
 def generalized_fdt(
@@ -132,9 +87,7 @@ def generalized_fdt(
         raise ValueError("expected a dissipation spectrum")
     if not ens.beta > 0:
         raise ValueError("generalized FDT needs beta > 0")
-    O = check_hermitian(O)
-    Oe = to_eigenbasis(ens.eigs, O)
-    zero_weight = 2.0 * math.pi * float(np.sum(_classical_weights(ens, Oe)))
+    zero_weight = 2.0 * math.pi * _pair_table(ens, O).classical
 
     # Guard against a spectrum from a different ensemble: every line must sit
     # at an energy difference of this eigensystem.

@@ -1,8 +1,11 @@
-"""Gibbs ensembles over eigensystems: thermal averages, variance and the
-susceptibility of the conjugate observable by two independent routes."""
+"""Gibbs ensembles over eigensystems, thermal averages, and the one pair
+table per (ensemble, O) that feeds F, chi, Var and both line spectra: its
+three ``KernelKind`` sums are F, beta chi and beta^2 Var, the moments of the
+autocorrelation spectrum, and the spectra are its aggregations."""
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -66,6 +69,13 @@ def prepared_gibbs(
     return gibbs_ensemble(eigs, beta)
 
 
+def _shifted_gibbs(H, O, beta, shifts, eps_deg=None):
+    """Gibbs states of H + s O for each shift s: the theta-shift oracles'
+    one rebuild path (bit-identical to rebuilding the TFIM at theta + s)."""
+    for s in shifts:
+        yield prepared_gibbs(H + s * O, O, beta, eps_deg)
+
+
 def _real_or_raise(value: complex, scale: float, what: str) -> float:
     if abs(value.imag) > _IMAG_TOL * max(1.0, scale):
         raise ValueError(f"{what} has non-negligible imaginary part {value.imag:.3e}")
@@ -83,15 +93,33 @@ def thermal_average(ens: GibbsEnsemble, A: np.ndarray) -> float:
     return _real_or_raise(val, float(np.max(np.abs(A))) or 1.0, "thermal average")
 
 
-def variance(ens: GibbsEnsemble, O: np.ndarray) -> float:
-    """<(O - <O>)^2>, evaluated in the eigenbasis."""
-    O = check_hermitian(O)
-    if O.shape[0] != ens.dim:
-        raise ValueError("dimension mismatch")
-    Oe = to_eigenbasis(ens.eigs, O)
-    mean = float(np.dot(ens.populations, Oe.diagonal().real))
-    second = float(np.dot(ens.populations, np.sum(np.abs(Oe) ** 2, axis=0)))
-    return second - mean * mean
+class KernelKind(enum.Enum):
+    """Integral kernels of the three line-sum representations.
+
+    Pointwise qfi <= susceptibility <= variance for every frequency, which is
+    the whole content of the bounds chain.  The omega -> 0 limits are encoded
+    explicitly; naive substitution at omega = 0 is ill-defined.
+    """
+
+    QFI = "qfi_kernel"
+    SUSCEPTIBILITY = "susceptibility_kernel"
+    VARIANCE = "variance_kernel"
+
+    def evaluate(self, omega: np.ndarray, beta: float) -> np.ndarray:
+        omega = np.asarray(omega, dtype=float)
+        limit = beta**2 / 4.0
+        if self is KernelKind.VARIANCE:
+            return np.full_like(omega, limit)
+        out = np.full_like(omega, limit)
+        # below this the formula is the limit to better than 1e-12 relative,
+        # and evaluating it directly risks underflow (0/0 for subnormal omega)
+        nz = np.abs(beta * omega) > 1e-6
+        w = omega[nz]
+        if self is KernelKind.QFI:
+            out[nz] = np.tanh(beta * w / 2.0) ** 2 / w**2
+        else:
+            out[nz] = np.tanh(beta * w / 2.0) * beta / (2.0 * w)
+        return out
 
 
 def iter_distinct_cluster_pairs(ens: GibbsEnsemble, Oe: np.ndarray, chunk: int = 1024):
@@ -116,31 +144,77 @@ def iter_distinct_cluster_pairs(ens: GibbsEnsemble, Oe: np.ndarray, chunk: int =
         yield dE, pm, pn, o2
 
 
-def _classical_weights(ens: GibbsEnsemble, Oe: np.ndarray) -> np.ndarray:
-    """p_n (O_nn - <O>)^2 for each n."""
-    diag = Oe.diagonal().real
-    mean = float(np.dot(ens.populations, diag))
-    return ens.populations * (diag - mean) ** 2
+def _check_rotated(ens: GibbsEnsemble, Oe: np.ndarray) -> None:
+    """Reject within-cluster off-diagonal elements of O; they must have been
+    removed by the cluster rotation before any spectral formula is applied."""
+    scale = float(np.max(np.abs(Oe))) or 1.0
+    for a, b in ens.eigs.clusters:
+        if b - a < 2:
+            continue
+        block = Oe[a:b, a:b].copy()
+        np.fill_diagonal(block, 0.0)
+        if np.max(np.abs(block)) > 1e-9 * scale:
+            raise ValueError(
+                "degenerate cluster carries off-diagonal O elements; "
+                "rotate_within_clusters must run before spectral formulas"
+            )
 
 
-def susceptibility(ens: GibbsEnsemble, O: np.ndarray) -> float:
-    """Thermodynamic susceptibility of <O> from the Lehmann representation.
+@dataclass(frozen=True)
+class _PairTable:
+    """``classical`` = sum_n p_n (O_nn - <O>)^2; flat arrays over ordered
+    pairs (m, n) in distinct clusters: ``dE`` = E_m - E_n, ``w_sum`` =
+    (p_m + p_n)|O_mn|^2 and ``w_diff`` = (p_m - p_n)|O_mn|^2."""
 
-    beta sum_n p_n (O_nn - <O>)^2
-      + sum over ordered pairs in distinct clusters of
-        (p_m - p_n) / (E_n - E_m) |O_mn|^2
+    classical: float
+    dE: np.ndarray
+    w_sum: np.ndarray
+    w_diff: np.ndarray
 
-    Non-negative at equilibrium; with the +theta O coupling this equals
-    -(d<O>/dtheta) (cross-checked by ``susceptibility_fd``).
-    """
+    def moment(self, kernel: KernelKind, beta: float) -> float:
+        """(2/pi) sum of kernel(omega) * weight over the autocorrelation
+        lines: pi w_sum per pair, 2 pi classical at omega = 0."""
+        k = kernel.evaluate(self.dE, beta)
+        return beta**2 * self.classical + 2.0 * float(np.dot(k, self.w_sum))
+
+
+def _pair_table(ens: GibbsEnsemble, O: np.ndarray) -> _PairTable:
+    """Validate O, transform it to the eigenbasis once, reject an unrotated
+    cluster and flatten the distinct-cluster pairs.  O's eigenbasis matrix
+    is dropped once the pair arrays exist."""
     O = check_hermitian(O)
     if O.shape[0] != ens.dim:
         raise ValueError("dimension mismatch")
     Oe = to_eigenbasis(ens.eigs, O)
-    total = ens.beta * float(np.sum(_classical_weights(ens, Oe)))
-    for dE, pm, pn, o2 in iter_distinct_cluster_pairs(ens, Oe):
-        total += float(np.sum((pm - pn) / (-dE) * o2))
-    return total
+    _check_rotated(ens, Oe)
+    p = ens.populations
+    diag = Oe.diagonal().real
+    classical = float(np.dot(p, (diag - float(np.dot(p, diag))) ** 2))
+    chunks = [
+        (dE, (pm + pn) * o2, (pm - pn) * o2)
+        for dE, pm, pn, o2 in iter_distinct_cluster_pairs(ens, Oe)
+    ]
+    del Oe
+    cols = [np.concatenate(c) for c in zip(*chunks)] or [np.zeros(0)] * 3
+    return _PairTable(classical, *cols)
+
+
+def variance(ens: GibbsEnsemble, O: np.ndarray) -> float:
+    """<(O - <O>)^2>.  The variance kernel is beta^2 / 4 at every frequency,
+    so its moment at beta = 1 is Var at any ensemble temperature."""
+    return _pair_table(ens, O).moment(KernelKind.VARIANCE, 1.0)
+
+
+def susceptibility(ens: GibbsEnsemble, O: np.ndarray) -> float:
+    """Thermodynamic susceptibility of <O>, the susceptibility-kernel moment
+    over beta: the Lehmann sum of (p_m - p_n) / (E_n - E_m) |O_mn|^2 written
+    as (p_m + p_n) tanh(beta dE / 2) / dE |O_mn|^2, free of the population
+    difference's cancellation.  Zero at beta = 0, non-negative at
+    equilibrium; with the +theta O coupling this equals -(d<O>/dtheta)
+    (cross-checked by ``susceptibility_fd``).
+    """
+    m = _pair_table(ens, O).moment(KernelKind.SUSCEPTIBILITY, ens.beta)
+    return m / ens.beta if ens.beta > 0 else 0.0
 
 
 def susceptibility_fd(
@@ -150,7 +224,7 @@ def susceptibility_fd(
     eps_deg: float | None = None,
 ) -> float:
     """Independent oracle: central finite difference of <O> in theta, with a
-    full rebuild and rediagonalization at theta +/- delta.
+    full rediagonalization at theta +/- delta.
 
     Returned with the sign convention of ``susceptibility``: the +theta O
     coupling makes d<O>/dtheta <= 0 at equilibrium, so the response magnitude
@@ -158,9 +232,7 @@ def susceptibility_fd(
     """
     if not (1e-6 <= delta <= 1e-2):
         raise ValueError(f"delta must lie in [1e-6, 1e-2], got {delta}")
-    values = []
-    for shift in (delta, -delta):
-        H, O = build_tfim(model.with_theta(model.theta + shift))
-        ens = prepared_gibbs(H, O, beta, eps_deg)
-        values.append(thermal_average(ens, O))
-    return -(values[0] - values[1]) / (2.0 * delta)
+    H, O = build_tfim(model)
+    states = _shifted_gibbs(H, O, beta, (delta, -delta), eps_deg)
+    plus, minus = (thermal_average(ens, O) for ens in states)
+    return -(plus - minus) / (2.0 * delta)

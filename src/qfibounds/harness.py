@@ -7,7 +7,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ class SweepConfig:
     fixed_beta: float | None = None  # required for gamma sweeps
     eps_deg: float | None = None
     outputs: str = "out"
-    seed: int = 0
     timing_in_csv: bool = False
 
     def __post_init__(self):
@@ -77,9 +76,21 @@ class SweepConfig:
             "fixed_beta": self.fixed_beta,
             "eps_deg": self.eps_deg,
             "outputs": self.outputs,
-            "seed": self.seed,
             "timing_in_csv": self.timing_in_csv,
         }
+
+
+def checked_number(value, what: str, positive: bool = False) -> float:
+    """``value`` as a finite float >= 0 (> 0 if ``positive``), else
+    ConfigError.  Numeric strings pass: YAML 1.1 reads ``1e-8`` as one."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{what} must be a finite number {bound}, got {value!r}")
+    return x
 
 
 def _resolve_grid(raw) -> tuple:
@@ -127,21 +138,23 @@ def config_from_dict(raw: dict) -> SweepConfig:
         grid = _resolve_grid(raw["grid"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    fixed = raw.get("fixed", {}) or {}
-    fixed_beta = fixed.get("beta")
-    if fixed_beta is None and "temperature" in fixed:
-        t = float(fixed["temperature"])
-        if t <= 0:
-            raise ConfigError("fixed temperature must be positive")
-        fixed_beta = 1.0 / t
+    fixed = raw.get("fixed") or {}
+    if not isinstance(fixed, dict):
+        raise ConfigError("fixed must be a mapping")
+    if fixed.get("beta") is not None:
+        fixed_beta = checked_number(fixed["beta"], "fixed beta")
+    elif "temperature" in fixed:
+        fixed_beta = 1.0 / checked_number(fixed["temperature"], "fixed temperature", True)
+    else:
+        fixed_beta = None
+    eps_deg = raw.get("eps_deg")
     return SweepConfig(
         model=model,
         sweep_axis=axis,
         grid=grid,
-        fixed_beta=None if fixed_beta is None else float(fixed_beta),
-        eps_deg=raw.get("eps_deg"),
+        fixed_beta=fixed_beta,
+        eps_deg=None if eps_deg is None else checked_number(eps_deg, "eps_deg", True),
         outputs=str(raw.get("outputs", "out")),
-        seed=int(raw.get("seed", 0)),
         timing_in_csv=bool(raw.get("timing_in_csv", False)),
     )
 

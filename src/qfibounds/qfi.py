@@ -8,18 +8,13 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .operators import ModelSpec, build_tfim, check_hermitian
+from .operators import ModelSpec, build_tfim
 from .gibbs import (
     GibbsEnsemble,
-    _classical_weights,
-    iter_distinct_cluster_pairs,
-    prepared_gibbs,
-    susceptibility,
-    variance,
+    KernelKind,
+    _pair_table,
+    _shifted_gibbs,
 )
-from .spectral import to_eigenbasis
-
-_TINY_POP = 1e-300
 
 
 @dataclass(frozen=True)
@@ -43,56 +38,24 @@ class BoundsReport:
         return asdict(self)
 
 
-def _check_rotated(ens: GibbsEnsemble, Oe: np.ndarray) -> None:
-    """Reject within-cluster off-diagonal elements of O; they must have been
-    removed by the cluster rotation before any spectral formula is applied."""
-    scale = float(np.max(np.abs(Oe))) or 1.0
-    for a, b in ens.eigs.clusters:
-        if b - a < 2:
-            continue
-        block = Oe[a:b, a:b].copy()
-        np.fill_diagonal(block, 0.0)
-        if np.max(np.abs(block)) > 1e-9 * scale:
-            raise ValueError(
-                "degenerate cluster carries off-diagonal O elements; "
-                "rotate_within_clusters must run before spectral formulas"
-            )
-
-
 def qfi_spectral(ens: GibbsEnsemble, O: np.ndarray) -> float:
-    """Spectral QFI of a Gibbs state.
-
-    beta^2 sum_n p_n (O_nn - <O>)^2
-      + 2 sum over ordered pairs in distinct clusters of
-        (p_m - p_n)^2 / ((p_m + p_n)(E_m - E_n)^2) |O_mn|^2
-
-    Pairs with both populations numerically zero are skipped.
-    """
-    O = check_hermitian(O)
-    if O.shape[0] != ens.dim:
-        raise ValueError("dimension mismatch")
-    Oe = to_eigenbasis(ens.eigs, O)
-    _check_rotated(ens, Oe)
-    total = ens.beta**2 * float(np.sum(_classical_weights(ens, Oe)))
-    for dE, pm, pn, o2 in iter_distinct_cluster_pairs(ens, Oe):
-        sp = pm + pn
-        keep = sp > _TINY_POP
-        if not keep.any():
-            continue
-        dp = pm[keep] - pn[keep]
-        total += 2.0 * float(
-            np.sum(dp * dp / (sp[keep] * dE[keep] ** 2) * o2[keep])
-        )
-    return total
+    """Spectral QFI of a Gibbs state, the QFI-kernel moment: the Lehmann sum
+    of 2 (p_m - p_n)^2 / (p_m + p_n) / dE^2 |O_mn|^2 written as
+    2 (p_m + p_n) tanh^2(beta dE / 2) / dE^2 |O_mn|^2, free of the
+    population difference's cancellation, plus beta^2 times the classical
+    weight."""
+    return _pair_table(ens, O).moment(KernelKind.QFI, ens.beta)
 
 
 def bounds_chain(ens: GibbsEnsemble, O: np.ndarray) -> BoundsReport:
-    """Assemble LB <= F <= UB1 <= UB2 with the geometric-mean lower bound."""
-    qfi = qfi_spectral(ens, O)
-    var = variance(ens, O)
-    chi = susceptibility(ens, O)
+    """Assemble LB <= F <= UB1 <= UB2 with the geometric-mean lower bound,
+    from three kernel sums over one pair table."""
+    table = _pair_table(ens, O)
     beta = ens.beta
-    ub1 = beta * chi
+    qfi = table.moment(KernelKind.QFI, beta)
+    ub1 = table.moment(KernelKind.SUSCEPTIBILITY, beta)
+    var = table.moment(KernelKind.VARIANCE, 1.0)
+    chi = ub1 / beta if beta > 0 else 0.0
     ub2 = beta**2 * var
     if ub2 > 0:
         lb = ub1**2 / ub2
@@ -207,7 +170,14 @@ def _sqrt_fidelity(a: GibbsEnsemble, b: GibbsEnsemble) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def _qfi_from_ensembles(a: GibbsEnsemble, b: GibbsEnsemble, delta: float) -> float:
+def _fidelity_qfi(H, O, beta, delta, eps_deg=None) -> float:
+    """Bures QFI between the Gibbs states of H -/+ (delta/2) O (centered,
+    so the finite-difference bias is O(delta^2))."""
+    if not (1e-4 <= delta <= 1e-2):
+        raise ValueError(f"delta must lie in [1e-4, 1e-2], got {delta}")
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    a, b = _shifted_gibbs(H, O, beta, (-delta / 2.0, delta / 2.0), eps_deg)
     return 8.0 * (1.0 - _sqrt_fidelity(a, b)) / delta**2
 
 
@@ -218,27 +188,13 @@ def qfi_fidelity_oracle(
     eps_deg: float | None = None,
 ) -> float:
     """Independent oracle for the spectral QFI via Uhlmann fidelity of the
-    exactly built Gibbs states at theta -/+ delta/2 (centered, so the
-    finite-difference bias is O(delta^2) rather than O(delta))."""
-    if not (1e-4 <= delta <= 1e-2):
-        raise ValueError(f"delta must lie in [1e-4, 1e-2], got {delta}")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    states = []
-    for shift in (-delta / 2.0, delta / 2.0):
-        H, O = build_tfim(model.with_theta(model.theta + shift))
-        states.append(prepared_gibbs(H, O, beta, eps_deg))
-    return _qfi_from_ensembles(states[0], states[1], delta)
+    exactly built Gibbs states at theta -/+ delta/2."""
+    H, O = build_tfim(model)
+    return _fidelity_qfi(H, O, beta, delta, eps_deg)
 
 
 def qfi_fidelity_oracle_generic(
     H: np.ndarray, O: np.ndarray, beta: float, delta: float
 ) -> float:
     """Same oracle for an arbitrary pair with H(theta) = H + theta O."""
-    if not (1e-4 <= delta <= 1e-2):
-        raise ValueError(f"delta must lie in [1e-4, 1e-2], got {delta}")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    ens0 = prepared_gibbs(H - (delta / 2.0) * O, O, beta)
-    ens1 = prepared_gibbs(H + (delta / 2.0) * O, O, beta)
-    return _qfi_from_ensembles(ens0, ens1, delta)
+    return _fidelity_qfi(H, O, beta, delta)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import ModelSpec, build_tfim, check_hermitian
-from .gibbs import GibbsEnsemble, prepared_gibbs, thermal_average
+from .gibbs import GibbsEnsemble, KernelKind, _shifted_gibbs
 from .spectral import from_eigenbasis, to_eigenbasis
 
 
@@ -42,15 +42,9 @@ class TimeKernelSpec:
 
 
 def energy_kernel(omega: np.ndarray, beta: float) -> np.ndarray:
-    """f(omega) = -tanh(beta omega / 2) / (omega / 2), with f(0) = -beta."""
-    omega = np.asarray(omega, dtype=float)
-    out = np.full_like(omega, -beta)
-    # small-argument branch avoids underflow; the Taylor defect there is
-    # below beta (beta omega)^2 / 12 ~ 1e-12 relative
-    nz = np.abs(beta * omega) > 1e-6
-    w = omega[nz]
-    out[nz] = -np.tanh(beta * w / 2.0) / (w / 2.0)
-    return out
+    """f(omega) = -tanh(beta omega / 2) / (omega / 2), with f(0) = -beta:
+    -(4 / beta) times the susceptibility kernel."""
+    return -(4.0 / beta) * KernelKind.SUSCEPTIBILITY.evaluate(omega, beta)
 
 
 def sld_matrix(ens: GibbsEnsemble, O: np.ndarray) -> SldResult:
@@ -94,11 +88,10 @@ def lyapunov_residual(
     d(rho)/dtheta built from full rediagonalizations at theta +/- delta."""
     if not (1e-6 <= delta <= 1e-3):
         raise ValueError(f"delta must lie in [1e-6, 1e-3], got {delta}")
-    rhos = []
-    for shift in (delta, -delta):
-        H, O = build_tfim(model.with_theta(model.theta + shift))
-        rhos.append(prepared_gibbs(H, O, ens.beta, eps_deg).density_matrix())
-    drho = (rhos[0] - rhos[1]) / (2.0 * delta)
+    H, O = build_tfim(model)
+    states = _shifted_gibbs(H, O, ens.beta, (delta, -delta), eps_deg)
+    plus, minus = (e.density_matrix() for e in states)
+    drho = (plus - minus) / (2.0 * delta)
     rho = ens.density_matrix()
     return float(np.max(np.abs((rho @ L + L @ rho) / 2.0 - drho)))
 

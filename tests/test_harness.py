@@ -82,6 +82,16 @@ class TestSweepConfig:
         path.write_text(yaml.safe_dump(SMALL))
         assert load_config(path) == config_from_dict(SMALL)
 
+    def test_yaml_exponent_without_dot_is_a_number(self, tmp_path):
+        # YAML 1.1 reads 1e-8 as a string; the config converts it
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "model: {n_sites: 2, gamma: 0.5}\nsweep_axis: temperature\n"
+            f"grid: [1.0]\neps_deg: 1e-8\noutputs: {tmp_path}\n"
+        )
+        assert load_config(path).eps_deg == 1e-8
+        assert main(["sweep-temperature", "--config", str(path)]) == 0
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
@@ -215,6 +225,32 @@ class TestCli:
         path = tmp_path / "bad.yaml"
         path.write_text("model: {n_sites: 2, gamma: 0.5}\nsweep_axis: pressure\ngrid: [1.0]\n")
         assert main(["sweep-temperature", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            pytest.param(["bounds", "--beta", "-1"], None, id="beta-negative"),
+            pytest.param(["bounds", "--n-sites", "20", "--beta", "1"], None,
+                         id="n-sites-over-cap"),
+            pytest.param(["sweep-gamma"], "fixed: {beta: 1.0}\neps_deg: 0",
+                         id="config-eps-deg-zero"),
+            pytest.param(["sweep-gamma"], "fixed: {beta: 1.0}\neps_deg: -1.0e-8",
+                         id="config-eps-deg-negative"),
+            pytest.param(["sweep-gamma"], "fixed: {beta: 1.0}\neps_deg: tiny",
+                         id="config-eps-deg-not-a-number"),
+            pytest.param(["sweep-gamma"], "fixed: {beta: -1}",
+                         id="config-fixed-beta-negative"),
+        ],
+    )
+    def test_bad_input_exit_two(self, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "cfg.yaml"
+            path.write_text(
+                "model: {n_sites: 2, gamma: 0.5}\nsweep_axis: gamma\n"
+                f"grid: [0.3]\noutputs: {tmp_path}\n{config}\n"
+            )
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == 2
 
     def test_axis_mismatch_exit_two(self, tmp_path):
         import yaml

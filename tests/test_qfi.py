@@ -24,12 +24,15 @@ class TestQfiSpectral:
         assert rel_close(q.qfi_spectral(ens, O), TANH1**2)
 
     def test_tfim_n1_closed_form_grid(self):
+        # gamma = 5.005e-9 splits the two levels by 1.001 eps_deg: near-degenerate
         for beta in (0.3, 1.0, 2.5):
-            for gamma in (0.2, 0.8, 1.4):
+            for gamma in (0.2, 0.8, 1.4, 5.005e-9):
                 H, O = q.build_tfim(q.ModelSpec(1, gamma))
                 ens = q.prepared_gibbs(H, O, beta)
                 expected = math.tanh(beta * math.sin(gamma)) ** 2 / math.sin(gamma) ** 2
                 assert rel_close(q.qfi_spectral(ens, O), expected)
+                chi = math.tanh(beta * math.sin(gamma)) / math.sin(gamma)
+                assert rel_close(q.susceptibility(ens, O), chi)
 
     def test_commuting_observable_is_classical(self):
         # O = H: QFI reduces to beta^2 Var = beta^2 (1 - tanh^2 beta)
@@ -43,7 +46,18 @@ class TestQfiSpectral:
         ens0 = q.prepared_gibbs(H, O, 0.0)
         assert abs(q.qfi_spectral(ens0, O)) < 1e-12
 
-    def test_rejects_unrotated_cluster(self):
+    @pytest.mark.parametrize(
+        "route",
+        [
+            "qfi_spectral",
+            "susceptibility",
+            "variance",
+            "bounds_chain",
+            "autocorrelation_spectrum",
+            "dissipation_spectrum",
+        ],
+    )
+    def test_rejects_unrotated_cluster(self, route):
         from qfibounds.spectral import eigendecompose
         from qfibounds.gibbs import gibbs_ensemble
 
@@ -51,7 +65,7 @@ class TestQfiSpectral:
         O = q.random_hermitian(3, 31)
         ens = gibbs_ensemble(eigendecompose(H), 1.0)  # rotation skipped
         with pytest.raises(ValueError, match="rotate_within_clusters"):
-            q.qfi_spectral(ens, O)
+            getattr(q, route)(ens, O)
 
     def test_gap_closure_meets_degenerate_limit(self):
         # the near-degenerate branch must approach the rotated-basis
