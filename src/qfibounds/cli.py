@@ -33,6 +33,10 @@ from .harness import (
 )
 
 
+WORKERS_HELP = ("worker processes, one Hamiltonian each, so gamma sweeps only; "
+                "sweep.json's ms excludes a temperature sweep's shared diagonalization")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-deg", type=float, default=None,
                    help="degeneracy tolerance (default: 1e-8 x spectral range)")
@@ -104,7 +108,7 @@ def main(argv=None) -> int:
     p.add_argument("--stop", type=float, default=50.0)
     p.add_argument("--points", type=int, default=40)
     p.add_argument("--spacing", choices=("linear", "log"), default="log")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_common(p)
 
     p = sub.add_parser("sweep-gamma", help="bounds chain vs field angle gamma")
@@ -115,7 +119,7 @@ def main(argv=None) -> int:
     p.add_argument("--stop", type=float, default=math.pi / 2 - 0.02)
     p.add_argument("--points", type=int, default=40)
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_common(p)
 
     p = sub.add_parser("bounds", help="single bounds-chain evaluation")
@@ -173,6 +177,10 @@ def _dispatch(args) -> int:
         checked_number(args.eps_deg, "eps_deg", positive=True)
     if getattr(args, "beta", None) is not None:
         checked_number(args.beta, "beta", positive=cmd in ("sld-check", "locality"))
+    if cmd == "sld-check" and not (1e-6 <= args.fd_delta <= 1e-3):
+        raise ConfigError(f"fd_delta must lie in [1e-6, 1e-3], got {args.fd_delta}")
+    if cmd == "locality" and args.n_sites < 6:
+        raise ConfigError(f"locality's decay fit needs n_sites >= 6, got {args.n_sites}")
 
     if cmd in ("sweep-temperature", "sweep-gamma"):
         axis = "temperature" if cmd == "sweep-temperature" else "gamma"

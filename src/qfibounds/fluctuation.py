@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import GibbsEnsemble, KernelKind, _pair_table
+from .gibbs import GibbsEnsemble, KernelKind, _classical, _diagonal, _pair_table
 
 FREQ_MERGE_TOL = 1e-10
 
@@ -65,17 +65,19 @@ def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     pi (p_m + p_n) |O_mn|^2, plus the zero-frequency line
     2 pi sum_n p_n (O_nn - <O>)^2.  Sum rule: total weight = 2 pi Var(O).
     """
-    t = _pair_table(ens, O)
+    t = _pair_table(ens.eigs, O)
+    classical, w_sum = t.weights(ens.populations)
     omegas = np.concatenate([-t.dE, [0.0]])
-    weights = np.concatenate([math.pi * t.w_sum, [2.0 * math.pi * t.classical]])
+    weights = np.concatenate([math.pi * w_sum, [2.0 * math.pi * classical]])
     return _aggregate(omegas, weights, AUTOCORRELATION)
 
 
 def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     """Im chi(omega): odd line spectrum with weights pi (p_m - p_n) |O_mn|^2
     and no zero-frequency weight."""
-    t = _pair_table(ens, O)
-    return _aggregate(-t.dE, math.pi * t.w_diff, DISSIPATION)
+    t = _pair_table(ens.eigs, O)
+    p = ens.populations
+    return _aggregate(-t.dE, math.pi * (p[t.m] - p[t.n]) * t.o2, DISSIPATION)
 
 
 def generalized_fdt(
@@ -87,7 +89,8 @@ def generalized_fdt(
         raise ValueError("expected a dissipation spectrum")
     if not ens.beta > 0:
         raise ValueError("generalized FDT needs beta > 0")
-    zero_weight = 2.0 * math.pi * _pair_table(ens, O).classical
+    diag = _diagonal(ens.eigs, O).real
+    zero_weight = 2.0 * math.pi * _classical(ens.populations, diag)
 
     # Guard against a spectrum from a different ensemble: every line must sit
     # at an energy difference of this eigensystem.

@@ -1,5 +1,5 @@
-"""Gibbs ensembles over eigensystems, thermal averages, and the one pair
-table per (ensemble, O) that feeds F, chi, Var and both line spectra: its
+"""Gibbs ensembles, thermal averages, and the one beta-independent pair
+table per (eigensystem, O) that feeds F, chi, Var and both line spectra: its
 three ``KernelKind`` sums are F, beta chi and beta^2 Var, the moments of the
 autocorrelation spectrum, and the spectra are its aggregations."""
 
@@ -82,14 +82,18 @@ def _real_or_raise(value: complex, scale: float, what: str) -> float:
     return float(value.real)
 
 
+def _diagonal(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:
+    """Validate A; <n|A|n> for every eigenvector n, without the full transform."""
+    A = check_hermitian(A)
+    if A.shape[0] != eigs.dim:
+        raise ValueError("dimension mismatch")
+    v = eigs.vectors
+    return np.einsum("ij,ij->j", v.conj(), A @ v)
+
+
 def thermal_average(ens: GibbsEnsemble, A: np.ndarray) -> float:
     """<A> = sum_n p_n <n|A|n>."""
-    A = check_hermitian(A)
-    if A.shape[0] != ens.dim:
-        raise ValueError("dimension mismatch")
-    v = ens.eigs.vectors
-    diag = np.einsum("ij,ij->j", v.conj(), A @ v)
-    val = complex(np.dot(ens.populations, diag))
+    val = complex(np.dot(ens.populations, _diagonal(ens.eigs, A)))
     return _real_or_raise(val, float(np.max(np.abs(A))) or 1.0, "thermal average")
 
 
@@ -122,33 +126,31 @@ class KernelKind(enum.Enum):
         return out
 
 
+def _distinct_pairs(eigs: EigenSystem, Oe: np.ndarray, chunk: int = 1024):
+    """Yield, per row chunk, flat arrays (dE = E_m - E_n, |O_mn|^2, m, n) over
+    ordered pairs (m, n) in distinct clusters; int32 m, n fit the site cap."""
+    e = eigs.energies
+    cid = eigs.cluster_ids()
+    for a in range(0, eigs.dim, chunk):
+        b = min(a + chunk, eigs.dim)
+        m, n = np.nonzero(cid[a:b, None] != cid[None, :])
+        m += a
+        yield e[m] - e[n], np.abs(Oe[m, n]) ** 2, m.astype(np.int32), n.astype(np.int32)
+
+
 def iter_distinct_cluster_pairs(ens: GibbsEnsemble, Oe: np.ndarray, chunk: int = 1024):
-    """Yield flat arrays (dE, p_m, p_n, |O_mn|^2) over ordered index pairs
-    (m, n) belonging to distinct degeneracy clusters.
-
-    dE = E_m - E_n.  Row-chunked so d^2 temporaries stay bounded.
-    """
-    e = ens.eigs.energies
+    """Yield flat arrays (dE, p_m, p_n, |O_mn|^2) over the ordered pairs (m, n)
+    in distinct degeneracy clusters, dE = E_m - E_n, in row chunks."""
     p = ens.populations
-    cid = ens.eigs.cluster_ids()
-    d = ens.dim
-    for a in range(0, d, chunk):
-        b = min(a + chunk, d)
-        mask = cid[a:b, None] != cid[None, :]
-        if not mask.any():
-            continue
-        dE = (e[a:b, None] - e[None, :])[mask]
-        pm = np.broadcast_to(p[a:b, None], (b - a, d))[mask]
-        pn = np.broadcast_to(p[None, :], (b - a, d))[mask]
-        o2 = (np.abs(Oe[a:b, :]) ** 2)[mask]
-        yield dE, pm, pn, o2
+    for dE, o2, m, n in _distinct_pairs(ens.eigs, Oe, chunk):
+        yield dE, p[m], p[n], o2
 
 
-def _check_rotated(ens: GibbsEnsemble, Oe: np.ndarray) -> None:
+def _check_rotated(eigs: EigenSystem, Oe: np.ndarray) -> None:
     """Reject within-cluster off-diagonal elements of O; they must have been
     removed by the cluster rotation before any spectral formula is applied."""
     scale = float(np.max(np.abs(Oe))) or 1.0
-    for a, b in ens.eigs.clusters:
+    for a, b in eigs.clusters:
         if b - a < 2:
             continue
         block = Oe[a:b, a:b].copy()
@@ -160,49 +162,55 @@ def _check_rotated(ens: GibbsEnsemble, Oe: np.ndarray) -> None:
             )
 
 
+def _classical(p: np.ndarray, diag: np.ndarray) -> float:
+    """Classical weight sum_n p_n (O_nn - <O>)^2 of the eigenbasis diagonal."""
+    return float(np.dot(p, (diag - float(np.dot(p, diag))) ** 2))
+
+
 @dataclass(frozen=True)
 class _PairTable:
-    """``classical`` = sum_n p_n (O_nn - <O>)^2; flat arrays over ordered
-    pairs (m, n) in distinct clusters: ``dE`` = E_m - E_n, ``w_sum`` =
-    (p_m + p_n)|O_mn|^2 and ``w_diff`` = (p_m - p_n)|O_mn|^2."""
+    """The beta-independent lines of O over one eigensystem: ``diag`` = O_nn
+    and, over ordered pairs (m, n) in distinct clusters, ``dE`` = E_m - E_n,
+    ``o2`` = |O_mn|^2 and the indices ``m``, ``n``."""
 
-    classical: float
+    diag: np.ndarray
     dE: np.ndarray
-    w_sum: np.ndarray
-    w_diff: np.ndarray
+    o2: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
 
-    def moment(self, kernel: KernelKind, beta: float) -> float:
+    def weights(self, p: np.ndarray) -> tuple[float, np.ndarray]:
+        """Classical weight and (p_m + p_n)|O_mn|^2 per pair, at populations p."""
+        return _classical(p, self.diag), (p[self.m] + p[self.n]) * self.o2
+
+    def moment(self, kernel: KernelKind, beta: float, weights) -> float:
         """(2/pi) sum of kernel(omega) * weight over the autocorrelation
         lines: pi w_sum per pair, 2 pi classical at omega = 0."""
+        classical, w_sum = weights
         k = kernel.evaluate(self.dE, beta)
-        return beta**2 * self.classical + 2.0 * float(np.dot(k, self.w_sum))
+        return beta**2 * classical + 2.0 * float(np.dot(k, w_sum))
 
 
-def _pair_table(ens: GibbsEnsemble, O: np.ndarray) -> _PairTable:
+def _pair_table(eigs: EigenSystem, O: np.ndarray) -> _PairTable:
     """Validate O, transform it to the eigenbasis once, reject an unrotated
     cluster and flatten the distinct-cluster pairs.  O's eigenbasis matrix
     is dropped once the pair arrays exist."""
     O = check_hermitian(O)
-    if O.shape[0] != ens.dim:
+    if O.shape[0] != eigs.dim:
         raise ValueError("dimension mismatch")
-    Oe = to_eigenbasis(ens.eigs, O)
-    _check_rotated(ens, Oe)
-    p = ens.populations
-    diag = Oe.diagonal().real
-    classical = float(np.dot(p, (diag - float(np.dot(p, diag))) ** 2))
-    chunks = [
-        (dE, (pm + pn) * o2, (pm - pn) * o2)
-        for dE, pm, pn, o2 in iter_distinct_cluster_pairs(ens, Oe)
-    ]
+    Oe = to_eigenbasis(eigs, O)
+    _check_rotated(eigs, Oe)
+    diag = Oe.diagonal().real.copy()
+    chunks = list(_distinct_pairs(eigs, Oe))
     del Oe
-    cols = [np.concatenate(c) for c in zip(*chunks)] or [np.zeros(0)] * 3
-    return _PairTable(classical, *cols)
+    return _PairTable(diag, *(np.concatenate(c) for c in zip(*chunks)))
 
 
 def variance(ens: GibbsEnsemble, O: np.ndarray) -> float:
     """<(O - <O>)^2>.  The variance kernel is beta^2 / 4 at every frequency,
     so its moment at beta = 1 is Var at any ensemble temperature."""
-    return _pair_table(ens, O).moment(KernelKind.VARIANCE, 1.0)
+    t = _pair_table(ens.eigs, O)
+    return t.moment(KernelKind.VARIANCE, 1.0, t.weights(ens.populations))
 
 
 def susceptibility(ens: GibbsEnsemble, O: np.ndarray) -> float:
@@ -213,7 +221,8 @@ def susceptibility(ens: GibbsEnsemble, O: np.ndarray) -> float:
     equilibrium; with the +theta O coupling this equals -(d<O>/dtheta)
     (cross-checked by ``susceptibility_fd``).
     """
-    m = _pair_table(ens, O).moment(KernelKind.SUSCEPTIBILITY, ens.beta)
+    t = _pair_table(ens.eigs, O)
+    m = t.moment(KernelKind.SUSCEPTIBILITY, ens.beta, t.weights(ens.populations))
     return m / ens.beta if ens.beta > 0 else 0.0
 
 

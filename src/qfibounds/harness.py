@@ -15,9 +15,11 @@ import yaml
 
 from . import __version__
 from .operators import ModelSpec, build_tfim, single_qubit_model
-from .gibbs import prepared_gibbs, susceptibility, susceptibility_fd, variance
+from .gibbs import _pair_table, gibbs_ensemble, prepared_gibbs
+from .gibbs import susceptibility, susceptibility_fd, variance
 from .qfi import (
     BoundsReport,
+    _chain_report,
     bounds_chain,
     check_bounds_report,
     qfi_spectral,
@@ -168,33 +170,44 @@ class SweepRow:
 
 def evaluate_point(config: SweepConfig, axis_value: float) -> SweepRow:
     t0 = time.perf_counter()
+    (row,) = _hamiltonian_rows(config, [axis_value])
+    return SweepRow(row.axis, row.report, (time.perf_counter() - t0) * 1e3)
+
+
+def _hamiltonian_rows(config: SweepConfig, points: list) -> list[SweepRow]:
+    """Rows of points sharing one Hamiltonian (a temperature grid or one gamma
+    point), from one eigensystem and pair table that no row's ms includes."""
     if config.sweep_axis == "temperature":
-        beta = 1.0 / axis_value
-        model = config.model
+        model, betas = config.model, [1.0 / x for x in points]
     else:
-        beta = config.fixed_beta
-        model = ModelSpec(config.model.n_sites, axis_value, config.model.theta)
+        model = ModelSpec(config.model.n_sites, points[0], config.model.theta)
+        betas = [config.fixed_beta]
     H, O = build_tfim(model)
-    ens = prepared_gibbs(H, O, beta, config.eps_deg)
-    report = bounds_chain(ens, O)
-    try:
-        check_bounds_report(report)
-    except RuntimeError as exc:
-        raise RuntimeError(
-            f"invariant failure at {config.sweep_axis}={axis_value}: {exc}"
-        ) from exc
-    return SweepRow(
-        axis=axis_value, report=report, ms=(time.perf_counter() - t0) * 1e3
-    )
+    eigs = prepared_gibbs(H, O, betas[0], config.eps_deg).eigs
+    table = _pair_table(eigs, O)
+    rows = []
+    for x, beta in zip(points, betas):
+        t0 = time.perf_counter()
+        report = _chain_report(table, gibbs_ensemble(eigs, beta))
+        try:
+            check_bounds_report(report)
+        except RuntimeError as exc:
+            raise RuntimeError(
+                f"invariant failure at {config.sweep_axis}={x}: {exc}"
+            ) from exc
+        rows.append(SweepRow(x, report, (time.perf_counter() - t0) * 1e3))
+    return rows
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     """One SweepRow per grid point, ordered by axis value.
 
-    Grid points are independent; with workers > 1 they are dispatched to a
-    process pool and gathered back in grid order.
+    A temperature sweep diagonalizes once; gamma points, one Hamiltonian each,
+    go to a process pool when workers > 1 and come back in grid order.
     """
     points = list(config.grid)
+    if config.sweep_axis == "temperature":
+        return _hamiltonian_rows(config, points)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(evaluate_point, [config] * len(points), points))

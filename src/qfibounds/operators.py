@@ -1,8 +1,8 @@
 """Dense Hermitian operator construction for finite spin chains.
 
-Everything here returns plain ``numpy`` complex arrays in the computational
-(z) basis.  Site 0 is the leftmost tensor factor, i.e. the most significant
-bit of the basis index.
+Everything here returns plain ``numpy`` arrays in the computational (z)
+basis, float64 where real and complex otherwise.  Site 0 is the leftmost
+tensor factor, i.e. the most significant bit of the basis index.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ PAULI = {
 
 
 def check_hermitian(a: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate that ``a`` is square and Hermitian; return it as complex."""
-    a = np.asarray(a, dtype=complex)
+    """Validate ``a`` as square and Hermitian; return float64 if real, else complex."""
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
@@ -123,13 +123,13 @@ def build_tfim(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
         bit = (idx >> (n - 1 - i)) & 1
         zdiag += 1.0 - 2.0 * bit
 
-    H = np.zeros((d, d), dtype=complex)
+    H = np.zeros((d, d))
     H[idx, idx] = np.sin(spec.gamma) * zdiag
     for i in range(n - 1):
         mask = (1 << (n - 1 - i)) | (1 << (n - 2 - i))
         H[idx ^ mask, idx] += -np.cos(spec.gamma)
 
-    O = np.zeros((d, d), dtype=complex)
+    O = np.zeros((d, d))
     for i in range(n):
         O[idx ^ (1 << (n - 1 - i)), idx] += 1.0
 

@@ -44,17 +44,23 @@ def qfi_spectral(ens: GibbsEnsemble, O: np.ndarray) -> float:
     2 (p_m + p_n) tanh^2(beta dE / 2) / dE^2 |O_mn|^2, free of the
     population difference's cancellation, plus beta^2 times the classical
     weight."""
-    return _pair_table(ens, O).moment(KernelKind.QFI, ens.beta)
+    t = _pair_table(ens.eigs, O)
+    return t.moment(KernelKind.QFI, ens.beta, t.weights(ens.populations))
 
 
 def bounds_chain(ens: GibbsEnsemble, O: np.ndarray) -> BoundsReport:
     """Assemble LB <= F <= UB1 <= UB2 with the geometric-mean lower bound,
     from three kernel sums over one pair table."""
-    table = _pair_table(ens, O)
+    return _chain_report(_pair_table(ens.eigs, O), ens)
+
+
+def _chain_report(table, ens: GibbsEnsemble) -> BoundsReport:
+    """The bounds chain of ``ens`` from a pair table of its eigensystem."""
     beta = ens.beta
-    qfi = table.moment(KernelKind.QFI, beta)
-    ub1 = table.moment(KernelKind.SUSCEPTIBILITY, beta)
-    var = table.moment(KernelKind.VARIANCE, 1.0)
+    w = table.weights(ens.populations)
+    qfi = table.moment(KernelKind.QFI, beta, w)
+    ub1 = table.moment(KernelKind.SUSCEPTIBILITY, beta, w)
+    var = table.moment(KernelKind.VARIANCE, 1.0, w)
     chi = ub1 / beta if beta > 0 else 0.0
     ub2 = beta**2 * var
     if ub2 > 0:

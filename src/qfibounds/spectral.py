@@ -104,14 +104,15 @@ def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
 
     Energies and clusters are unchanged; only eigenvector columns inside
     clusters of size > 1 are re-mixed (a unitary transformation), so the
-    result is still a valid eigenbasis of the original Hamiltonian.
+    result is still a valid eigenbasis of the original Hamiltonian, of the
+    result type of (vectors, O).  Without a cluster O is not read.
     """
+    if all(b - a == 1 for a, b in eigs.clusters):
+        return eigs
     O = check_hermitian(O)
     if O.shape[0] != eigs.dim:
         raise ValueError("dimension mismatch between eigensystem and O")
-    if all(b - a == 1 for a, b in eigs.clusters):
-        return eigs
-    vectors = eigs.vectors.copy()
+    vectors = eigs.vectors.astype(np.result_type(eigs.vectors, O))
     for a, b in eigs.clusters:
         if b - a < 2:
             continue

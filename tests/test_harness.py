@@ -128,6 +128,33 @@ class TestRunSweep:
             assert a.axis == b.axis
             assert a.report == b.report
 
+    def test_temperature_sweep_equals_pointwise(self, monkeypatch):
+        import qfibounds.gibbs as gibbs
+
+        cfg = config_from_dict({**SMALL, "grid": [0.2, 0.5, 1.0, 2.0, 8.0]})
+        calls = []
+        real_eigendecompose = gibbs.eigendecompose
+        monkeypatch.setattr(
+            gibbs, "eigendecompose",
+            lambda *a, **k: calls.append(1) or real_eigendecompose(*a, **k),
+        )
+        rows = run_sweep(cfg)
+        assert len(calls) == 1
+        assert [r.axis for r in rows] == list(cfg.grid)
+        assert [r.report for r in rows] == [
+            evaluate_point(cfg, x).report for x in cfg.grid
+        ]
+
+    def test_gamma_pool_matches_serial(self):
+        cfg = config_from_dict(
+            {**SMALL, "sweep_axis": "gamma", "grid": [0.2, 0.5, 0.9],
+             "fixed": {"beta": 2.0}}
+        )
+        serial = run_sweep(cfg, workers=1)
+        parallel = run_sweep(cfg, workers=2)
+        assert [r.axis for r in parallel] == [r.axis for r in serial]
+        assert [r.report for r in parallel] == [r.report for r in serial]
+
 
 class TestEmitReport:
     def _run(self, tmp_path, **extra):
@@ -240,6 +267,11 @@ class TestCli:
                          id="config-eps-deg-not-a-number"),
             pytest.param(["sweep-gamma"], "fixed: {beta: -1}",
                          id="config-fixed-beta-negative"),
+            pytest.param(["sld-check", "--n-sites", "2", "--beta", "1",
+                          "--fd-delta", "1", "--panels", "16"], None,
+                         id="sld-check-fd-delta-out-of-range"),
+            pytest.param(["locality", "--n-sites", "4"], None,
+                         id="locality-chain-too-short"),
         ],
     )
     def test_bad_input_exit_two(self, tmp_path, argv, config):
