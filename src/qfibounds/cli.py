@@ -240,12 +240,14 @@ def _dispatch(args) -> int:
 
         model = _model(args)
         mu = args.mu if args.mu is not None else math.pi / args.beta
+        spec = _spec(DressSpec, mu)
         H, _ = build_tfim(model)
         eigs = eigendecompose(H, DegeneracyPolicy(args.eps_deg))
         a_loc = pauli_string_matrix(PauliString({0: "X"}), model.n_sites)
-        profile = commutator_decay_profile(
-            eigs, a_loc, _spec(DressSpec, mu), probe_kind=args.probe
-        )
+        try:  # the filter overflows, or too few norms stay above 1e-12 to fit
+            profile = commutator_decay_profile(eigs, a_loc, spec, probe_kind=args.probe)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         args.out.mkdir(parents=True, exist_ok=True)
         csv_path = args.out / "locality_profile.csv"
         lines = ["r,norm"] + [

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, product
 
 import numpy as np
 
-from .operators import PauliString, check_hermitian, pauli_string_matrix
+from .operators import check_hermitian
 from .spectral import EigenSystem, from_eigenbasis, to_eigenbasis
 from .sld import _gauss_panels
 
@@ -24,8 +25,8 @@ class DressSpec:
     closed_form: bool = True
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         if not self.closed_form and not self.horizon > 0:
             raise ValueError("quadrature route needs a positive horizon")
         if self.panels < 1:
@@ -62,7 +63,9 @@ def spectral_norm(a: np.ndarray) -> float:
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     """Spectral norm of [a, b]; exact via eigenvalues when both are
-    Hermitian (i[a,b] is then Hermitian)."""
+    Hermitian (i[a,b] is then Hermitian).  The dense reference that the
+    probe norms of the locality diagnostics, which build no probe, are tested
+    against."""
     c = a @ b - b @ a
     herm_a = np.allclose(a, a.conj().T, atol=1e-12)
     herm_b = np.allclose(b, b.conj().T, atol=1e-12)
@@ -104,6 +107,8 @@ def dressed_operator(
         q = w * np.exp(-spec.mu * t)
         filt = 2.0 * (np.cos(np.outer(dE.ravel(), t)) @ q).reshape(dE.shape)
     out = filt * Ae
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"dressed operator is not finite at mu={spec.mu:g}")
     out = (out + out.conj().T) / 2.0
     return from_eigenbasis(eigs, out)
 
@@ -120,12 +125,13 @@ def commutator_decay_profile(
     n_sites = int(round(math.log2(eigs.dim)))
     if 1 << n_sites != eigs.dim:
         raise ValueError("eigensystem dimension is not a power of two")
+    if probe_kind not in ("X", "Y", "Z"):
+        raise ValueError(f"unknown Pauli axis {probe_kind!r}")
+    # Hermitian by construction: dressed_operator symmetrizes in the eigenbasis
     dressed = dressed_operator(eigs, A_loc, spec)
     distances = np.arange(n_sites)
-    norms = np.empty(n_sites)
-    for j in range(n_sites):
-        probe = pauli_string_matrix(PauliString({j: probe_kind}), n_sites)
-        norms[j] = commutator_norm(dressed, probe)
+    norms = np.array([_pauli_commutator_norm(dressed, j, probe_kind, True)
+                      for j in range(n_sites)])
 
     usable = (distances >= fit_min_distance) & (norms > 1e-12)
     if usable.sum() < 4:
@@ -145,21 +151,42 @@ def commutator_decay_profile(
     )
 
 
-def _complement_probes(n_sites: int, region: int, n_random: int, seed: int):
-    """Single-site Paulis plus seeded Haar-ish unitaries on the complement."""
-    dc = 1 << (n_sites - region)
-    for j in range(region, n_sites):
-        for axis in ("X", "Y", "Z"):
-            b = pauli_string_matrix(
-                PauliString({j - region: axis}), n_sites - region
-            )
-            yield f"pauli:{axis}{j}", b
-    rng = np.random.default_rng(seed)
-    for k in range(n_random):
-        g = rng.standard_normal((dc, dc)) + 1j * rng.standard_normal((dc, dc))
-        q, r = np.linalg.qr(g)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        yield f"random:{k}", q
+def _pauli_commutator_norm(a: np.ndarray, site: int, axis: str, hermitian: bool):
+    """||[a, sigma]|| for sigma = sigma_site^axis, which is Hermitian and
+    unitary: [a, sigma] = (a - sigma a sigma) sigma only couples sigma's +1
+    and -1 eigenspaces, so the norm is 2 max(||P+ a P-||, ||P- a P+||), one
+    term if a is Hermitian.  Built from the site blocks a_st (s, t the site's
+    bits) in the eigenbasis (|0> +- c|1>)/sqrt2, c = 1 (X) or i (Y)."""
+    half, lo = a.shape[0] // 2, 1 << site
+    b = a.reshape(lo, 2, half // lo, lo, 2, half // lo)
+    a00, a01, a10, a11 = (b[:, s, :, :, t, :] for s in (0, 1) for t in (0, 1))
+    if axis == "Z":
+        couplings = [a01] if hermitian else [a01, a10]
+    else:
+        c = 1.0 if axis == "X" else 1j
+        diag = a00 - a11
+        couplings = [(diag - c * a01 + c.conjugate() * a10) / 2.0]
+        if not hermitian:
+            couplings.append((diag + c * a01 - c.conjugate() * a10) / 2.0)
+    return 2.0 * max(spectral_norm(m.reshape(half, half)) for m in couplings)
+
+
+def _unitary_commutator_norm(a: np.ndarray, u: np.ndarray, hermitian: bool):
+    """||[a, I (x) u]|| = ||a - (I (x) u) a (I (x) u)^dag|| for a unitary u on
+    the trailing factor; the difference is Hermitian when a is."""
+    dc = u.shape[0]
+    dk = a.shape[0] // dc
+    a4 = a.reshape(dk, dc, dk, dc)
+    diff = np.einsum("ac,icjd,bd->iajb", u, a4, u.conj(), optimize=True)
+    np.subtract(a4, diff, out=diff)
+    return _norm(diff.reshape(a.shape), hermitian)
+
+
+def _norm(a: np.ndarray, hermitian: bool) -> float:
+    if hermitian:
+        w = np.linalg.eigvalsh(a)
+        return float(max(-w[0], w[-1]))
+    return spectral_norm(a)
 
 
 def local_approximation(
@@ -172,9 +199,11 @@ def local_approximation(
 
     A' is the normalized partial trace over the complement; err is the
     spectral norm of A - A' (x) I.  eps_hat is the largest sampled
-    ||[A, I (x) B]|| / ||B|| over the probe set.
+    ||[A, I (x) B]|| over every single-site Pauli B on the complement, then
+    ``n_random_probes`` seeded Haar-ish unitaries (all of norm 1).  A real A
+    stays real, Hermiticity is decided once and no probe matrix is built.
     """
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     d = A.shape[0]
     n_sites = int(round(math.log2(d)))
     if 1 << n_sites != d:
@@ -184,16 +213,22 @@ def local_approximation(
     dk = 1 << region
     dc = d // dk
 
+    hermitian = np.allclose(A, A.conj().T, atol=1e-12)
     a_prime = np.einsum("ajbj->ab", A.reshape(dk, dc, dk, dc)) / dc
-    err = spectral_norm(A - np.kron(a_prime, np.eye(dc)))
+    rest = A.copy()  # A - A' (x) I; einsum's diagonal is a writable view
+    np.einsum("ajbj->jab", rest.reshape(dk, dc, dk, dc))[...] -= a_prime
+    err = _norm(rest, hermitian)
 
-    eps_hat = 0.0
-    max_probe = ""
-    ident = np.eye(dk)
-    for label, b in _complement_probes(n_sites, region, n_random_probes, probe_seed):
-        full = np.kron(ident, b)
-        val = commutator_norm(A, full) / spectral_norm(b)
-        if val > eps_hat:
-            eps_hat = val
-            max_probe = label
+    def probe_norms():
+        for site, axis in product(range(region, n_sites), "XYZ"):
+            yield f"pauli:{axis}{site}", _pauli_commutator_norm(A, site, axis, hermitian)
+        rng = np.random.default_rng(probe_seed)
+        for k in range(n_random_probes):
+            g = rng.standard_normal((dc, dc)) + 1j * rng.standard_normal((dc, dc))
+            q, r = np.linalg.qr(g)
+            q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            yield f"random:{k}", _unitary_commutator_norm(A, q, hermitian)
+
+    # the first largest norm wins; "" with 0.0 if none is positive
+    max_probe, eps_hat = max(chain([("", 0.0)], probe_norms()), key=lambda p: p[1])
     return LocalApproximation(a_prime=a_prime, err=err, eps_hat=eps_hat, max_probe=max_probe)

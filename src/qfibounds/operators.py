@@ -91,16 +91,19 @@ class PauliString:
 
 
 def pauli_string_matrix(ps: PauliString, n_sites: int) -> np.ndarray:
-    """Dense matrix of a Pauli string on an ``n_sites`` chain."""
+    """Dense matrix of a Pauli string on an ``n_sites`` chain: float64 unless
+    a factor is Y (or the coefficient is complex), complex then."""
     if not (1 <= n_sites <= HARD_SITE_CAP):
         raise ValueError(f"n_sites must be in [1, {HARD_SITE_CAP}]")
     if ps.factors and max(ps.factors) >= n_sites:
         raise ValueError(
             f"site index {max(ps.factors)} out of range for n_sites={n_sites}"
         )
-    out = np.array([[ps.coefficient]], dtype=complex)
+    real = "Y" not in ps.factors.values() and not np.iscomplexobj(ps.coefficient)
+    out = np.array([[ps.coefficient]], dtype=float if real else complex)
     for site in range(n_sites):
-        out = np.kron(out, PAULI[ps.factors.get(site, "I")])
+        factor = PAULI[ps.factors.get(site, "I")]
+        out = np.kron(out, factor.real if real else factor)
     return out
 
 

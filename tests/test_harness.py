@@ -272,6 +272,14 @@ class TestCli:
                          id="sld-check-fd-delta-out-of-range"),
             pytest.param(["locality", "--n-sites", "4"], None,
                          id="locality-chain-too-short"),
+            pytest.param(["locality", "--n-sites", "6", "--gamma", "1.2", "--mu", "inf"],
+                         None, id="locality-mu-inf"),
+            pytest.param(["locality", "--n-sites", "6", "--gamma", "1.2", "--mu", "1e-300"],
+                         None, id="locality-mu-filter-overflow"),
+            pytest.param(["locality", "--n-sites", "6", "--gamma", "1.2", "--beta", "1e300"],
+                         None, id="locality-beta-filter-overflow"),
+            pytest.param(["locality", "--n-sites", "6", "--gamma", "1.2", "--mu", "1e6"],
+                         None, id="locality-mu-flat-profile"),
         ],
     )
     def test_bad_input_exit_two(self, tmp_path, argv, config):

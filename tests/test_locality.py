@@ -6,6 +6,9 @@ import pytest
 import qfibounds as q
 from qfibounds.locality import (
     DressSpec,
+    LocalApproximation,
+    _pauli_commutator_norm,
+    _unitary_commutator_norm,
     commutator_decay_profile,
     commutator_norm,
     dressed_operator,
@@ -13,7 +16,7 @@ from qfibounds.locality import (
     local_approximation,
     spectral_norm,
 )
-from qfibounds.operators import PauliString, pauli_string_matrix
+from qfibounds.operators import PauliString, pauli_string_matrix, random_hermitian
 from qfibounds.spectral import eigendecompose
 
 
@@ -47,6 +50,58 @@ class TestNorms:
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         c = a @ b - b @ a
         assert abs(commutator_norm(a, b) - spectral_norm(c)) < 1e-10
+
+
+def _operator(kind, n):
+    """A real symmetric, a complex Hermitian or a non-Hermitian complex A."""
+    d = 1 << n
+    rng = np.random.default_rng(100 + n)
+    if kind == "real-symmetric":
+        g = rng.standard_normal((d, d))
+        return (g + g.T) / 2.0
+    if kind == "complex-hermitian":
+        return random_hermitian(d, seed=n)
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _haar_unitary(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+KINDS = ("real-symmetric", "complex-hermitian", "non-hermitian")
+
+
+class TestConjugationNorms:
+    """Probe norms from the probe's structure against the dense reference,
+    to 1e-12 max(1, ||A||) absolute: a decay profile's tail norms are
+    ~1e-10, where a relative error means nothing."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pauli_matches_dense(self, n, kind):
+        a = _operator(kind, n)
+        tol = 1e-12 * max(1.0, spectral_norm(a))
+        hermitian_flags = (False,) if kind == "non-hermitian" else (True, False)
+        for site in range(n):
+            for axis in ("X", "Y", "Z"):
+                ref = commutator_norm(a, pauli_string_matrix(PauliString({site: axis}), n))
+                for hermitian in hermitian_flags:
+                    got = _pauli_commutator_norm(a, site, axis, hermitian)
+                    assert abs(got - ref) <= tol, (site, axis, hermitian)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_unitary_matches_dense(self, n, kind):
+        a = _operator(kind, n)
+        tol = 1e-12 * max(1.0, spectral_norm(a))
+        rng = np.random.default_rng(7 + n)
+        for region in range(1, n + 1):
+            u = _haar_unitary(1 << (n - region), rng)
+            ref = commutator_norm(a, np.kron(np.eye(1 << region), u))
+            got = _unitary_commutator_norm(a, u, kind != "non-hermitian")
+            assert abs(got - ref) <= tol, region
 
 
 class TestHeisenbergEvolve:
@@ -98,6 +153,17 @@ class TestDressedOperator:
         with pytest.raises(ValueError):
             DressSpec(mu=1.0, closed_form=False)  # needs horizon
 
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, -1.0])
+    def test_spec_rejects_non_finite_mu(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite and positive"):
+            DressSpec(mu=mu)
+
+    def test_filter_overflow_raises(self, chain8):
+        _, eigs, a_loc = chain8
+        # 2 mu / (mu^2 + 0) is 2e-300 / 0 on the diagonal
+        with pytest.raises(ValueError, match="not finite"):
+            dressed_operator(eigs, a_loc, DressSpec(mu=1e-300))
+
 
 class TestCommutatorDecayProfile:
     def test_exponential_tail(self, chain8):
@@ -120,6 +186,11 @@ class TestCommutatorDecayProfile:
         a = pauli_string_matrix(PauliString({0: "X"}), 3)
         with pytest.raises(ValueError, match="chain too short"):
             commutator_decay_profile(eigs, a, DressSpec(mu=1.0))
+
+    def test_unknown_probe_axis(self, chain8):
+        _, eigs, a_loc = chain8
+        with pytest.raises(ValueError, match="unknown Pauli axis"):
+            commutator_decay_profile(eigs, a_loc, DressSpec(mu=1.0), probe_kind="W")
 
 
 class TestLocalApproximation:
@@ -145,9 +216,60 @@ class TestLocalApproximation:
         assert la.err < 1e-12
         assert la.eps_hat < 1e-12
 
+    @pytest.mark.parametrize("kind", ("dressed", "complex-hermitian", "non-hermitian"))
+    def test_matches_dense_reference(self, kind):
+        n = 6
+        if kind == "dressed":
+            H, _ = q.build_tfim(q.ModelSpec(n, 0.4 * math.pi))
+            a_loc = pauli_string_matrix(PauliString({0: "X"}), n)
+            a = dressed_operator(eigendecompose(H), a_loc, DressSpec(mu=math.pi))
+        else:
+            a = _operator(kind, n)
+        tol = 1e-12 * max(1.0, spectral_norm(a))
+        for k in (2, 3, 4, 5):
+            got = local_approximation(a, k, n_random_probes=5, probe_seed=11)
+            ref, ref_norms = _dense_local_approximation(a, k, 5, 11)
+            assert abs(got.err - ref.err) <= tol, k
+            assert abs(got.eps_hat - ref.eps_hat) <= tol, k
+            # at k=5 the dressed operator's Y5 and Z5 norms tie to 1e-15, so
+            # roundoff may pick either; a probe that loses by more than tol may not win
+            assert got.max_probe == ref.max_probe or (
+                ref.eps_hat - ref_norms[got.max_probe] <= tol
+            ), k
+            assert np.max(np.abs(got.a_prime - ref.a_prime)) <= tol, k
+
     def test_region_validation(self):
         a = pauli_string_matrix(PauliString({0: "X"}), 3)
         with pytest.raises(ValueError):
             local_approximation(a, 0)
         with pytest.raises(ValueError):
             local_approximation(a, 4)
+
+
+def _dense_local_approximation(A, region, n_random_probes, probe_seed):
+    """The kron-based implementation the conjugation norms replaced: every
+    probe is embedded as a dense I (x) B and goes through commutator_norm.
+    Also returns every probe's norm by label."""
+    A = np.asarray(A, dtype=complex)
+    d = A.shape[0]
+    n_sites = int(round(math.log2(d)))
+    dk = 1 << region
+    dc = d // dk
+    a_prime = np.einsum("ajbj->ab", A.reshape(dk, dc, dk, dc)) / dc
+    err = spectral_norm(A - np.kron(a_prime, np.eye(dc)))
+
+    probes = [
+        (f"pauli:{axis}{j}", pauli_string_matrix(PauliString({j - region: axis}), n_sites - region))
+        for j in range(region, n_sites)
+        for axis in ("X", "Y", "Z")
+    ]
+    rng = np.random.default_rng(probe_seed)
+    probes += [(f"random:{k}", _haar_unitary(dc, rng)) for k in range(n_random_probes)]
+    norms = {}
+    eps_hat, max_probe = 0.0, ""
+    for label, b in probes:
+        val = norms[label] = commutator_norm(A, np.kron(np.eye(dk), b)) / spectral_norm(b)
+        if val > eps_hat:
+            eps_hat, max_probe = val, label
+    ref = LocalApproximation(a_prime=a_prime, err=err, eps_hat=eps_hat, max_probe=max_probe)
+    return ref, norms
