@@ -94,16 +94,13 @@ def generalized_fdt(
 
     # Guard against a spectrum from a different ensemble: every line must sit
     # at an energy difference of this eigensystem.
-    e = np.sort(ens.eigs.energies)
-    diffs = np.sort((e[None, :] - e[:, None]).ravel())
+    diffs = np.sort(np.subtract.outer(ens.eigs.energies, ens.eigs.energies), axis=None)
     pos = np.searchsorted(diffs, dissipation.omegas)
-    for k, w in enumerate(dissipation.omegas):
-        near = [diffs[j] for j in (max(pos[k] - 1, 0), min(pos[k], len(diffs) - 1))]
-        if min(abs(w - x) for x in near) > 1e-8:
-            raise ValueError(
-                f"dissipation line at omega={w} does not match any energy "
-                "difference of the ensemble"
-            )
+    near = diffs[np.clip([pos - 1, pos], 0, len(diffs) - 1)]  # both neighbours
+    bad = dissipation.omegas[np.min(np.abs(dissipation.omegas - near), axis=0) > 1e-8]
+    if bad.size:
+        raise ValueError(f"dissipation line at omega={bad[0]} does not match any "
+                         "energy difference of the ensemble")
 
     nz = dissipation.omegas != 0.0
     omegas = np.concatenate([dissipation.omegas[nz], [0.0]])

@@ -12,7 +12,7 @@ import numpy as np
 
 from .operators import check_hermitian
 from .spectral import EigenSystem, from_eigenbasis, to_eigenbasis
-from .sld import _gauss_panels
+from .sld import _cosine_kernel, _gauss_panels
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,15 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     probe norms of the locality diagnostics, which build no probe, are tested
     against."""
     c = a @ b - b @ a
-    herm_a = np.allclose(a, a.conj().T, atol=1e-12)
-    herm_b = np.allclose(b, b.conj().T, atol=1e-12)
-    if herm_a and herm_b:
+    if _is_hermitian(a) and _is_hermitian(b):
         return float(np.max(np.abs(np.linalg.eigvalsh(1j * c)))) if c.size else 0.0
     return spectral_norm(c)
+
+
+def _is_hermitian(a: np.ndarray) -> bool:
+    """The test of ``check_hermitian``: max|a - a^dag| <= 1e-12 max(1, max|a|)."""
+    atol = 1e-12 * max(1.0, np.max(np.abs(a), initial=0.0))
+    return np.allclose(a, a.conj().T, rtol=0.0, atol=atol)
 
 
 def heisenberg_evolve(eigs: EigenSystem, A: np.ndarray, t: float) -> np.ndarray:
@@ -98,15 +102,13 @@ def dressed_operator(
     if A_loc.shape[0] != eigs.dim:
         raise ValueError("dimension mismatch")
     Ae = to_eigenbasis(eigs, A_loc)
-    e = eigs.energies
-    dE = e[:, None] - e[None, :]
     if spec.closed_form:
-        filt = 2.0 * spec.mu / (spec.mu**2 + dE**2)
+        dE = np.subtract.outer(eigs.energies, eigs.energies)
+        with np.errstate(all="ignore"):  # a non-finite filter is reported below
+            out = 2.0 * spec.mu / (np.float64(spec.mu) ** 2 + dE**2) * Ae
     else:
         t, w = _gauss_panels(0.0, spec.horizon, spec.panels)
-        q = w * np.exp(-spec.mu * t)
-        filt = 2.0 * (np.cos(np.outer(dE.ravel(), t)) @ q).reshape(dE.shape)
-    out = filt * Ae
+        out = _cosine_kernel(eigs.energies, t, w * np.exp(-spec.mu * t)) * Ae
     if not np.all(np.isfinite(out)):
         raise ValueError(f"dressed operator is not finite at mu={spec.mu:g}")
     out = (out + out.conj().T) / 2.0
@@ -135,7 +137,9 @@ def commutator_decay_profile(
 
     usable = (distances >= fit_min_distance) & (norms > 1e-12)
     if usable.sum() < 4:
-        raise ValueError("chain too short for a decay fit (< 4 usable points)")
+        why = ("chain too short" if (distances >= fit_min_distance).sum() < 4
+               else f"profile too flat at mu={spec.mu:g} (norms <= 1e-12)")
+        raise ValueError(f"{why} for a decay fit (< 4 usable points)")
     r = distances[usable].astype(float)
     y = np.log(norms[usable])
     slope, intercept = np.polyfit(r, y, 1)
@@ -213,7 +217,7 @@ def local_approximation(
     dk = 1 << region
     dc = d // dk
 
-    hermitian = np.allclose(A, A.conj().T, atol=1e-12)
+    hermitian = _is_hermitian(A)
     a_prime = np.einsum("ajbj->ab", A.reshape(dk, dc, dk, dc)) / dc
     rest = A.copy()  # A - A' (x) I; einsum's diagonal is a writable view
     np.einsum("ajbj->jab", rest.reshape(dk, dc, dk, dc))[...] -= a_prime

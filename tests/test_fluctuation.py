@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,3 +209,44 @@ class TestGeneralizedFdt:
         ens = q.prepared_gibbs(H, O, 0.0)
         with pytest.raises(ValueError):
             generalized_fdt(dissipation_spectrum(ens, O), ens, O)
+
+    @staticmethod
+    def _moved(spectrum, k, shift):
+        omegas = spectrum.omegas.copy()
+        omegas[k] += shift
+        return LineSpectrum(omegas, spectrum.weights, DISSIPATION)
+
+    def test_rejects_moved_line(self, tfim3):
+        _, O, ens = tfim3
+        diss = dissipation_spectrum(ens, O)
+        k = len(diss) - 1
+        moved = self._moved(diss, k, 1e-6)
+        with pytest.raises(ValueError, match=re.escape(f"omega={moved.omegas[k]} ")):
+            generalized_fdt(moved, ens, O)
+        generalized_fdt(self._moved(diss, k, 1e-9), ens, O)
+
+    @pytest.mark.parametrize("shift", (-1e-6, -1.1e-8, 9e-9, 1e-9, 1.1e-8, 1e-6))
+    def test_guard_matches_line_loop(self, tfim3, shift):
+        # the guard before it was vectorized: one nearest-neighbour check per line
+        _, O, ens = tfim3
+        e = np.sort(ens.eigs.energies)
+        diffs = np.sort((e[None, :] - e[:, None]).ravel())
+        diss = dissipation_spectrum(ens, O)
+        for k in range(len(diss)):
+            moved = self._moved(diss, k, shift)
+            pos = np.searchsorted(diffs, moved.omegas)
+            first_bad = next(
+                (w for j, w in enumerate(moved.omegas)
+                 if min(abs(w - diffs[i]) for i in (max(pos[j] - 1, 0),
+                                                     min(pos[j], len(diffs) - 1))) > 1e-8),
+                None,
+            )
+            try:
+                generalized_fdt(moved, ens, O)
+                rejected = None
+            except ValueError as exc:
+                rejected = str(exc)
+            if first_bad is None:
+                assert rejected is None, k
+            else:
+                assert rejected is not None and f"omega={first_bad} " in rejected, k

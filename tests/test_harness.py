@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,9 +281,11 @@ class TestCli:
                          None, id="locality-beta-filter-overflow"),
             pytest.param(["locality", "--n-sites", "6", "--gamma", "1.2", "--mu", "1e6"],
                          None, id="locality-mu-flat-profile"),
+            pytest.param(["locality", "--n-sites", "6", "--gamma", "1.2", "--mu", "1e200"],
+                         None, id="locality-mu-square-overflow"),
         ],
     )
-    def test_bad_input_exit_two(self, tmp_path, argv, config):
+    def test_bad_input_exit_two(self, tmp_path, capsys, argv, config):
         if config is not None:
             path = tmp_path / "cfg.yaml"
             path.write_text(
@@ -290,7 +293,20 @@ class TestCli:
                 f"grid: [0.3]\noutputs: {tmp_path}\n{config}\n"
             )
             argv = argv + ["--config", str(path)]
-        assert main(argv) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print before the error
+            assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        # the CLI refuses n_sites < 6 up front, so a decay fit that fails is
+        # never the chain length's fault
+        assert "chain too short" not in err[0]
+
+    def test_sld_check_default_panels_n8(self, tmp_path, capsys):
+        # 2048 panels (16384 nodes): a d^2 x nodes cosine table would be 8 GiB here
+        assert main(["sld-check", "--n-sites", "8", "--beta", "1.0", "--out", str(tmp_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["time_domain_rel_deviation"] < 1e-5
 
     def test_axis_mismatch_exit_two(self, tmp_path):
         import yaml

@@ -44,6 +44,13 @@ class TestNorms:
         b = pauli_string_matrix(PauliString({2: "Y"}), 3)
         assert commutator_norm(a, b) < 1e-14
 
+    def test_slightly_non_hermitian_takes_svd(self):
+        # non-Hermitian at 1e-7 relative: eigvalsh would read one triangle only
+        a = _nearly_hermitian(4)
+        b = pauli_string_matrix(PauliString({1: "X"}), 4)
+        ref = spectral_norm(a @ b - b @ a)
+        assert abs(commutator_norm(a, b) - ref) <= 1e-12 * max(1.0, ref)
+
     def test_non_hermitian_fallback(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -68,6 +75,12 @@ def _haar_unitary(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _nearly_hermitian(n):
+    """A Hermitian matrix plus 1e-7 i (random real non-symmetric)."""
+    d = 1 << n
+    return random_hermitian(d, seed=n) + 1e-7j * np.random.default_rng(n).standard_normal((d, d))
 
 
 KINDS = ("real-symmetric", "complex-hermitian", "non-hermitian")
@@ -187,6 +200,14 @@ class TestCommutatorDecayProfile:
         with pytest.raises(ValueError, match="chain too short"):
             commutator_decay_profile(eigs, a, DressSpec(mu=1.0))
 
+    def test_flat_profile_is_not_a_short_chain(self, chain8):
+        _, eigs, a_loc = chain8
+        # at mu = 1e6 the dressed operator is 2/mu times the bare one, so
+        # every norm at distance >= 2 is below 1e-12
+        with pytest.raises(ValueError, match="profile too flat") as exc:
+            commutator_decay_profile(eigs, a_loc, DressSpec(mu=1e6))
+        assert "chain too short" not in str(exc.value)
+
     def test_unknown_probe_axis(self, chain8):
         _, eigs, a_loc = chain8
         with pytest.raises(ValueError, match="unknown Pauli axis"):
@@ -238,6 +259,16 @@ class TestLocalApproximation:
             ), k
             assert np.max(np.abs(got.a_prime - ref.a_prime)) <= tol, k
 
+    def test_slightly_non_hermitian_matches_svd(self):
+        a = _nearly_hermitian(5)
+        tol = 1e-12 * max(1.0, spectral_norm(a))
+        svd = lambda x, b: spectral_norm(x @ b - b @ x)  # noqa: E731
+        for k in (2, 3):
+            got = local_approximation(a, k, n_random_probes=3, probe_seed=5)
+            ref, _ = _dense_local_approximation(a, k, 3, 5, commutator=svd)
+            assert abs(got.err - ref.err) <= tol, k
+            assert abs(got.eps_hat - ref.eps_hat) <= tol, k
+
     def test_region_validation(self):
         a = pauli_string_matrix(PauliString({0: "X"}), 3)
         with pytest.raises(ValueError):
@@ -246,9 +277,10 @@ class TestLocalApproximation:
             local_approximation(a, 4)
 
 
-def _dense_local_approximation(A, region, n_random_probes, probe_seed):
+def _dense_local_approximation(A, region, n_random_probes, probe_seed,
+                               commutator=commutator_norm):
     """The kron-based implementation the conjugation norms replaced: every
-    probe is embedded as a dense I (x) B and goes through commutator_norm.
+    probe is embedded as a dense I (x) B and goes through ``commutator``.
     Also returns every probe's norm by label."""
     A = np.asarray(A, dtype=complex)
     d = A.shape[0]
@@ -268,7 +300,7 @@ def _dense_local_approximation(A, region, n_random_probes, probe_seed):
     norms = {}
     eps_hat, max_probe = 0.0, ""
     for label, b in probes:
-        val = norms[label] = commutator_norm(A, np.kron(np.eye(dk), b)) / spectral_norm(b)
+        val = norms[label] = commutator(A, np.kron(np.eye(dk), b)) / spectral_norm(b)
         if val > eps_hat:
             eps_hat, max_probe = val, label
     ref = LocalApproximation(a_prime=a_prime, err=err, eps_hat=eps_hat, max_probe=max_probe)

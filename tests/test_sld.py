@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
+from qfibounds.locality import DressSpec, dressed_operator
 from qfibounds.sld import (
     TimeKernelSpec,
+    _gauss_panels,
+    _kernel_nodes,
     energy_kernel,
     kernel_g,
     kernel_g_integral,
@@ -15,6 +18,7 @@ from qfibounds.sld import (
     sld_matrix,
     sld_time_domain,
 )
+from qfibounds.spectral import from_eigenbasis, to_eigenbasis
 
 from conftest import random_instance, rel_close
 
@@ -178,6 +182,59 @@ class TestSldTimeDomain:
         _, O, ens = tfim3
         with pytest.raises(ValueError):
             sld_time_domain(ens, O, TimeKernelSpec(ens.beta * 2, 12.0, 256))
+
+
+def _cosine_table(energies, t, q):
+    """The direct d^2 x nodes form that ``_cosine_kernel`` factors:
+    2 sum_k q_k cos((E_m - E_n) t_k)."""
+    dE = (energies[:, None] - energies[None, :]).ravel()
+    return (2.0 * (np.cos(np.outer(dE, t)) @ q)).reshape(len(energies), len(energies))
+
+
+def _table_sld_time_domain(ens, O, spec):
+    Oe = to_eigenbasis(ens.eigs, O)
+    Obar = Oe - float(np.dot(ens.populations, Oe.diagonal().real)) * np.eye(ens.dim)
+    t, qk = _kernel_nodes(ens.beta, spec.horizon, spec.panels)
+    L = _cosine_table(ens.eigs.energies, t, qk) * Obar
+    return from_eigenbasis(ens.eigs, (L + L.conj().T) / 2.0)
+
+
+def _table_dressed_operator(eigs, A, spec):
+    t, w = _gauss_panels(0.0, spec.horizon, spec.panels)
+    out = _cosine_table(eigs.energies, t, w * np.exp(-spec.mu * t)) * to_eigenbasis(eigs, A)
+    return from_eigenbasis(eigs, (out + out.conj().T) / 2.0)
+
+
+def _kernel_case(kind):
+    if kind == "tfim-theta-0.1":
+        H, O = q.build_tfim(q.ModelSpec(6, 0.4 * math.pi, 0.1))
+    elif kind == "complex-random":
+        H, O = q.random_hermitian(64, 21), q.random_hermitian(64, 22)
+    else:  # gamma = 0.05: all 32 doublets fall inside eps_deg
+        H, O = q.build_tfim(q.ModelSpec(6, 0.05, 0.0))
+    return O, q.prepared_gibbs(H, O, 1.3)
+
+
+class TestCosineKernel:
+    """Both time-domain routes against the direct cosine table, to 1e-12
+    relative.  The node counts (800 and 400) are not multiples of the node
+    block, so the last block is partial."""
+
+    @pytest.mark.parametrize("kind", ("tfim-theta-0.1", "complex-random", "doublets"))
+    def test_sld_time_domain_matches_table(self, kind):
+        O, ens = _kernel_case(kind)
+        spec = TimeKernelSpec(ens.beta, 12 * ens.beta, 100)
+        ref = _table_sld_time_domain(ens, O, spec)
+        got = sld_time_domain(ens, O, spec)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ("tfim-theta-0.1", "complex-random", "doublets"))
+    def test_dressed_quadrature_matches_table(self, kind):
+        O, ens = _kernel_case(kind)
+        spec = DressSpec(mu=1.0, horizon=8.0, panels=50, closed_form=False)
+        ref = _table_dressed_operator(ens.eigs, O, spec)
+        got = dressed_operator(ens.eigs, O, spec)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestOptimalEstimator:
