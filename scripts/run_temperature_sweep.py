@@ -19,7 +19,6 @@ def main() -> None:
     ap.add_argument("--n-sites", type=int, default=10)
     ap.add_argument("--points", type=int, default=40)
     ap.add_argument("--out", default="out/temperature")
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     for label, gamma_frac in (("ferro", 0.15), ("para", 0.35)):
@@ -36,7 +35,7 @@ def main() -> None:
                 "outputs": f"{args.out}_{label}",
             }
         )
-        rows = run_sweep(cfg, workers=args.workers)
+        rows = run_sweep(cfg)
         paths = emit_report(rows, cfg)
 
         t = np.array([r.axis for r in rows])

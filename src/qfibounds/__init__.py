@@ -12,7 +12,6 @@ from .operators import (
     single_qubit_model,
 )
 from .spectral import (
-    DegeneracyPolicy,
     EigenSystem,
     cluster_degeneracies,
     eigendecompose,
@@ -46,7 +45,6 @@ from .fluctuation import (
 from .sld import (
     SldResult,
     TimeKernelSpec,
-    kernel_g,
     lyapunov_residual,
     optimal_estimator,
     sld_matrix,
@@ -57,6 +55,5 @@ from .locality import (
     LocalityProfile,
     commutator_decay_profile,
     dressed_operator,
-    heisenberg_evolve,
     local_approximation,
 )

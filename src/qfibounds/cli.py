@@ -33,8 +33,9 @@ from .harness import (
 )
 
 
-WORKERS_HELP = ("worker processes, one Hamiltonian each, so gamma sweeps only; "
-                "sweep.json's ms excludes a temperature sweep's shared diagonalization")
+WORKERS_HELP = ("worker processes, one gamma point each.  N=10, 8 points, beta=10, "
+                "2 cores: serial 3.1-3.8 s; 2 workers 6.2-11.1 s with default BLAS "
+                "threading, 2.2-2.4 s with OPENBLAS_NUM_THREADS=1")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -108,7 +109,6 @@ def main(argv=None) -> int:
     p.add_argument("--stop", type=float, default=50.0)
     p.add_argument("--points", type=int, default=40)
     p.add_argument("--spacing", choices=("linear", "log"), default="log")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_common(p)
 
     p = sub.add_parser("sweep-gamma", help="bounds chain vs field angle gamma")
@@ -236,13 +236,13 @@ def _dispatch(args) -> int:
 
     if cmd == "locality":
         from .operators import PauliString, pauli_string_matrix
-        from .spectral import DegeneracyPolicy, eigendecompose
+        from .spectral import eigendecompose
 
         model = _model(args)
         mu = args.mu if args.mu is not None else math.pi / args.beta
         spec = _spec(DressSpec, mu)
         H, _ = build_tfim(model)
-        eigs = eigendecompose(H, DegeneracyPolicy(args.eps_deg))
+        eigs = eigendecompose(H, args.eps_deg)
         a_loc = pauli_string_matrix(PauliString({0: "X"}), model.n_sites)
         try:  # the filter overflows, or too few norms stay above 1e-12 to fit
             profile = commutator_decay_profile(eigs, a_loc, spec, probe_kind=args.probe)

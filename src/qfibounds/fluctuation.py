@@ -97,7 +97,8 @@ def generalized_fdt(
     diffs = np.sort(np.subtract.outer(ens.eigs.energies, ens.eigs.energies), axis=None)
     pos = np.searchsorted(diffs, dissipation.omegas)
     near = diffs[np.clip([pos - 1, pos], 0, len(diffs) - 1)]  # both neighbours
-    bad = dissipation.omegas[np.min(np.abs(dissipation.omegas - near), axis=0) > 1e-8]
+    bad = dissipation.omegas[
+        ~(np.min(np.abs(dissipation.omegas - near), axis=0) <= 1e-8)]  # NaN fails
     if bad.size:
         raise ValueError(f"dissipation line at omega={bad[0]} does not match any "
                          "energy difference of the ensemble")

@@ -13,7 +13,6 @@ import numpy as np
 
 from .operators import ModelSpec, build_tfim, check_hermitian
 from .spectral import (
-    DegeneracyPolicy,
     EigenSystem,
     eigendecompose,
     rotate_within_clusters,
@@ -64,7 +63,7 @@ def prepared_gibbs(
     returned ensemble's eigenbasis makes O diagonal inside each degenerate
     cluster.
     """
-    eigs = eigendecompose(H, DegeneracyPolicy(eps_deg))
+    eigs = eigendecompose(H, eps_deg)
     eigs = rotate_within_clusters(eigs, O)
     return gibbs_ensemble(eigs, beta)
 
@@ -138,14 +137,6 @@ def _distinct_pairs(eigs: EigenSystem, Oe: np.ndarray, chunk: int = 1024):
         yield e[m] - e[n], np.abs(Oe[m, n]) ** 2, m.astype(np.int32), n.astype(np.int32)
 
 
-def iter_distinct_cluster_pairs(ens: GibbsEnsemble, Oe: np.ndarray, chunk: int = 1024):
-    """Yield flat arrays (dE, p_m, p_n, |O_mn|^2) over the ordered pairs (m, n)
-    in distinct degeneracy clusters, dE = E_m - E_n, in row chunks."""
-    p = ens.populations
-    for dE, o2, m, n in _distinct_pairs(ens.eigs, Oe, chunk):
-        yield dE, p[m], p[n], o2
-
-
 def _check_rotated(eigs: EigenSystem, Oe: np.ndarray) -> None:
     """Reject within-cluster off-diagonal elements of O; they must have been
     removed by the cluster rotation before any spectral formula is applied."""
@@ -195,9 +186,6 @@ def _pair_table(eigs: EigenSystem, O: np.ndarray) -> _PairTable:
     """Validate O, transform it to the eigenbasis once, reject an unrotated
     cluster and flatten the distinct-cluster pairs.  O's eigenbasis matrix
     is dropped once the pair arrays exist."""
-    O = check_hermitian(O)
-    if O.shape[0] != eigs.dim:
-        raise ValueError("dimension mismatch")
     Oe = to_eigenbasis(eigs, O)
     _check_rotated(eigs, Oe)
     diag = Oe.diagonal().real.copy()

@@ -7,7 +7,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,6 @@ class SweepConfig:
     fixed_beta: float | None = None  # required for gamma sweeps
     eps_deg: float | None = None
     outputs: str = "out"
-    timing_in_csv: bool = False
 
     def __post_init__(self):
         if self.sweep_axis not in SWEEP_AXES:
@@ -67,19 +66,7 @@ class SweepConfig:
             raise ConfigError("gamma sweeps need a fixed beta (or temperature)")
 
     def echo(self) -> dict:
-        return {
-            "model": {
-                "n_sites": self.model.n_sites,
-                "gamma": self.model.gamma,
-                "theta": self.model.theta,
-            },
-            "sweep_axis": self.sweep_axis,
-            "grid": list(self.grid),
-            "fixed_beta": self.fixed_beta,
-            "eps_deg": self.eps_deg,
-            "outputs": self.outputs,
-            "timing_in_csv": self.timing_in_csv,
-        }
+        return {**asdict(self), "grid": list(self.grid)}
 
 
 def checked_number(value, what: str, positive: bool = False) -> float:
@@ -157,7 +144,6 @@ def config_from_dict(raw: dict) -> SweepConfig:
         fixed_beta=fixed_beta,
         eps_deg=None if eps_deg is None else checked_number(eps_deg, "eps_deg", True),
         outputs=str(raw.get("outputs", "out")),
-        timing_in_csv=bool(raw.get("timing_in_csv", False)),
     )
 
 
@@ -227,14 +213,13 @@ def emit_report(rows, config: SweepConfig, out_dir=None) -> dict:
 
     The CSV is byte-stable across reruns of the same config: the volatile
     per-row timing lives in the JSON mirror, and the CSV ms column is left
-    empty unless timing_in_csv is set.
+    empty.
     """
     out = Path(out_dir if out_dir is not None else config.outputs)
     out.mkdir(parents=True, exist_ok=True)
     lines = [CSV_HEADER]
     for row in rows:
         r = row.report
-        ms = _fmt(row.ms) if config.timing_in_csv else ""
         lines.append(
             ",".join(
                 [
@@ -248,7 +233,7 @@ def emit_report(rows, config: SweepConfig, out_dir=None) -> dict:
                     _fmt(r.dtheta_min),
                     _fmt(r.d_o),
                     _fmt(r.d_o_bar),
-                    ms,
+                    "",
                 ]
             )
         )

@@ -1,5 +1,5 @@
-"""Locality diagnostics for dressed operators: Heisenberg evolution,
-exponential time-filtering, commutator decay against distant probes, and the
+"""Locality diagnostics for dressed operators: exponential time-filtering
+of the Heisenberg evolution, commutator decay against distant probes, and the
 finite-support approximation with its sampled commutator bound."""
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from itertools import chain, product
 
 import numpy as np
 
-from .operators import check_hermitian
 from .spectral import EigenSystem, from_eigenbasis, to_eigenbasis
 from .sld import _cosine_kernel, _gauss_panels
 
@@ -78,17 +77,6 @@ def _is_hermitian(a: np.ndarray) -> bool:
     return np.allclose(a, a.conj().T, rtol=0.0, atol=atol)
 
 
-def heisenberg_evolve(eigs: EigenSystem, A: np.ndarray, t: float) -> np.ndarray:
-    """A(t) = e^{iHt} A e^{-iHt} via elementwise phases in the eigenbasis."""
-    A = np.asarray(A, dtype=complex)
-    if A.shape[0] != eigs.dim:
-        raise ValueError("dimension mismatch")
-    Ae = to_eigenbasis(eigs, A)
-    e = eigs.energies
-    phases = np.exp(1j * t * (e[:, None] - e[None, :]))
-    return from_eigenbasis(eigs, phases * Ae)
-
-
 def dressed_operator(
     eigs: EigenSystem, A_loc: np.ndarray, spec: DressSpec
 ) -> np.ndarray:
@@ -98,9 +86,6 @@ def dressed_operator(
     acting elementwise in the eigenbasis.  The quadrature route integrates
     the phases directly over |t| <= horizon and exists as a cross-check.
     """
-    A_loc = check_hermitian(A_loc)
-    if A_loc.shape[0] != eigs.dim:
-        raise ValueError("dimension mismatch")
     Ae = to_eigenbasis(eigs, A_loc)
     if spec.closed_form:
         dE = np.subtract.outer(eigs.energies, eigs.energies)
@@ -120,10 +105,9 @@ def commutator_decay_profile(
     A_loc: np.ndarray,
     spec: DressSpec,
     probe_kind: str = "Z",
-    fit_min_distance: int = 2,
 ) -> LocalityProfile:
     """Dress a site-0 operator, then record || [L_loc, sigma_j^probe] || for
-    every site j and fit the exponential tail of the decay."""
+    every site j and fit the exponential tail of the decay, from distance 2."""
     n_sites = int(round(math.log2(eigs.dim)))
     if 1 << n_sites != eigs.dim:
         raise ValueError("eigensystem dimension is not a power of two")
@@ -135,9 +119,9 @@ def commutator_decay_profile(
     norms = np.array([_pauli_commutator_norm(dressed, j, probe_kind, True)
                       for j in range(n_sites)])
 
-    usable = (distances >= fit_min_distance) & (norms > 1e-12)
+    usable = (distances >= 2) & (norms > 1e-12)
     if usable.sum() < 4:
-        why = ("chain too short" if (distances >= fit_min_distance).sum() < 4
+        why = ("chain too short" if (distances >= 2).sum() < 4
                else f"profile too flat at mu={spec.mu:g} (norms <= 1e-12)")
         raise ValueError(f"{why} for a decay fit (< 4 usable points)")
     r = distances[usable].astype(float)

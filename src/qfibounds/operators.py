@@ -25,14 +25,15 @@ PAULI = {
 }
 
 
-def check_hermitian(a: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate ``a`` as square and Hermitian; return float64 if real, else complex."""
+def check_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate ``a`` as square and Hermitian to 1e-12 relative; return
+    float64 if real, else complex."""
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
     dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > atol * scale:
+    if not dev <= 1e-12 * scale:  # NaN fails
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a
 
@@ -49,14 +50,11 @@ class ModelSpec:
     n_sites: int
     gamma: float
     theta: float = 0.0
-    site_cap: int = HARD_SITE_CAP
 
     def __post_init__(self):
-        if not (1 <= self.site_cap <= HARD_SITE_CAP):
-            raise ValueError(f"site_cap must be in [1, {HARD_SITE_CAP}]")
-        if not (1 <= self.n_sites <= self.site_cap):
+        if not (1 <= self.n_sites <= HARD_SITE_CAP):
             raise ValueError(
-                f"n_sites must be in [1, {self.site_cap}], got {self.n_sites}"
+                f"n_sites must be in [1, {HARD_SITE_CAP}], got {self.n_sites}"
             )
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
@@ -66,9 +64,6 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         return 1 << self.n_sites
-
-    def with_theta(self, theta: float) -> "ModelSpec":
-        return ModelSpec(self.n_sites, self.gamma, theta, self.site_cap)
 
 
 @dataclass(frozen=True)

@@ -138,30 +138,6 @@ def uncertainty_report(rep: BoundsReport) -> dict:
     }
 
 
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    if w[0] < -1e-10:
-        raise RuntimeError(f"density matrix not PSD (min eigenvalue {w[0]:.3e})")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    s = _psd_sqrt(rho)
-    inner = s @ sigma @ s
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-
-
-def qfi_from_states(rho0: np.ndarray, rho1: np.ndarray, delta: float) -> float:
-    """Finite-difference Bures estimate 8(1 - sqrt(Fid))/delta^2.
-
-    O(delta^2)-biased; keep delta well above sqrt(machine eps).
-    """
-    sqrt_fid = math.sqrt(uhlmann_fidelity(rho0, rho1))
-    return 8.0 * (1.0 - sqrt_fid) / delta**2
-
-
 def _sqrt_fidelity(a: GibbsEnsemble, b: GibbsEnsemble) -> float:
     """sqrt(Fid) = Tr |sqrt(rho_a) sqrt(rho_b)| from thermal populations.
 
@@ -176,17 +152,6 @@ def _sqrt_fidelity(a: GibbsEnsemble, b: GibbsEnsemble) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def _fidelity_qfi(H, O, beta, delta, eps_deg=None) -> float:
-    """Bures QFI between the Gibbs states of H -/+ (delta/2) O (centered,
-    so the finite-difference bias is O(delta^2))."""
-    if not (1e-4 <= delta <= 1e-2):
-        raise ValueError(f"delta must lie in [1e-4, 1e-2], got {delta}")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    a, b = _shifted_gibbs(H, O, beta, (-delta / 2.0, delta / 2.0), eps_deg)
-    return 8.0 * (1.0 - _sqrt_fidelity(a, b)) / delta**2
-
-
 def qfi_fidelity_oracle(
     model: ModelSpec,
     beta: float,
@@ -196,11 +161,19 @@ def qfi_fidelity_oracle(
     """Independent oracle for the spectral QFI via Uhlmann fidelity of the
     exactly built Gibbs states at theta -/+ delta/2."""
     H, O = build_tfim(model)
-    return _fidelity_qfi(H, O, beta, delta, eps_deg)
+    return qfi_fidelity_oracle_generic(H, O, beta, delta, eps_deg)
 
 
 def qfi_fidelity_oracle_generic(
-    H: np.ndarray, O: np.ndarray, beta: float, delta: float
+    H: np.ndarray, O: np.ndarray, beta: float, delta: float,
+    eps_deg: float | None = None,
 ) -> float:
-    """Same oracle for an arbitrary pair with H(theta) = H + theta O."""
-    return _fidelity_qfi(H, O, beta, delta)
+    """Same oracle for an arbitrary pair with H(theta) = H + theta O: the
+    Bures QFI between the Gibbs states of H -/+ (delta/2) O (centered, so
+    the finite-difference bias is O(delta^2))."""
+    if not (1e-4 <= delta <= 1e-2):
+        raise ValueError(f"delta must lie in [1e-4, 1e-2], got {delta}")
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    a, b = _shifted_gibbs(H, O, beta, (-delta / 2.0, delta / 2.0), eps_deg)
+    return 8.0 * (1.0 - _sqrt_fidelity(a, b)) / delta**2

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ModelSpec, build_tfim, check_hermitian
+from .operators import ModelSpec, build_tfim
 from .gibbs import GibbsEnsemble, KernelKind, _shifted_gibbs
 from .spectral import from_eigenbasis, to_eigenbasis
 
@@ -49,9 +49,6 @@ def energy_kernel(omega: np.ndarray, beta: float) -> np.ndarray:
 
 def _centered_eigenbasis(ens: GibbsEnsemble, O: np.ndarray) -> np.ndarray:
     """O - <O> in the ensemble's eigenbasis, for a Hermitian O of its dimension."""
-    O = check_hermitian(O)
-    if O.shape[0] != ens.dim:
-        raise ValueError("dimension mismatch")
     Oe = to_eigenbasis(ens.eigs, O)
     return Oe - float(np.dot(ens.populations, Oe.diagonal().real)) * np.eye(ens.dim)
 
@@ -100,13 +97,14 @@ def lyapunov_residual(
     return float(np.max(np.abs((rho @ L + L @ rho) / 2.0 - drho)))
 
 
-def kernel_g(t: float, beta: float) -> float:
-    """g_beta(t) = (2/pi) ln tanh(pi |t| / (2 beta)); singular at t = 0."""
+def kernel_g(t, beta: float):
+    """g_beta(t) = (2/pi) ln tanh(pi |t| / (2 beta)) elementwise; singular at 0."""
     if not beta > 0:
         raise ValueError("beta must be positive")
-    if t == 0.0:
+    t = np.abs(t)
+    if np.any(t == 0.0):
         raise ValueError("kernel_g is singular at t = 0")
-    return (2.0 / math.pi) * math.log(math.tanh(math.pi * abs(t) / (2.0 * beta)))
+    return (2.0 / math.pi) * np.log(np.tanh(math.pi * t / (2.0 * beta)))
 
 
 def _gauss_panels(a: float, b: float, panels: int, order: int = 8, grade: float = 1.0):
@@ -157,7 +155,7 @@ def _kernel_nodes(beta: float, horizon: float, panels: int):
     p_out = panels - p_in
     if horizon > t_split and p_out > 0:
         t_out, w_out = _gauss_panels(t_split, horizon, p_out)
-        g = (2.0 / math.pi) * np.log(np.tanh(math.pi * t_out / (2.0 * beta)))
+        g = kernel_g(t_out, beta)
         return np.concatenate([t_in, t_out]), np.concatenate([q_in, w_out * g])
     return t_in, q_in
 

@@ -16,27 +16,21 @@ import numpy as np
 from .operators import check_hermitian
 
 
-@dataclass(frozen=True)
-class DegeneracyPolicy:
+def resolve_eps_deg(energies: np.ndarray, eps_deg: float | None) -> float:
     """Absolute energy tolerance deciding which eigenvalues are degenerate.
 
-    ``eps_deg=None`` resolves to 1e-8 * max(1, spectral range) at
-    decomposition time.  Exponentially small splittings (e.g. the
+    ``eps_deg=None`` resolves to 1e-8 * max(1, spectral range) of the
+    ascending ``energies``.  Exponentially small splittings (e.g. the
     ferromagnetic doublet of the Ising chain) must stay above the resolved
     tolerance to be treated as non-degenerate.
     """
-
-    eps_deg: float | None = None
-
-    def resolve(self, energies: np.ndarray) -> float:
-        if self.eps_deg is not None:
-            if self.eps_deg <= 0:
-                raise ValueError("eps_deg must be positive")
-            return self.eps_deg
-        if len(energies) == 0:
-            return 1e-8
-        spread = float(energies[-1] - energies[0])
-        return 1e-8 * max(1.0, spread)
+    if eps_deg is not None:
+        if eps_deg <= 0:
+            raise ValueError("eps_deg must be positive")
+        return eps_deg
+    if len(energies) == 0:
+        return 1e-8
+    return 1e-8 * max(1.0, float(energies[-1] - energies[0]))
 
 
 @dataclass(frozen=True)
@@ -64,12 +58,11 @@ class EigenSystem:
         return (v * populations) @ v.conj().T
 
 
-def cluster_degeneracies(energies: np.ndarray, policy: DegeneracyPolicy) -> tuple:
-    """Greedy chaining: adjacent gaps <= eps_deg join one cluster."""
+def cluster_degeneracies(energies: np.ndarray, eps: float) -> tuple:
+    """Greedy chaining: adjacent gaps <= eps join one cluster."""
     energies = np.asarray(energies, dtype=float)
     if np.any(np.diff(energies) < 0):
         raise ValueError("energies must be ascending")
-    eps = policy.resolve(energies)
     clusters = []
     start = 0
     for i in range(1, len(energies)):
@@ -81,21 +74,20 @@ def cluster_degeneracies(energies: np.ndarray, policy: DegeneracyPolicy) -> tupl
     return tuple(clusters)
 
 
-def eigendecompose(
-    H: np.ndarray, policy: DegeneracyPolicy = DegeneracyPolicy()
-) -> EigenSystem:
-    """Full eigendecomposition (LAPACK ``eigh``) with degeneracy clusters."""
+def eigendecompose(H: np.ndarray, eps_deg: float | None = None) -> EigenSystem:
+    """Full eigendecomposition (LAPACK ``eigh``) with degeneracy clusters at
+    the tolerance ``resolve_eps_deg(energies, eps_deg)``."""
     H = check_hermitian(H)
     try:
         energies, vectors = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    clusters = cluster_degeneracies(energies, policy)
+    eps = resolve_eps_deg(energies, eps_deg)
     return EigenSystem(
         energies=energies,
         vectors=vectors,
-        clusters=clusters,
-        eps_deg=policy.resolve(energies),
+        clusters=cluster_degeneracies(energies, eps),
+        eps_deg=eps,
     )
 
 
@@ -130,7 +122,9 @@ def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
 
 
 def to_eigenbasis(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:
-    """Matrix elements of ``A`` in the eigenbasis, A_mn = <m|A|n>."""
+    """Validate ``A`` as Hermitian of the eigensystem's dimension; its matrix
+    elements in the eigenbasis, A_mn = <m|A|n>."""
+    A = check_hermitian(A)
     if A.shape[0] != eigs.dim:
         raise ValueError("dimension mismatch")
     v = eigs.vectors

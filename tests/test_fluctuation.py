@@ -225,6 +225,12 @@ class TestGeneralizedFdt:
             generalized_fdt(moved, ens, O)
         generalized_fdt(self._moved(diss, k, 1e-9), ens, O)
 
+    def test_rejects_nan_line(self, tfim3):
+        _, O, ens = tfim3
+        diss = dissipation_spectrum(ens, O)
+        with pytest.raises(ValueError, match="omega=nan "):
+            generalized_fdt(self._moved(diss, len(diss) - 1, math.nan), ens, O)
+
     @pytest.mark.parametrize("shift", (-1e-6, -1.1e-8, 9e-9, 1e-9, 1.1e-8, 1e-6))
     def test_guard_matches_line_loop(self, tfim3, shift):
         # the guard before it was vectorized: one nearest-neighbour check per line

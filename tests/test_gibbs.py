@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
-from qfibounds.gibbs import iter_distinct_cluster_pairs
-from qfibounds.spectral import to_eigenbasis
+from qfibounds.gibbs import _distinct_pairs, _pair_table
+from qfibounds.spectral import (
+    cluster_degeneracies,
+    eigendecompose,
+    rotate_within_clusters,
+    to_eigenbasis,
+)
 
 from conftest import random_instance, rel_close
 
@@ -75,22 +80,40 @@ class TestDistinctClusterPairs:
     def test_pair_count_no_degeneracies(self, tfim3):
         _, O, ens = tfim3
         Oe = to_eigenbasis(ens.eigs, O)
-        total = sum(len(c[0]) for c in iter_distinct_cluster_pairs(ens, Oe))
+        total = sum(len(c[0]) for c in _distinct_pairs(ens.eigs, Oe))
         n_in_cluster = sum((b - a) ** 2 for a, b in ens.eigs.clusters)
         assert total == ens.dim**2 - n_in_cluster
 
     def test_chunking_invariant(self, tfim3):
         _, O, ens = tfim3
         Oe = to_eigenbasis(ens.eigs, O)
-        full = np.sort(
-            np.concatenate([c[0] for c in iter_distinct_cluster_pairs(ens, Oe)])
-        )
-        small = np.sort(
-            np.concatenate(
-                [c[0] for c in iter_distinct_cluster_pairs(ens, Oe, chunk=3)]
-            )
-        )
-        assert np.array_equal(full, small)
+        full = zip(*_distinct_pairs(ens.eigs, Oe))
+        small = zip(*_distinct_pairs(ens.eigs, Oe, chunk=3))
+        for a, b in zip(full, small, strict=True):  # dE, |O_mn|^2, m, n
+            assert np.array_equal(np.concatenate(a), np.concatenate(b))
+
+
+class TestNearDegenerate:
+    EPS = 1e-6
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_clusters_split_at_eps_deg(self, seed):
+        # gaps just below and just above eps_deg: only the first pair joins
+        eps = self.EPS
+        e = np.array([0.0, eps * (1 - 1e-3), 1.0, 1.0 + eps * (1 + 1e-3), 2.0, 3.0])
+        rng = np.random.default_rng(seed)
+        v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        H = (v * e) @ v.T
+        g = rng.standard_normal((6, 6))
+        O = g + g.T
+        eigs = eigendecompose(H, eps)
+        joined = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+        assert cluster_degeneracies(eigs.energies, eps) == eigs.clusters == joined
+        with pytest.raises(ValueError, match="rotate_within_clusters"):
+            _pair_table(eigs, O)
+        table = _pair_table(rotate_within_clusters(eigs, O), O)
+        assert len(table.dE) == 6**2 - (2**2 + 4)  # minus within-cluster pairs
 
 
 class TestSusceptibility:

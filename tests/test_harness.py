@@ -178,11 +178,6 @@ class TestEmitReport:
             tmp_path / "b" / "sweep.csv"
         ).read_bytes()
 
-    def test_timing_opt_in(self, tmp_path):
-        self._run(tmp_path, timing_in_csv=True)
-        lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert not lines[1].endswith(",")
-
     def test_json_mirror(self, tmp_path):
         cfg, rows, paths = self._run(tmp_path)
         payload = json.loads((tmp_path / "sweep.json").read_text())

@@ -12,7 +12,6 @@ from qfibounds.locality import (
     commutator_decay_profile,
     commutator_norm,
     dressed_operator,
-    heisenberg_evolve,
     local_approximation,
     spectral_norm,
 )
@@ -115,24 +114,6 @@ class TestConjugationNorms:
             ref = commutator_norm(a, np.kron(np.eye(1 << region), u))
             got = _unitary_commutator_norm(a, u, kind != "non-hermitian")
             assert abs(got - ref) <= tol, region
-
-
-class TestHeisenbergEvolve:
-    def test_t_zero_identity(self, chain8):
-        _, eigs, a_loc = chain8
-        assert np.max(np.abs(heisenberg_evolve(eigs, a_loc, 0.0) - a_loc)) < 1e-12
-
-    def test_norm_preserved(self, chain8):
-        _, eigs, a_loc = chain8
-        at = heisenberg_evolve(eigs, a_loc, 0.7)
-        assert abs(spectral_norm(at) - spectral_norm(a_loc)) < 1e-9
-
-    def test_group_property(self):
-        H, O = q.build_tfim(q.ModelSpec(3, 0.6))
-        eigs = eigendecompose(H)
-        one = heisenberg_evolve(eigs, heisenberg_evolve(eigs, O, 0.3), 0.4)
-        two = heisenberg_evolve(eigs, O, 0.7)
-        assert np.max(np.abs(one - two)) < 1e-10
 
 
 class TestDressedOperator:

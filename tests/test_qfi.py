@@ -8,8 +8,6 @@ import qfibounds as q
 from qfibounds.qfi import (
     check_bounds_report,
     qfi_fidelity_oracle_generic,
-    qfi_from_states,
-    uhlmann_fidelity,
     uncertainty_report,
 )
 
@@ -174,16 +172,6 @@ class TestUncertaintyReport:
 
 
 class TestFidelityOracle:
-    def test_fidelity_of_identical_states(self, tfim3):
-        _, _, ens = tfim3
-        rho = ens.density_matrix()
-        assert rel_close(uhlmann_fidelity(rho, rho), 1.0, rel=1e-12)
-
-    def test_fidelity_of_orthogonal_pure_states(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        sig = np.diag([0.0, 1.0]).astype(complex)
-        assert uhlmann_fidelity(rho, sig) < 1e-12
-
     def test_oracle_matches_spectral_tfim(self):
         model = q.ModelSpec(3, 0.4, 0.05)
         H, O = q.build_tfim(model)

@@ -113,6 +113,8 @@ class TestTimeKernel:
     def test_kernel_g_negative_and_even(self):
         assert kernel_g(0.5, 1.0) < 0
         assert kernel_g(-0.5, 1.0) == kernel_g(0.5, 1.0)
+        g = kernel_g(np.array([-0.5, 0.5, 2.0]), 1.0)
+        assert np.all(g < 0) and g[0] == g[1] == kernel_g(0.5, 1.0)
 
     def test_kernel_g_singular_at_zero(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
 from qfibounds.spectral import (
-    DegeneracyPolicy,
     cluster_degeneracies,
     eigendecompose,
     from_eigenbasis,
+    resolve_eps_deg,
     rotate_within_clusters,
     to_eigenbasis,
 )
@@ -17,26 +17,26 @@ from conftest import rel_close
 
 class TestClusterDegeneracies:
     def test_distinct_energies(self):
-        c = cluster_degeneracies(np.array([0.0, 1.0, 2.0]), DegeneracyPolicy(1e-6))
+        c = cluster_degeneracies(np.array([0.0, 1.0, 2.0]), 1e-6)
         assert c == ((0, 1), (1, 2), (2, 3))
 
     def test_greedy_chaining(self):
         # pairwise gaps all below eps even though the ends are far apart
         e = np.array([0.0, 0.5e-6, 1.0e-6, 1.5e-6, 1.0])
-        c = cluster_degeneracies(e, DegeneracyPolicy(0.6e-6))
+        c = cluster_degeneracies(e, 0.6e-6)
         assert c == ((0, 4), (4, 5))
 
     def test_descending_rejected(self):
         with pytest.raises(ValueError):
-            cluster_degeneracies(np.array([1.0, 0.0]), DegeneracyPolicy(1e-6))
+            cluster_degeneracies(np.array([1.0, 0.0]), 1e-6)
 
     def test_default_policy_scales_with_range(self):
-        assert DegeneracyPolicy().resolve(np.array([0.0, 0.5])) == 1e-8
-        assert rel_close(DegeneracyPolicy().resolve(np.array([0.0, 100.0])), 1e-6)
+        assert resolve_eps_deg(np.array([0.0, 0.5]), None) == 1e-8
+        assert rel_close(resolve_eps_deg(np.array([0.0, 100.0]), None), 1e-6)
 
     def test_policy_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            DegeneracyPolicy(0.0).resolve(np.zeros(2))
+            resolve_eps_deg(np.zeros(2), 0.0)
 
 
 class TestEigendecompose:
