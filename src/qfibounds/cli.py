@@ -33,9 +33,8 @@ from .harness import (
 )
 
 
-WORKERS_HELP = ("worker processes, one gamma point each.  N=10, 8 points, beta=10, "
-                "2 cores: serial 3.1-3.8 s; 2 workers 6.2-11.1 s with default BLAS "
-                "threading, 2.2-2.4 s with OPENBLAS_NUM_THREADS=1")
+WORKERS_HELP = ("worker processes, one gamma point each; slower than serial unless "
+                "BLAS runs one thread per worker; see README")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

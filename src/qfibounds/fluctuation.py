@@ -2,9 +2,10 @@
 generalized fluctuation-dissipation relation with its zero-frequency
 correction, and kernel moments that reproduce the QFI and both bounds.
 
-Both spectra aggregate the same pair table (``gibbs._pair_table``) whose
-three kernel sums are F, beta chi and beta^2 Var, so the moments of the
-autocorrelation spectrum reproduce those scalars line for line.
+Both spectra emit one line per distinct-cluster pair of the same pair table
+(``gibbs._pair_table``), in row-major pair order, whose kernel moments are
+F, beta chi and Var, so the ``moment``s of the autocorrelation spectrum
+reproduce those scalars line for line.  ``moment`` takes a ``KernelKind``.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     2 pi sum_n p_n (O_nn - <O>)^2.  Sum rule: total weight = 2 pi Var(O).
     """
     t = _pair_table(ens.eigs, O)
-    classical, w_sum = t.weights(ens.populations)
-    omegas = np.concatenate([-t.dE, [0.0]])
-    weights = np.concatenate([math.pi * w_sum, [2.0 * math.pi * classical]])
+    p = ens.populations
+    omegas = np.concatenate([-t.gaps()[t.distinct], [0.0]])
+    w = (math.pi * ((p[:, None] + p[None, :]) * t.o2))[t.distinct]
+    weights = np.concatenate([w, [2.0 * math.pi * _classical(p, t.diag)]])
     return _aggregate(omegas, weights, AUTOCORRELATION)
 
 
@@ -77,7 +79,8 @@ def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     and no zero-frequency weight."""
     t = _pair_table(ens.eigs, O)
     p = ens.populations
-    return _aggregate(-t.dE, math.pi * (p[t.m] - p[t.n]) * t.o2, DISSIPATION)
+    w = (math.pi * (p[:, None] - p[None, :]) * t.o2)[t.distinct]
+    return _aggregate(-t.gaps()[t.distinct], w, DISSIPATION)
 
 
 def generalized_fdt(
@@ -120,6 +123,5 @@ def moment(spectrum: LineSpectrum, kernel: KernelKind, beta: float) -> float:
         raise ValueError("moments are defined on autocorrelation spectra")
     if len(spectrum) == 0:
         return 0.0
-    k = kernel if isinstance(kernel, KernelKind) else KernelKind(kernel)
-    vals = k.evaluate(spectrum.omegas, beta)
+    vals = kernel.evaluate(spectrum.omegas, beta)
     return (2.0 / math.pi) * float(np.dot(vals, spectrum.weights))

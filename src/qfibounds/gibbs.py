@@ -1,7 +1,10 @@
 """Gibbs ensembles, thermal averages, and the one beta-independent pair
-table per (eigensystem, O) that feeds F, chi, Var and both line spectra: its
-three ``KernelKind`` sums are F, beta chi and beta^2 Var, the moments of the
-autocorrelation spectrum, and the spectra are its aggregations."""
+table per (eigensystem, O) that feeds F, chi, Var and both line spectra.
+The table is O's eigenbasis diagonal, the energies and the dense |O_mn|^2
+with its same-cluster entries zeroed; one pass of the kernel x =
+tanh(beta omega / 2) / omega over it gives F, beta chi and Var, the three
+``KernelKind`` moments of the autocorrelation spectrum, and masking it to
+the distinct-cluster pairs gives the spectra's lines."""
 
 from __future__ import annotations
 
@@ -76,7 +79,7 @@ def _shifted_gibbs(H, O, beta, shifts, eps_deg=None):
 
 
 def _real_or_raise(value: complex, scale: float, what: str) -> float:
-    if abs(value.imag) > _IMAG_TOL * max(1.0, scale):
+    if not abs(value.imag) <= _IMAG_TOL * max(1.0, scale):  # NaN fails
         raise ValueError(f"{what} has non-negligible imaginary part {value.imag:.3e}")
     return float(value.real)
 
@@ -96,12 +99,24 @@ def thermal_average(ens: GibbsEnsemble, A: np.ndarray) -> float:
     return _real_or_raise(val, float(np.max(np.abs(A))) or 1.0, "thermal average")
 
 
+def _tanh_over_omega(omega: np.ndarray, beta: float) -> np.ndarray:
+    """x = tanh(beta omega / 2) / omega, the one kernel formula, with its
+    limit beta / 2 wherever |beta omega| <= 1e-6: there the formula is the
+    limit to better than 1e-12 relative, and evaluating it directly risks
+    0/0 (omega = 0 on the diagonal, subnormal omega)."""
+    omega = np.asarray(omega, dtype=float)
+    nz = np.abs(beta * omega) > 1e-6
+    return np.divide(np.tanh(beta * omega / 2.0), omega,
+                     out=np.full_like(omega, beta / 2.0), where=nz)
+
+
 class KernelKind(enum.Enum):
     """Integral kernels of the three line-sum representations.
 
     Pointwise qfi <= susceptibility <= variance for every frequency, which is
-    the whole content of the bounds chain.  The omega -> 0 limits are encoded
-    explicitly; naive substitution at omega = 0 is ill-defined.
+    the whole content of the bounds chain.  With x = tanh(beta omega / 2) /
+    omega they are x^2, beta x / 2 and beta^2 / 4, so all three take the
+    value beta^2 / 4 at omega = 0.
     """
 
     QFI = "qfi_kernel"
@@ -109,32 +124,10 @@ class KernelKind(enum.Enum):
     VARIANCE = "variance_kernel"
 
     def evaluate(self, omega: np.ndarray, beta: float) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        limit = beta**2 / 4.0
         if self is KernelKind.VARIANCE:
-            return np.full_like(omega, limit)
-        out = np.full_like(omega, limit)
-        # below this the formula is the limit to better than 1e-12 relative,
-        # and evaluating it directly risks underflow (0/0 for subnormal omega)
-        nz = np.abs(beta * omega) > 1e-6
-        w = omega[nz]
-        if self is KernelKind.QFI:
-            out[nz] = np.tanh(beta * w / 2.0) ** 2 / w**2
-        else:
-            out[nz] = np.tanh(beta * w / 2.0) * beta / (2.0 * w)
-        return out
-
-
-def _distinct_pairs(eigs: EigenSystem, Oe: np.ndarray, chunk: int = 1024):
-    """Yield, per row chunk, flat arrays (dE = E_m - E_n, |O_mn|^2, m, n) over
-    ordered pairs (m, n) in distinct clusters; int32 m, n fit the site cap."""
-    e = eigs.energies
-    cid = eigs.cluster_ids()
-    for a in range(0, eigs.dim, chunk):
-        b = min(a + chunk, eigs.dim)
-        m, n = np.nonzero(cid[a:b, None] != cid[None, :])
-        m += a
-        yield e[m] - e[n], np.abs(Oe[m, n]) ** 2, m.astype(np.int32), n.astype(np.int32)
+            return np.full_like(np.asarray(omega, dtype=float), beta**2 / 4.0)
+        x = _tanh_over_omega(omega, beta)
+        return x * x if self is KernelKind.QFI else beta * x / 2.0
 
 
 def _check_rotated(eigs: EigenSystem, Oe: np.ndarray) -> None:
@@ -146,7 +139,7 @@ def _check_rotated(eigs: EigenSystem, Oe: np.ndarray) -> None:
             continue
         block = Oe[a:b, a:b].copy()
         np.fill_diagonal(block, 0.0)
-        if np.max(np.abs(block)) > 1e-9 * scale:
+        if not np.max(np.abs(block)) <= 1e-9 * scale:  # NaN fails
             raise ValueError(
                 "degenerate cluster carries off-diagonal O elements; "
                 "rotate_within_clusters must run before spectral formulas"
@@ -160,45 +153,55 @@ def _classical(p: np.ndarray, diag: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class _PairTable:
-    """The beta-independent lines of O over one eigensystem: ``diag`` = O_nn
-    and, over ordered pairs (m, n) in distinct clusters, ``dE`` = E_m - E_n,
-    ``o2`` = |O_mn|^2 and the indices ``m``, ``n``."""
+    """The beta-independent lines of O over one eigensystem: ``diag`` = O_nn,
+    the ``energies``, the d x d ``o2`` = |O_mn|^2 with every same-cluster
+    entry (the diagonal included) zero, and the mask ``distinct`` of pairs
+    (m, n) in different clusters."""
 
     diag: np.ndarray
-    dE: np.ndarray
+    energies: np.ndarray
     o2: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
+    distinct: np.ndarray
 
-    def weights(self, p: np.ndarray) -> tuple[float, np.ndarray]:
-        """Classical weight and (p_m + p_n)|O_mn|^2 per pair, at populations p."""
-        return _classical(p, self.diag), (p[self.m] + p[self.n]) * self.o2
+    def gaps(self) -> np.ndarray:
+        """E_m - E_n for every (m, n)."""
+        return np.subtract.outer(self.energies, self.energies)
 
-    def moment(self, kernel: KernelKind, beta: float, weights) -> float:
-        """(2/pi) sum of kernel(omega) * weight over the autocorrelation
-        lines: pi w_sum per pair, 2 pi classical at omega = 0."""
-        classical, w_sum = weights
-        k = kernel.evaluate(self.dE, beta)
-        return beta**2 * classical + 2.0 * float(np.dot(k, w_sum))
+    def moments(self, p: np.ndarray, beta: float) -> tuple[float, float, float]:
+        """F, beta chi and Var at populations p: the QFI-, susceptibility- and
+        variance-kernel sums (2/pi) sum kernel(omega) weight over the
+        autocorrelation lines, pi (p_m + p_n)|O_mn|^2 per distinct-cluster
+        pair and 2 pi times the classical weight at omega = 0.  o2 is
+        symmetric and the kernels are even, so each pair sum is 2 p . (row
+        sums of o2 times the kernel)."""
+        c = _classical(p, self.diag)
+        x = _tanh_over_omega(self.gaps(), beta)
+        ox = self.o2 * x
+        return (beta**2 * c + 4.0 * float(p @ np.einsum("mn,mn->m", ox, x)),
+                beta**2 * c + 2.0 * beta * float(p @ ox.sum(axis=1)),
+                c + float(p @ self.o2.sum(axis=1)))
 
 
 def _pair_table(eigs: EigenSystem, O: np.ndarray) -> _PairTable:
     """Validate O, transform it to the eigenbasis once, reject an unrotated
-    cluster and flatten the distinct-cluster pairs.  O's eigenbasis matrix
-    is dropped once the pair arrays exist."""
+    cluster and keep |O_mn|^2 outside the clusters.  O's eigenbasis matrix
+    is dropped once the table exists."""
     Oe = to_eigenbasis(eigs, O)
     _check_rotated(eigs, Oe)
     diag = Oe.diagonal().real.copy()
-    chunks = list(_distinct_pairs(eigs, Oe))
+    o2 = np.abs(Oe)
     del Oe
-    return _PairTable(diag, *(np.concatenate(c) for c in zip(*chunks)))
+    np.square(o2, out=o2)
+    cid = eigs.cluster_ids()
+    distinct = cid[:, None] != cid[None, :]
+    o2[~distinct] = 0.0
+    return _PairTable(diag, eigs.energies, o2, distinct)
 
 
 def variance(ens: GibbsEnsemble, O: np.ndarray) -> float:
-    """<(O - <O>)^2>.  The variance kernel is beta^2 / 4 at every frequency,
-    so its moment at beta = 1 is Var at any ensemble temperature."""
-    t = _pair_table(ens.eigs, O)
-    return t.moment(KernelKind.VARIANCE, 1.0, t.weights(ens.populations))
+    """<(O - <O>)^2>, the variance-kernel moment over beta^2: that kernel is
+    beta^2 / 4 at every frequency, so Var is beta-independent given p."""
+    return _pair_table(ens.eigs, O).moments(ens.populations, ens.beta)[2]
 
 
 def susceptibility(ens: GibbsEnsemble, O: np.ndarray) -> float:
@@ -209,9 +212,8 @@ def susceptibility(ens: GibbsEnsemble, O: np.ndarray) -> float:
     equilibrium; with the +theta O coupling this equals -(d<O>/dtheta)
     (cross-checked by ``susceptibility_fd``).
     """
-    t = _pair_table(ens.eigs, O)
-    m = t.moment(KernelKind.SUSCEPTIBILITY, ens.beta, t.weights(ens.populations))
-    return m / ens.beta if ens.beta > 0 else 0.0
+    beta_chi = _pair_table(ens.eigs, O).moments(ens.populations, ens.beta)[1]
+    return beta_chi / ens.beta if ens.beta > 0 else 0.0
 
 
 def susceptibility_fd(

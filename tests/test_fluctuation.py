@@ -151,13 +151,6 @@ class TestMoments:
         with pytest.raises(ValueError):
             moment(dissipation_spectrum(ens, O), KernelKind.QFI, ens.beta)
 
-    def test_string_kernel_accepted(self, tfim3):
-        _, O, ens = tfim3
-        s = autocorrelation_spectrum(ens, O)
-        assert rel_close(
-            moment(s, "qfi_kernel", ens.beta), moment(s, KernelKind.QFI, ens.beta)
-        )
-
 
 class TestGeneralizedFdt:
     def _check_line_by_line(self, ens, O):

@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
-from qfibounds.gibbs import _distinct_pairs, _pair_table
+from qfibounds.fluctuation import _aggregate
+from qfibounds.gibbs import (
+    _check_rotated,
+    _pair_table,
+    _real_or_raise,
+    gibbs_ensemble,
+)
+from qfibounds.qfi import _chain_report
 from qfibounds.spectral import (
     cluster_degeneracies,
     eigendecompose,
     rotate_within_clusters,
-    to_eigenbasis,
 )
 
 from conftest import random_instance, rel_close
@@ -79,18 +85,9 @@ class TestThermalAverage:
 class TestDistinctClusterPairs:
     def test_pair_count_no_degeneracies(self, tfim3):
         _, O, ens = tfim3
-        Oe = to_eigenbasis(ens.eigs, O)
-        total = sum(len(c[0]) for c in _distinct_pairs(ens.eigs, Oe))
+        total = int(_pair_table(ens.eigs, O).distinct.sum())
         n_in_cluster = sum((b - a) ** 2 for a, b in ens.eigs.clusters)
         assert total == ens.dim**2 - n_in_cluster
-
-    def test_chunking_invariant(self, tfim3):
-        _, O, ens = tfim3
-        Oe = to_eigenbasis(ens.eigs, O)
-        full = zip(*_distinct_pairs(ens.eigs, Oe))
-        small = zip(*_distinct_pairs(ens.eigs, Oe, chunk=3))
-        for a, b in zip(full, small, strict=True):  # dE, |O_mn|^2, m, n
-            assert np.array_equal(np.concatenate(a), np.concatenate(b))
 
 
 class TestNearDegenerate:
@@ -113,7 +110,100 @@ class TestNearDegenerate:
         with pytest.raises(ValueError, match="rotate_within_clusters"):
             _pair_table(eigs, O)
         table = _pair_table(rotate_within_clusters(eigs, O), O)
-        assert len(table.dE) == 6**2 - (2**2 + 4)  # minus within-cluster pairs
+        assert table.distinct.sum() == 6**2 - (2**2 + 4)  # minus within-cluster pairs
+
+
+def _reference_kernel(kind, omega, beta):
+    """The kernels written out pair by pair, with the limit beta^2 / 4 wherever
+    |beta omega| <= 1e-6."""
+    out = np.full_like(omega, beta**2 / 4.0)
+    if kind == "var":
+        return out
+    nz = np.abs(beta * omega) > 1e-6
+    w = omega[nz]
+    if kind == "qfi":
+        out[nz] = np.tanh(beta * w / 2.0) ** 2 / w**2
+    else:
+        out[nz] = np.tanh(beta * w / 2.0) * beta / (2.0 * w)
+    return out
+
+
+def _reference_pair_sums(eigs, O, p, beta):
+    """Flat ordered-pair reference: F, beta chi and Var as kernel sums of
+    (p_m + p_n)|O_mn|^2 over the distinct-cluster pairs np.nonzero lists in
+    row-major order, and both spectra's unaggregated lines in that order."""
+    Oe = eigs.vectors.conj().T @ O @ eigs.vectors
+    cid = eigs.cluster_ids()
+    m, n = np.nonzero(cid[:, None] != cid[None, :])
+    dE = eigs.energies[m] - eigs.energies[n]
+    o2 = np.abs(Oe[m, n]) ** 2
+    diag = Oe.diagonal().real
+    classical = float(np.dot(p, (diag - float(np.dot(p, diag))) ** 2))
+    w = (p[m] + p[n]) * o2
+
+    def moment(kind, b):
+        return b**2 * classical + 2.0 * float(np.dot(_reference_kernel(kind, dE, b), w))
+
+    sums = (moment("qfi", beta), moment("chi", beta), moment("var", 1.0))
+    auto = (np.concatenate([-dE, [0.0]]),
+            np.concatenate([math.pi * w, [2.0 * math.pi * classical]]))
+    diss = (-dE, math.pi * (p[m] - p[n]) * o2)
+    return sums, auto, diss
+
+
+class TestDensePairTable:
+    """The dense |O_mn|^2 table against the flat ordered-pair sums."""
+
+    CASES = {
+        "tfim6_theta0.1": lambda: q.build_tfim(q.ModelSpec(6, 0.9, 0.1)),
+        "tfim6_doublets": lambda: q.build_tfim(q.ModelSpec(6, 0.05)),
+        "complex_d64": lambda: (q.random_hermitian(64, 7), q.random_hermitian(64, 8)),
+    }
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 1.0, 20.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_flat_pair_reference(self, case, beta):
+        H, O = self.CASES[case]()
+        eigs = q.prepared_gibbs(H, O, beta).eigs
+        ens = gibbs_ensemble(eigs, beta)
+        (f, beta_chi, var), auto, diss = _reference_pair_sums(
+            eigs, O, ens.populations, beta)
+
+        def close(a, b):
+            return math.isclose(a, b, rel_tol=1e-13, abs_tol=0.0)
+
+        rep = _chain_report(_pair_table(eigs, O), ens)
+        assert close(rep.qfi, f) and close(rep.ub1, beta_chi)
+        assert close(rep.ub2, beta**2 * var)
+        assert close(q.qfi_spectral(ens, O), f)
+        assert close(q.susceptibility(ens, O), beta_chi / beta if beta else 0.0)
+        assert close(q.variance(ens, O), var)
+        for got, (omegas, weights), kind in (
+            (q.autocorrelation_spectrum(ens, O), auto, "autocorrelation"),
+            (q.dissipation_spectrum(ens, O), diss, "dissipation"),
+        ):
+            want = _aggregate(omegas, weights, kind)
+            assert np.array_equal(got.omegas, want.omegas)
+            assert np.array_equal(got.weights, want.weights)
+
+    def test_doublet_case_has_clusters(self):
+        H, O = self.CASES["tfim6_doublets"]()
+        eigs = q.prepared_gibbs(H, O, 1.0).eigs
+        assert any(b - a > 1 for a, b in eigs.clusters)
+
+
+class TestNanGates:
+    def test_real_or_raise_rejects_nan_imaginary_part(self):
+        with pytest.raises(ValueError):
+            _real_or_raise(complex(1.0, math.nan), 1.0, "x")
+
+    def test_check_rotated_rejects_nan_in_cluster(self):
+        eigs = eigendecompose(np.diag([0.0, 0.0, 1.0]), 1e-8)
+        assert eigs.clusters == ((0, 2), (2, 3))
+        Oe = np.zeros((3, 3))
+        Oe[0, 1] = Oe[1, 0] = math.nan
+        with pytest.raises(ValueError, match="rotate_within_clusters"):
+            _check_rotated(eigs, Oe)
 
 
 class TestSusceptibility:

@@ -118,6 +118,15 @@ class TestBoundsChain:
         rep = q.bounds_chain(ens, O)
         check_bounds_report(rep)
 
+    @pytest.mark.parametrize("field", ["lb", "qfi", "ub1", "ub2"])
+    def test_check_rejects_nan(self, tfim3, field):
+        import dataclasses
+
+        _, O, ens = tfim3
+        rep = dataclasses.replace(q.bounds_chain(ens, O), **{field: math.nan})
+        with pytest.raises(RuntimeError):
+            check_bounds_report(rep)
+
     def test_beta_zero_report(self, tfim3):
         H, O = q.build_tfim(q.ModelSpec(3, 0.4, 0.05))
         rep = q.bounds_chain(q.prepared_gibbs(H, O, 0.0), O)
