@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ModelSpec, build_tfim, check_hermitian
+from .operators import TILE, ModelSpec, build_tfim, check_hermitian
 from .spectral import (
     EigenSystem,
     eigendecompose,
@@ -173,12 +173,19 @@ class _PairTable:
         autocorrelation lines, pi (p_m + p_n)|O_mn|^2 per distinct-cluster
         pair and 2 pi times the classical weight at omega = 0.  o2 is
         symmetric and the kernels are even, so each pair sum is 2 p . (row
-        sums of o2 times the kernel)."""
+        sums of o2 times the kernel).  The kernel is evaluated over TILE rows
+        at a time, so its temporaries are TILE x d whatever d is."""
         c = _classical(p, self.diag)
-        x = _tanh_over_omega(self.gaps(), beta)
-        ox = self.o2 * x
-        return (beta**2 * c + 4.0 * float(p @ np.einsum("mn,mn->m", ox, x)),
-                beta**2 * c + 2.0 * beta * float(p @ ox.sum(axis=1)),
+        e = self.energies
+        ox2, ox = np.empty(len(e)), np.empty(len(e))
+        for i in range(0, len(e), TILE):
+            rows = slice(i, i + TILE)
+            x = _tanh_over_omega(np.subtract.outer(e[rows], e), beta)
+            o2x = self.o2[rows] * x
+            ox2[rows] = np.einsum("mn,mn->m", o2x, x)
+            ox[rows] = o2x.sum(axis=1)
+        return (beta**2 * c + 4.0 * float(p @ ox2),
+                beta**2 * c + 2.0 * beta * float(p @ ox),
                 c + float(p @ self.o2.sum(axis=1)))
 
 

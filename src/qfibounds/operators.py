@@ -17,6 +17,10 @@ import numpy as np
 HARD_SITE_CAP = 14
 HARD_DIM_CAP = 1 << HARD_SITE_CAP
 
+# Rows (and columns) per tile of the blocked passes over d x d matrices: each
+# tile's temporaries are at most TILE x d, whatever d is.
+TILE = 128
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -27,12 +31,21 @@ PAULI = {
 
 def check_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate ``a`` as square and Hermitian to 1e-12 relative; return
-    float64 if real, else complex."""
+    float64 if real, else complex.  max|a| and max|a - a^dag| are taken
+    tile by tile, each TILE x TILE tile against its transposed partner, so
+    the strided transpose is read in cache-sized pieces and no d x d
+    temporary is made; ``np.max`` over the tile maxima keeps a NaN."""
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    dev = float(np.max(np.abs(a - a.conj().T)))
+    tiles = []
+    for i in range(0, a.shape[0], TILE):
+        for j in range(i, a.shape[0], TILE):
+            x, y = a[i:i + TILE, j:j + TILE], a[j:j + TILE, i:i + TILE]
+            tiles.append((np.max(np.abs(x - y.conj().T)),
+                          np.max(np.abs(x)), np.max(np.abs(y))))
+    dev, *peak = np.max(tiles, axis=0)
+    scale = max(1.0, *peak)
     if not dev <= 1e-12 * scale:  # NaN fails
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a

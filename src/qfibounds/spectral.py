@@ -1,10 +1,19 @@
 """Hermitian eigendecomposition with explicit degeneracy handling.
 
+A Hamiltonian on 2^n basis states is split into the blocks of whichever
+exact Z2 symmetries it has, the spin parity P = prod Z and the reflection R
+of the chain, each detected bitwise from H itself; every block is
+diagonalized on its own and the block eigenvectors are assembled into dense
+columns.  A matrix with neither symmetry takes one dense ``eigh``, the
+reference the sector path is tested against.
+
 Eigenvalues that coincide within a tolerance are grouped into clusters, and
 the eigenbasis inside each cluster is rotated so that a chosen observable is
 diagonal there.  That rotation is the numerical counterpart of picking the
 gauge in which within-degenerate-subspace matrix elements of the conjugate
 observable vanish, and every downstream formula assumes it has been applied.
+A cluster may straddle symmetry sectors (the ferromagnetic doublet pairs the
+two parities); the rotation acts on dense columns and mixes them freely.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import check_hermitian
+from .operators import TILE, check_hermitian
 
 
 def resolve_eps_deg(energies: np.ndarray, eps_deg: float | None) -> float:
@@ -74,12 +83,106 @@ def cluster_degeneracies(energies: np.ndarray, eps: float) -> tuple:
     return tuple(clusters)
 
 
+def _z2_symmetries(H: np.ndarray):
+    """The exact Z2 symmetries of H: (groups, rev), or None without one.
+
+    On d = 2^n >= 4 states the index bits are the sites (site 0 the most
+    significant).  The spin parity P = prod Z holds when no element of H
+    links an even-parity state to an odd one; ``groups`` is then the two
+    parity classes of indices, else all indices.  The reflection
+    R: i -> n-1-i acts on indices as the bit reversal r and holds when
+    H[r, r] == H; ``rev`` is then r, else None.  Both tests are exact, so
+    an H one ulp off a symmetry does not have it.
+    """
+    d = H.shape[0]
+    n = d.bit_length() - 1
+    if d < 4 or d != 1 << n:
+        return None
+    idx = np.arange(d)
+    parity = np.zeros(d, dtype=np.intp)
+    rev = np.zeros(d, dtype=np.intp)
+    for k in range(n):
+        bit = (idx >> k) & 1
+        parity ^= bit
+        rev |= bit << (n - 1 - k)
+    even, odd = idx[parity == 0], idx[parity == 1]
+    has_p = not any(np.take(H[even[i:i + TILE]], odd, axis=1).any()
+                    for i in range(0, len(even), TILE))
+    has_r = all(np.array_equal(np.take(H[rev[i:i + TILE]], rev, axis=1), H[i:i + TILE])
+                for i in range(0, d, TILE))
+    if not (has_p or has_r):
+        return None
+    return (even, odd) if has_p else (idx,), rev if has_r else None
+
+
+def _sector_blocks(H: np.ndarray, groups: tuple, rev: np.ndarray | None):
+    """(block of H, s, m, sign) for each sector: its basis vectors are
+    (e_{s_k} + sign e_{r(s_k)}) / sqrt 2 for its m leading rows k < m, the
+    pairs s_k < r(s_k), and e_{s_k} for the rest.
+
+    Without R a sector is one parity group (m = 0).  Under R each group's
+    representatives s <= r(s), pairs first, then palindromes s = r(s), span
+    R-even; its pairs alone span R-odd.  With A = H[s, s] and C = H[s, r(s)],
+    R's invariance of H gives the block (A + sign C)_ij w_i w_j, with w = 1
+    for a pair and 1/sqrt 2 for a palindrome, so both R parities share one
+    A and one C."""
+    for s in groups:
+        if rev is None:
+            yield H[np.ix_(s, s)], s, 0, 1.0
+            continue
+        s = np.concatenate([s[s < rev[s]], s[s == rev[s]]])
+        m = int(np.count_nonzero(s != rev[s]))
+        a = H[np.ix_(s, s)]
+        c = H[np.ix_(s, rev[s])]
+        odd = a[:m, :m] - c[:m, :m]
+        a += c
+        del c
+        w = np.where(s == rev[s], np.sqrt(0.5), 1.0)
+        a *= w[:, None]
+        a *= w
+        yield a, s, m, 1.0
+        yield odd, s[:m], m, -1.0
+
+
+def _sector_eigh(H: np.ndarray, groups: tuple, rev: np.ndarray | None):
+    """Ascending energies, sorted stably across sectors, and dense
+    eigenvector columns from one ``eigh`` per sector block."""
+    parts = [(*np.linalg.eigh(block), s, m, sign)
+             for block, s, m, sign in _sector_blocks(H, groups, rev) if len(s)]
+    energies = np.concatenate([p[0] for p in parts])
+    order = np.argsort(energies, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    vectors = np.zeros(H.shape, dtype=H.dtype)
+    start = 0
+    for e, w, s, m, sign in parts:
+        cols = column[start:start + len(e)]
+        start += len(e)
+        if m:
+            w[:m] *= np.sqrt(0.5)
+            vectors[np.ix_(rev[s[:m]], cols)] = sign * w[:m]
+        vectors[np.ix_(s, cols)] = w
+    return energies[order], vectors
+
+
 def eigendecompose(H: np.ndarray, eps_deg: float | None = None) -> EigenSystem:
-    """Full eigendecomposition (LAPACK ``eigh``) with degeneracy clusters at
-    the tolerance ``resolve_eps_deg(energies, eps_deg)``."""
+    """Full eigendecomposition with degeneracy clusters at the tolerance
+    ``resolve_eps_deg(energies, eps_deg)``.
+
+    When H has an exact spin-parity or reflection symmetry
+    (``_z2_symmetries``), LAPACK ``eigh`` runs once per symmetry block, the
+    block eigenvectors are scattered into dense d x d columns and the
+    energies are sorted stably across blocks; otherwise one dense ``eigh``
+    of H.  Either way the columns are orthonormal eigenvectors of H, so the
+    cluster rotation and every downstream formula take them unchanged.
+    """
     H = check_hermitian(H)
+    symmetries = _z2_symmetries(H)
     try:
-        energies, vectors = np.linalg.eigh(H)
+        if symmetries is None:
+            energies, vectors = np.linalg.eigh(H)
+        else:
+            energies, vectors = _sector_eigh(H, *symmetries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     eps = resolve_eps_deg(energies, eps_deg)
@@ -89,6 +192,22 @@ def eigendecompose(H: np.ndarray, eps_deg: float | None = None) -> EigenSystem:
         clusters=cluster_degeneracies(energies, eps),
         eps_deg=eps,
     )
+
+
+def _cluster_chunks(clusters: tuple):
+    """Runs of adjacent clusters of size > 1, cut where a run would pass
+    TILE columns (a larger cluster alone): each run is one contiguous column
+    range, rotated with a few GEMMs whose results are at most d x TILE, and
+    an isolated cluster is a run of its own."""
+    chunk = []
+    for a, b in clusters:
+        if chunk and (b - a < 2 or b - chunk[0][0] > TILE):
+            yield chunk
+            chunk = []
+        if b - a > 1:
+            chunk.append((a, b))
+    if chunk:
+        yield chunk
 
 
 def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
@@ -105,14 +224,15 @@ def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
     if O.shape[0] != eigs.dim:
         raise ValueError("dimension mismatch between eigensystem and O")
     vectors = eigs.vectors.astype(np.result_type(eigs.vectors, O))
-    for a, b in eigs.clusters:
-        if b - a < 2:
-            continue
-        block = vectors[:, a:b]
-        o_sub = block.conj().T @ O @ block
-        o_sub = (o_sub + o_sub.conj().T) / 2.0
-        _, w = np.linalg.eigh(o_sub)
-        vectors[:, a:b] = block @ w
+    for chunk in _cluster_chunks(eigs.clusters):
+        lo, hi = chunk[0][0], chunk[-1][1]
+        block = vectors[:, lo:hi]
+        o_sub = block.conj().T @ (O @ block)
+        w = np.zeros_like(o_sub)  # block-diagonal: one rotation per cluster
+        for a, b in chunk:
+            c = slice(a - lo, b - lo)
+            _, w[c, c] = np.linalg.eigh((o_sub[c, c] + o_sub[c, c].conj().T) / 2.0)
+        vectors[:, lo:hi] = block @ w
     return EigenSystem(
         energies=eigs.energies,
         vectors=vectors,

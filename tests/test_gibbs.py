@@ -8,8 +8,10 @@ import qfibounds as q
 from qfibounds.fluctuation import _aggregate
 from qfibounds.gibbs import (
     _check_rotated,
+    _classical,
     _pair_table,
     _real_or_raise,
+    _tanh_over_omega,
     gibbs_ensemble,
 )
 from qfibounds.qfi import _chain_report
@@ -137,7 +139,7 @@ def _reference_pair_sums(eigs, O, p, beta):
     m, n = np.nonzero(cid[:, None] != cid[None, :])
     dE = eigs.energies[m] - eigs.energies[n]
     o2 = np.abs(Oe[m, n]) ** 2
-    diag = Oe.diagonal().real
+    diag = Oe.diagonal().real.copy()
     classical = float(np.dot(p, (diag - float(np.dot(p, diag))) ** 2))
     w = (p[m] + p[n]) * o2
 
@@ -190,6 +192,31 @@ class TestDensePairTable:
         H, O = self.CASES["tfim6_doublets"]()
         eigs = q.prepared_gibbs(H, O, 1.0).eigs
         assert any(b - a > 1 for a, b in eigs.clusters)
+
+
+class TestRowBlockedKernel:
+    """``_PairTable.moments`` over TILE-row blocks against the kernel pass
+    over the whole d x d table: the same per-row sums, so the same bits."""
+
+    CASES = {
+        "tfim8_theta0.1": lambda: q.build_tfim(q.ModelSpec(8, 0.9, 0.1)),  # 2 blocks
+        "complex_d300": lambda: (q.random_hermitian(300, 5), q.random_hermitian(300, 6)),
+    }
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 1.0, 20.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_whole_table_pass(self, case, beta):
+        H, O = self.CASES[case]()
+        ens = q.prepared_gibbs(H, O, beta)
+        table = _pair_table(ens.eigs, O)
+        p = ens.populations
+        c = _classical(p, table.diag)
+        x = _tanh_over_omega(table.gaps(), beta)
+        ox = table.o2 * x
+        want = (beta**2 * c + 4.0 * float(p @ np.einsum("mn,mn->m", ox, x)),
+                beta**2 * c + 2.0 * beta * float(p @ ox.sum(axis=1)),
+                c + float(p @ table.o2.sum(axis=1)))
+        assert table.moments(p, beta) == want
 
 
 class TestNanGates:

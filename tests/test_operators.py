@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,33 @@ class TestCheckHermitian:
         # a deviation > tol test passes NaN; the off-diagonals differ by 1
         with pytest.raises(ValueError, match="not Hermitian"):
             check_hermitian(np.array([[math.nan, 0.0], [1.0, 0.0]]))
+
+    # one tile (1, 3, 127, 128), a partial last tile (129, 300)
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 3, 127, 128, 129, 300])
+    def test_tiles_match_full_matrix_deviation(self, d, is_complex):
+        h = random_hermitian(d, d)
+        h = h if is_complex else h.real.copy()
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(h))))
+        for i, j in {(d - 1, 0), (0, d - 1), (d // 2, d - 1), (d - 1, d - 1)}:
+            for size in (0.4 * tol, 3.0 * tol):
+                a = h.copy()
+                a[i, j] += size * (1j if is_complex else 1.0)
+                dev = float(np.max(np.abs(a - a.conj().T)))
+                if dev <= 1e-12 * max(1.0, float(np.max(np.abs(a)))):
+                    assert check_hermitian(a) is a
+                else:
+                    with pytest.raises(ValueError, match=re.escape(f"{dev:.3e}")):
+                        check_hermitian(a)
+
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 3, 127, 128, 129, 300])
+    def test_rejects_nan_in_last_tile(self, d, is_complex):
+        a = random_hermitian(d, d)
+        a = a if is_complex else a.real.copy()
+        a[d - 1, 0] = a[0, d - 1] = math.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_hermitian(a)
 
 
 class TestBuildTfim:

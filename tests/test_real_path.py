@@ -1,9 +1,9 @@
 """The real-arithmetic path against the complex reference path.
 
 Real H and O run in float64 end to end; the same matrices cast to complex
-take the complex path, which is the dense reference.  Every downstream
+take the complex-arithmetic path, the reference.  Every downstream
 result must agree to 1e-12 relative to its scale, at the resolution the
-degeneracy tolerance leaves defined (see ``_assert_same``).
+degeneracy tolerance leaves defined (see ``assert_same_results``).
 """
 
 import math
@@ -22,56 +22,13 @@ from qfibounds.locality import (
 from qfibounds.operators import PauliString, pauli_string_matrix
 from qfibounds.spectral import eigendecompose, to_eigenbasis
 
+from conftest import assert_same_results, close_arrays, pipeline_results
 from test_spectral import _degenerate_pair
-
-REL = 1e-12
 
 
 def _results(H, O, beta):
     ens = q.prepared_gibbs(H, O, beta)
-    return ens, {
-        "chain": q.bounds_chain(ens, O),
-        "auto": q.autocorrelation_spectrum(ens, O),
-        "diss": q.dissipation_spectrum(ens, O),
-        "L": q.sld_matrix(ens, O).L,
-    }
-
-
-def _close_arrays(a, b, rel=REL):
-    scale = max(float(np.max(np.abs(b), initial=0.0)), 1e-300)
-    return a.shape == b.shape and float(np.max(np.abs(a - b), initial=0.0)) <= rel * scale
-
-
-def _coarse(spectrum, resolution):
-    """First frequency and summed weight of each run of lines spaced at most
-    ``resolution`` apart."""
-    starts = np.flatnonzero(np.diff(spectrum.omegas, prepend=-np.inf) > resolution)
-    return spectrum.omegas[starts], np.add.reduceat(spectrum.weights, starts)
-
-
-def _assert_same(fast, ref, beta, resolution):
-    """Agreement to REL at the given frequency resolution.
-
-    Inside a cluster where O's projection is itself degenerate, the rotation
-    is arbitrary, so which state carries which of the cluster's energies
-    (within eps_deg of each other) is too: lines closer than eps_deg then
-    trade weight, and populations and the SLD's energy kernel move by up to
-    beta * eps_deg relative, which bounds spectral weights and L.  The chain
-    is held to REL.  ``resolution`` = 0 compares line by line.
-    """
-    tol = REL + beta * resolution
-    for name, x in fast["chain"].to_dict().items():
-        y = getattr(ref["chain"], name)
-        if name in ("alpha", "phi"):
-            # compared through the ratios that define them: acos amplifies a
-            # ratio's roundoff by 1 / sin(angle), 56x at alpha = 0.018
-            x, y = math.cos(x), math.cos(y)
-        assert math.isclose(x, y, rel_tol=REL), name
-    for kind in ("auto", "diss"):
-        (o, w), (o_ref, w_ref) = (_coarse(x[kind], resolution) for x in (fast, ref))
-        assert _close_arrays(o, o_ref), kind
-        assert _close_arrays(w, w_ref, tol), kind
-    assert _close_arrays(fast["L"], ref["L"], tol)
+    return ens, pipeline_results(ens, O)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +49,7 @@ def test_real_tfim_matches_complex(model, beta):
     assert ens.eigs.clusters == ens_c.eigs.clusters
     clustered = any(b - a > 1 for a, b in ens.eigs.clusters)
     assert clustered == (model.theta == 0.0)
-    _assert_same(fast, ref, beta, ens.eigs.eps_deg if clustered else 0.0)
+    assert_same_results(fast, ref, beta, ens.eigs.eps_deg if clustered else 0.0)
 
 
 @pytest.mark.parametrize("imag", [0.0, 0.3], ids=["real-valued", "imaginary-part"])
@@ -104,7 +61,7 @@ def test_real_h_with_complex_o(imag):
     Oe = to_eigenbasis(ens.eigs, O)
     assert abs(Oe[0, 1]) < 1e-12 and abs(Oe[1, 0]) < 1e-12
     _, ref = _results(H, O, 1.3)
-    _assert_same(fast, ref, 1.3, 0.0)
+    assert_same_results(fast, ref, 1.3, 0.0)
 
 
 def test_pauli_string_is_real_without_y():
@@ -126,7 +83,7 @@ def test_real_locality_matches_complex(probe):
         dressed_operator(eigs, a, spec) for a in (a_loc, a_loc.astype(complex))
     )
     assert dressed.dtype == np.float64
-    assert _close_arrays(dressed, dressed_c)
+    assert close_arrays(dressed, dressed_c)
 
     # norms to 1e-12 absolute: the tail norms are small, so relative error
     # means nothing there; on the fitted logs that is at most tol / floor

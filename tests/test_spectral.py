@@ -1,9 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
+from qfibounds.gibbs import _check_rotated, gibbs_ensemble
+from qfibounds.operators import TILE
 from qfibounds.spectral import (
+    EigenSystem,
+    _cluster_chunks,
+    _sector_blocks,
+    _z2_symmetries,
     cluster_degeneracies,
     eigendecompose,
     from_eigenbasis,
@@ -12,7 +20,7 @@ from qfibounds.spectral import (
     to_eigenbasis,
 )
 
-from conftest import rel_close
+from conftest import assert_same_results, pipeline_results, rel_close
 
 
 class TestClusterDegeneracies:
@@ -137,3 +145,157 @@ class TestBasisTransforms:
         eigs = eigendecompose(q.random_hermitian(4, 1))
         with pytest.raises(ValueError):
             to_eigenbasis(eigs, np.eye(8))
+
+
+def _dense_eigensystem(H):
+    """The dense reference: one ``np.linalg.eigh`` of H, clustered at the
+    default tolerance."""
+    e, v = np.linalg.eigh(H)
+    eps = resolve_eps_deg(e, None)
+    return EigenSystem(e, v, cluster_degeneracies(e, eps), eps)
+
+
+def _results(eigs, O, beta):
+    return pipeline_results(gibbs_ensemble(rotate_within_clusters(eigs, O), beta), O)
+
+
+def _assert_matches_dense(H, O, beta):
+    """Energies, eigenvectors and the rotated pipeline's chain, spectra and
+    SLD of ``eigendecompose`` against the dense reference."""
+    eigs, ref = eigendecompose(H), _dense_eigensystem(H)
+    scale = max(1.0, float(ref.energies[-1] - ref.energies[0]))
+    assert np.max(np.abs(eigs.energies - ref.energies)) <= 1e-12 * scale
+    assert eigs.clusters == ref.clusters
+    v = eigs.vectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(len(v)))) <= 1e-12
+    assert np.max(np.abs(H @ v - v * eigs.energies)) <= 1e-12 * scale
+    clustered = any(b - a > 1 for a, b in eigs.clusters)
+    assert_same_results(_results(eigs, O, beta), _results(ref, O, beta), beta,
+                        eigs.eps_deg if clustered else 0.0)
+
+
+def _one_ulp_off(H, i, j):
+    """H with the symmetric pair H[i, j], H[j, i] moved up by one ulp."""
+    H = H.copy()
+    H[i, j] = H[j, i] = np.nextafter(H[i, j], np.inf)
+    return H
+
+
+class TestSectorEigendecompose:
+    """The symmetry-sector path against one dense ``eigh``: P + R at
+    theta = 0, R alone at theta != 0; odd N has R-fixed middle sites."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.1])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_dense_eigh(self, n, theta):
+        H, O = q.build_tfim(q.ModelSpec(n, 0.9, theta))
+        symmetries = _z2_symmetries(H)
+        if n == 1:
+            assert symmetries is None
+        else:
+            groups, rev = symmetries
+            assert len(groups) == (2 if theta == 0.0 else 1) and rev is not None
+        _assert_matches_dense(H, O, 1.5)
+
+    @pytest.mark.parametrize(
+        "n, theta, sizes",
+        [
+            (10, 0.0, [272, 240, 256, 256]),
+            (10, 0.1, [528, 496]),
+            # 2^3 palindromes: (32 + 8) / 2 R-even, (32 - 8) / 2 R-odd
+            (5, 0.1, [20, 12]),
+            (5, 0.0, [10, 6, 10, 6]),
+        ],
+    )
+    def test_block_sizes(self, n, theta, sizes):
+        H, _ = q.build_tfim(q.ModelSpec(n, 0.9, theta))
+        blocks = list(_sector_blocks(H, *_z2_symmetries(H)))
+        assert [len(s) for _, s, _, _ in blocks] == sizes
+
+    def test_parity_only_after_reflection_broken(self):
+        # theta = 0 keeps P; moving H[0, 3] (an XX bond at the last two sites)
+        # by one ulp breaks R, since its mirror H[0, 48] stays
+        H, O = q.build_tfim(q.ModelSpec(6, 0.9, 0.0))
+        H = _one_ulp_off(H, 0, 3)
+        groups, rev = _z2_symmetries(H)
+        assert len(groups) == 2 and rev is None
+        _assert_matches_dense(H, O, 1.5)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: q.random_hermitian(16, 3),
+            lambda: q.random_hermitian(6, 4),
+            # the field on the last site, whose mirror H[0, 32] stays
+            lambda: _one_ulp_off(q.build_tfim(q.ModelSpec(6, 0.9, 0.1))[0], 0, 1),
+        ],
+        ids=["random_hermitian", "dim6", "tfim_one_ulp"],
+    )
+    def test_dense_fallback(self, make):
+        H = make()
+        assert _z2_symmetries(H) is None
+        eigs = eigendecompose(H)
+        e, v = np.linalg.eigh(H)
+        assert np.array_equal(eigs.energies, e) and np.array_equal(eigs.vectors, v)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_doublets_straddle_parity_sectors(self, n):
+        # gamma = 0.05: each ferromagnetic doublet pairs an even- and an
+        # odd-parity state inside eps_deg; O = sum X flips parity, so the
+        # rotation mixes them
+        H, O = q.build_tfim(q.ModelSpec(n, 0.05))
+        (even, odd), _ = _z2_symmetries(H)
+        eigs = eigendecompose(H)
+
+        def odd_weight(vectors, a, b):
+            return np.sum(np.abs(vectors[odd, a:b]) ** 2, axis=0)
+
+        doublets = [(a, b) for a, b in eigs.clusters if b - a > 1]
+        assert doublets and all(b - a == 2 for a, b in doublets)
+        rotated = rotate_within_clusters(eigs, O)
+        for a, b in doublets:
+            # one column in each sector before, both spread evenly after
+            assert np.allclose(np.sort(odd_weight(eigs.vectors, a, b)), [0.0, 1.0],
+                               rtol=0.0, atol=1e-12)
+            assert np.allclose(odd_weight(rotated.vectors, a, b), 0.5, rtol=0.0, atol=1e-9)
+        _assert_matches_dense(H, O, 3.0)
+
+
+def _rotate_cluster_by_cluster(eigs, O):
+    """The cluster rotation one cluster at a time, one ``O @ block`` each:
+    the reference for the batched GEMMs of ``rotate_within_clusters``."""
+    vectors = eigs.vectors.astype(np.result_type(eigs.vectors, O))
+    for a, b in eigs.clusters:
+        if b - a < 2:
+            continue
+        block = vectors[:, a:b]
+        o_sub = block.conj().T @ O @ block
+        o_sub = (o_sub + o_sub.conj().T) / 2.0
+        _, w = np.linalg.eigh(o_sub)
+        vectors[:, a:b] = block @ w
+    return dataclasses.replace(eigs, vectors=vectors)
+
+
+class TestBatchedRotation:
+    # N=6: 32 doublets in one chunk; N=8: 128 doublets in two chunks
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_matches_per_cluster_loop(self, n):
+        H, O = q.build_tfim(q.ModelSpec(n, 0.05))
+        eigs = eigendecompose(H)
+        batched = rotate_within_clusters(eigs, O)
+        ref = _rotate_cluster_by_cluster(eigs, O)
+        _check_rotated(batched, to_eigenbasis(batched, O))
+        beta = 3.0
+        assert_same_results(
+            pipeline_results(gibbs_ensemble(batched, beta), O),
+            pipeline_results(gibbs_ensemble(ref, beta), O),
+            beta, eigs.eps_deg,
+        )
+
+    def test_chunks(self):
+        # a singleton ends a run; a run is cut before it passes TILE columns
+        widths = [1, 2, 1, TILE - 2, 2, TILE + 1, 2, 1, 1, 3]
+        edges = np.cumsum([0] + widths).tolist()
+        chunks = list(_cluster_chunks(tuple(zip(edges[:-1], edges[1:]))))
+        assert [[b - a for a, b in c] for c in chunks] == [[2], [TILE - 2, 2], [TILE + 1], [2], [3]]
+        assert all(x[1] == y[0] for c in chunks for x, y in zip(c, c[1:]))
