@@ -35,12 +35,7 @@ from .harness import (
 
 WORKERS_HELP = ("worker processes, one gamma point each; slower than serial unless "
                 "BLAS runs one thread per worker; see README")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps-deg", type=float, default=None,
-                   help="degeneracy tolerance (default: 1e-8 x spectral range)")
-    p.add_argument("--out", type=Path, default=Path("out"))
+EPS_DEG_HELP = "degeneracy tolerance (default: 1e-8 x spectral range)"
 
 
 def _add_model(p: argparse.ArgumentParser) -> None:
@@ -108,7 +103,8 @@ def main(argv=None) -> int:
     p.add_argument("--stop", type=float, default=50.0)
     p.add_argument("--points", type=int, default=40)
     p.add_argument("--spacing", choices=("linear", "log"), default="log")
-    _add_common(p)
+    p.add_argument("--eps-deg", type=float, help=EPS_DEG_HELP)
+    p.add_argument("--out", type=Path, default=Path("out"))
 
     p = sub.add_parser("sweep-gamma", help="bounds chain vs field angle gamma")
     p.add_argument("--config", type=Path, default=None)
@@ -119,19 +115,21 @@ def main(argv=None) -> int:
     p.add_argument("--points", type=int, default=40)
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
     p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    _add_common(p)
+    p.add_argument("--eps-deg", type=float, help=EPS_DEG_HELP)
+    p.add_argument("--out", type=Path, default=Path("out"))
 
     p = sub.add_parser("bounds", help="single bounds-chain evaluation")
     _add_model(p)
     p.add_argument("--beta", type=float, required=True)
-    _add_common(p)
+    p.add_argument("--eps-deg", type=float, help=EPS_DEG_HELP)
 
     p = sub.add_parser("spectrum", help="line spectrum as CSV")
     _add_model(p)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--kind", choices=("autocorrelation", "dissipation"),
                    default="autocorrelation")
-    _add_common(p)
+    p.add_argument("--eps-deg", type=float, help=EPS_DEG_HELP)
+    p.add_argument("--out", type=Path, default=Path("out"))
 
     p = sub.add_parser("sld-check", help="SLD diagnostics for one model")
     _add_model(p)
@@ -140,17 +138,16 @@ def main(argv=None) -> int:
                    help="time horizon in units of beta")
     p.add_argument("--panels", type=int, default=2048)
     p.add_argument("--fd-delta", type=float, default=1e-4)
-    _add_common(p)
+    p.add_argument("--eps-deg", type=float, help=EPS_DEG_HELP)
 
     p = sub.add_parser("locality", help="commutator-decay and local-approximation run")
     _add_model(p)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--mu", type=float, default=None, help="default pi/beta")
     p.add_argument("--probe", choices=("X", "Y", "Z"), default="Z")
-    _add_common(p)
+    p.add_argument("--out", type=Path, default=Path("out"))
 
-    p = sub.add_parser("selftest", help="fixture and invariant suite")
-    _add_common(p)
+    sub.add_parser("selftest", help="fixture and invariant suite")
 
     args = parser.parse_args(argv)
 
@@ -172,7 +169,7 @@ def _prepared(args):
 
 def _dispatch(args) -> int:
     cmd = args.command
-    if args.eps_deg is not None:
+    if getattr(args, "eps_deg", None) is not None:
         checked_number(args.eps_deg, "eps_deg", positive=True)
     if getattr(args, "beta", None) is not None:
         checked_number(args.beta, "beta", positive=cmd in ("sld-check", "locality"))
@@ -222,9 +219,7 @@ def _dispatch(args) -> int:
         summary = {
             "trace_rho_L": res.trace_rho_L,
             "trace_rho_L2": res.trace_rho_L2,
-            "lyapunov_residual": lyapunov_residual(
-                ens, res.L, model, args.fd_delta, args.eps_deg
-            ),
+            "lyapunov_residual": lyapunov_residual(ens, res.L, model, args.fd_delta),
             "time_domain_max_deviation": float(np.max(np.abs(L_time - res.L))),
             "time_domain_rel_deviation": float(np.max(np.abs(L_time - res.L))) / l_norm,
             "kernel_integral": kernel_g_integral(args.beta),
@@ -241,7 +236,7 @@ def _dispatch(args) -> int:
         mu = args.mu if args.mu is not None else math.pi / args.beta
         spec = _spec(DressSpec, mu)
         H, _ = build_tfim(model)
-        eigs = eigendecompose(H, args.eps_deg)
+        eigs = eigendecompose(H)
         a_loc = pauli_string_matrix(PauliString({0: "X"}), model.n_sites)
         try:  # the filter overflows, or too few norms stay above 1e-12 to fit
             profile = commutator_decay_profile(eigs, a_loc, spec, probe_kind=args.probe)
@@ -277,7 +272,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "selftest":
-        checks = selftest(args.eps_deg)
+        checks = selftest()
         failed = 0
         for name, ok, detail in checks:
             status = "PASS" if ok else "FAIL"

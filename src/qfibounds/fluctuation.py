@@ -67,9 +67,9 @@ def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     2 pi sum_n p_n (O_nn - <O>)^2.  Sum rule: total weight = 2 pi Var(O).
     """
     t = _pair_table(ens.eigs, O)
-    p = ens.populations
-    omegas = np.concatenate([-t.gaps()[t.distinct], [0.0]])
-    w = (math.pi * ((p[:, None] + p[None, :]) * t.o2))[t.distinct]
+    p, distinct = ens.populations, t.distinct()
+    omegas = np.concatenate([-t.gaps()[distinct], [0.0]])
+    w = (math.pi * ((p[:, None] + p[None, :]) * t.o2))[distinct]
     weights = np.concatenate([w, [2.0 * math.pi * _classical(p, t.diag)]])
     return _aggregate(omegas, weights, AUTOCORRELATION)
 
@@ -78,9 +78,9 @@ def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     """Im chi(omega): odd line spectrum with weights pi (p_m - p_n) |O_mn|^2
     and no zero-frequency weight."""
     t = _pair_table(ens.eigs, O)
-    p = ens.populations
-    w = (math.pi * (p[:, None] - p[None, :]) * t.o2)[t.distinct]
-    return _aggregate(-t.gaps()[t.distinct], w, DISSIPATION)
+    p, distinct = ens.populations, t.distinct()
+    w = (math.pi * (p[:, None] - p[None, :]) * t.o2)[distinct]
+    return _aggregate(-t.gaps()[distinct], w, DISSIPATION)
 
 
 def generalized_fdt(

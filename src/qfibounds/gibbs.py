@@ -71,11 +71,12 @@ def prepared_gibbs(
     return gibbs_ensemble(eigs, beta)
 
 
-def _shifted_gibbs(H, O, beta, shifts, eps_deg=None):
+def _shifted_gibbs(H, O, beta, shifts):
     """Gibbs states of H + s O for each shift s: the theta-shift oracles'
-    one rebuild path (bit-identical to rebuilding the TFIM at theta + s)."""
+    one rebuild path (bit-identical to rebuilding the TFIM at theta + s), at
+    the default tolerance: an oracle checks the ensemble's, not inheriting it."""
     for s in shifts:
-        yield prepared_gibbs(H + s * O, O, beta, eps_deg)
+        yield prepared_gibbs(H + s * O, O, beta)
 
 
 def _real_or_raise(value: complex, scale: float, what: str) -> float:
@@ -155,13 +156,18 @@ def _classical(p: np.ndarray, diag: np.ndarray) -> float:
 class _PairTable:
     """The beta-independent lines of O over one eigensystem: ``diag`` = O_nn,
     the ``energies``, the d x d ``o2`` = |O_mn|^2 with every same-cluster
-    entry (the diagonal included) zero, and the mask ``distinct`` of pairs
-    (m, n) in different clusters."""
+    entry (the diagonal included) zero, and the eigensystem's ``clusters``."""
 
     diag: np.ndarray
     energies: np.ndarray
     o2: np.ndarray
-    distinct: np.ndarray
+    clusters: tuple
+
+    def distinct(self) -> np.ndarray:
+        """Mask of the pairs (m, n) in different clusters."""
+        sizes = [b - a for a, b in self.clusters]
+        cid = np.repeat(np.arange(len(sizes)), sizes)
+        return cid[:, None] != cid[None, :]
 
     def gaps(self) -> np.ndarray:
         """E_m - E_n for every (m, n)."""
@@ -191,18 +197,20 @@ class _PairTable:
 
 def _pair_table(eigs: EigenSystem, O: np.ndarray) -> _PairTable:
     """Validate O, transform it to the eigenbasis once, reject an unrotated
-    cluster and keep |O_mn|^2 outside the clusters.  O's eigenbasis matrix
-    is dropped once the table exists."""
+    cluster and keep |O_mn|^2 outside the clusters: the clusters are index
+    ranges, so their diagonal blocks are zeroed in place.  O's eigenbasis
+    matrix is dropped once the table exists."""
     Oe = to_eigenbasis(eigs, O)
     _check_rotated(eigs, Oe)
     diag = Oe.diagonal().real.copy()
     o2 = np.abs(Oe)
     del Oe
     np.square(o2, out=o2)
-    cid = eigs.cluster_ids()
-    distinct = cid[:, None] != cid[None, :]
-    o2[~distinct] = 0.0
-    return _PairTable(diag, eigs.energies, o2, distinct)
+    np.fill_diagonal(o2, 0.0)
+    for a, b in eigs.clusters:
+        if b - a > 1:
+            o2[a:b, a:b] = 0.0
+    return _PairTable(diag, eigs.energies, o2, eigs.clusters)
 
 
 def variance(ens: GibbsEnsemble, O: np.ndarray) -> float:
@@ -223,12 +231,7 @@ def susceptibility(ens: GibbsEnsemble, O: np.ndarray) -> float:
     return beta_chi / ens.beta if ens.beta > 0 else 0.0
 
 
-def susceptibility_fd(
-    model: ModelSpec,
-    beta: float,
-    delta: float,
-    eps_deg: float | None = None,
-) -> float:
+def susceptibility_fd(model: ModelSpec, beta: float, delta: float) -> float:
     """Independent oracle: central finite difference of <O> in theta, with a
     full rediagonalization at theta +/- delta.
 
@@ -239,6 +242,6 @@ def susceptibility_fd(
     if not (1e-6 <= delta <= 1e-2):
         raise ValueError(f"delta must lie in [1e-6, 1e-2], got {delta}")
     H, O = build_tfim(model)
-    states = _shifted_gibbs(H, O, beta, (delta, -delta), eps_deg)
+    states = _shifted_gibbs(H, O, beta, (delta, -delta))
     plus, minus = (thermal_average(ens, O) for ens in states)
     return -(plus - minus) / (2.0 * delta)

@@ -191,8 +191,12 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     A temperature sweep diagonalizes once; gamma points, one Hamiltonian each,
     go to a process pool when workers > 1 and come back in grid order.
     """
+    temperature = config.sweep_axis == "temperature"
+    if workers < 1 or (temperature and workers > 1):
+        raise ConfigError("workers must be >= 1, and 1 for a temperature sweep "
+                          f"(one Hamiltonian), got {workers}")
     points = list(config.grid)
-    if config.sweep_axis == "temperature":
+    if temperature:
         return _hamiltonian_rows(config, points)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -268,7 +272,7 @@ def _close(a, b, rel=1e-9, abs_=1e-12):
     return abs(a - b) <= max(abs_, rel * max(abs(a), abs(b)))
 
 
-def selftest(eps_deg: float | None = None) -> list[tuple[str, bool, str]]:
+def selftest() -> list[tuple[str, bool, str]]:
     """Closed-form fixtures, route-equivalence identities and a randomized
     chain-inequality suite.  Returns (name, passed, detail) triples."""
     from .operators import random_hermitian
@@ -280,7 +284,7 @@ def selftest(eps_deg: float | None = None) -> list[tuple[str, bool, str]]:
 
     # single-qubit fixture, beta = 1
     H, O = single_qubit_model(0.0)
-    ens = prepared_gibbs(H, O, 1.0, eps_deg)
+    ens = prepared_gibbs(H, O, 1.0)
     rep = bounds_chain(ens, O)
     t1 = math.tanh(1.0)
     record("single_qubit_lb", _close(rep.lb, t1**2), f"lb={rep.lb}")
@@ -299,14 +303,14 @@ def selftest(eps_deg: float | None = None) -> list[tuple[str, bool, str]]:
     for beta in (0.5, 1.0, 3.0):
         for gamma in (0.2, 0.7, 1.3):
             Ht, Ot = build_tfim(ModelSpec(1, gamma))
-            e1 = prepared_gibbs(Ht, Ot, beta, eps_deg)
+            e1 = prepared_gibbs(Ht, Ot, beta)
             expected = math.tanh(beta * math.sin(gamma)) ** 2 / math.sin(gamma) ** 2
             ok = ok and _close(qfi_spectral(e1, Ot), expected)
     record("tfim_n1_closed_form", ok)
 
     # commuting case: qfi = beta^2 variance, dissipation empty
     Hc = np.diag([1.0, -1.0]).astype(complex)
-    ensc = prepared_gibbs(Hc, Hc, 1.0, eps_deg)
+    ensc = prepared_gibbs(Hc, Hc, 1.0)
     record(
         "commuting_classical",
         _close(qfi_spectral(ensc, Hc), 1.0 - math.tanh(1.0) ** 2, rel=1e-9),
@@ -319,7 +323,7 @@ def selftest(eps_deg: float | None = None) -> list[tuple[str, bool, str]]:
 
     # route equivalence on a small TFIM
     Hr, Or = build_tfim(ModelSpec(3, 0.4, 0.05))
-    ensr = prepared_gibbs(Hr, Or, 1.5, eps_deg)
+    ensr = prepared_gibbs(Hr, Or, 1.5)
     s = autocorrelation_spectrum(ensr, Or)
     record(
         "route_qfi",
@@ -350,7 +354,7 @@ def selftest(eps_deg: float | None = None) -> list[tuple[str, bool, str]]:
     record("generalized_fdt", same)
 
     # beta = 0 edge: uniform state, zero QFI
-    ens0 = prepared_gibbs(Hr, Or, 0.0, eps_deg)
+    ens0 = prepared_gibbs(Hr, Or, 0.0)
     record("beta_zero_qfi", abs(qfi_spectral(ens0, Or)) < 1e-12)
 
     # randomized chain-inequality suite
@@ -363,7 +367,7 @@ def selftest(eps_deg: float | None = None) -> list[tuple[str, bool, str]]:
                 Hx = random_hermitian(d, 1000 + k)
                 Ox = random_hermitian(d, 2000 + k)
                 k += 1
-                r = bounds_chain(prepared_gibbs(Hx, Ox, beta, eps_deg), Ox)
+                r = bounds_chain(prepared_gibbs(Hx, Ox, beta), Ox)
                 try:
                     check_bounds_report(r)
                 except RuntimeError as exc:

@@ -10,6 +10,7 @@ from itertools import chain, product
 
 import numpy as np
 
+from .operators import _hermitian_deviation
 from .spectral import EigenSystem, from_eigenbasis, to_eigenbasis
 from .sld import _cosine_kernel, _gauss_panels
 
@@ -67,14 +68,14 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     against."""
     c = a @ b - b @ a
     if _is_hermitian(a) and _is_hermitian(b):
-        return float(np.max(np.abs(np.linalg.eigvalsh(1j * c)))) if c.size else 0.0
+        return float(np.max(np.abs(np.linalg.eigvalsh(1j * c))))
     return spectral_norm(c)
 
 
 def _is_hermitian(a: np.ndarray) -> bool:
-    """The test of ``check_hermitian``: max|a - a^dag| <= 1e-12 max(1, max|a|)."""
-    atol = 1e-12 * max(1.0, np.max(np.abs(a), initial=0.0))
-    return np.allclose(a, a.conj().T, rtol=0.0, atol=atol)
+    """The test of ``check_hermitian`` on a square a; NaN fails."""
+    dev, tol = _hermitian_deviation(a)
+    return dev <= tol
 
 
 def dressed_operator(

@@ -29,15 +29,12 @@ PAULI = {
 }
 
 
-def check_hermitian(a: np.ndarray) -> np.ndarray:
-    """Validate ``a`` as square and Hermitian to 1e-12 relative; return
-    float64 if real, else complex.  max|a| and max|a - a^dag| are taken
-    tile by tile, each TILE x TILE tile against its transposed partner, so
-    the strided transpose is read in cache-sized pieces and no d x d
-    temporary is made; ``np.max`` over the tile maxima keeps a NaN."""
-    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+def _hermitian_deviation(a: np.ndarray) -> tuple[float, float]:
+    """max|a - a^dag| of a square ``a`` and its tolerance 1e-12 max(1, max|a|),
+    the one Hermiticity rule.  Both maxima are taken tile by tile, each
+    TILE x TILE tile against its transposed partner, so the strided transpose
+    is read in cache-sized pieces and no d x d temporary is made; ``np.max``
+    over the tile maxima keeps a NaN, so ``dev <= tol`` fails on one."""
     tiles = []
     for i in range(0, a.shape[0], TILE):
         for j in range(i, a.shape[0], TILE):
@@ -45,8 +42,17 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
             tiles.append((np.max(np.abs(x - y.conj().T)),
                           np.max(np.abs(x)), np.max(np.abs(y))))
     dev, *peak = np.max(tiles, axis=0)
-    scale = max(1.0, *peak)
-    if not dev <= 1e-12 * scale:  # NaN fails
+    return float(dev), 1e-12 * max(1.0, *peak)
+
+
+def check_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate ``a`` as square and Hermitian to 1e-12 relative; return
+    float64 if real, else complex."""
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    dev, tol = _hermitian_deviation(a)
+    if not dev <= tol:  # NaN fails
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a
 

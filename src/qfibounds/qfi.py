@@ -147,21 +147,15 @@ def _sqrt_fidelity(a: GibbsEnsemble, b: GibbsEnsemble) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def qfi_fidelity_oracle(
-    model: ModelSpec,
-    beta: float,
-    delta: float,
-    eps_deg: float | None = None,
-) -> float:
+def qfi_fidelity_oracle(model: ModelSpec, beta: float, delta: float) -> float:
     """Independent oracle for the spectral QFI via Uhlmann fidelity of the
     exactly built Gibbs states at theta -/+ delta/2."""
     H, O = build_tfim(model)
-    return qfi_fidelity_oracle_generic(H, O, beta, delta, eps_deg)
+    return qfi_fidelity_oracle_generic(H, O, beta, delta)
 
 
 def qfi_fidelity_oracle_generic(
-    H: np.ndarray, O: np.ndarray, beta: float, delta: float,
-    eps_deg: float | None = None,
+    H: np.ndarray, O: np.ndarray, beta: float, delta: float
 ) -> float:
     """Same oracle for an arbitrary pair with H(theta) = H + theta O: the
     Bures QFI between the Gibbs states of H -/+ (delta/2) O (centered, so
@@ -170,5 +164,5 @@ def qfi_fidelity_oracle_generic(
         raise ValueError(f"delta must lie in [1e-4, 1e-2], got {delta}")
     if not beta > 0:
         raise ValueError("beta must be positive")
-    a, b = _shifted_gibbs(H, O, beta, (-delta / 2.0, delta / 2.0), eps_deg)
+    a, b = _shifted_gibbs(H, O, beta, (-delta / 2.0, delta / 2.0))
     return 8.0 * (1.0 - _sqrt_fidelity(a, b)) / delta**2

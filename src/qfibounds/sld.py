@@ -21,7 +21,6 @@ class SldResult:
     L: np.ndarray
     trace_rho_L: float
     trace_rho_L2: float
-    lyapunov_residual: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -79,18 +78,14 @@ def sld_matrix(ens: GibbsEnsemble, O: np.ndarray) -> SldResult:
 
 
 def lyapunov_residual(
-    ens: GibbsEnsemble,
-    L: np.ndarray,
-    model: ModelSpec,
-    delta: float,
-    eps_deg: float | None = None,
+    ens: GibbsEnsemble, L: np.ndarray, model: ModelSpec, delta: float
 ) -> float:
     """Max-norm defect of (rho L + L rho)/2 against a finite-difference
     d(rho)/dtheta built from full rediagonalizations at theta +/- delta."""
     if not (1e-6 <= delta <= 1e-3):
         raise ValueError(f"delta must lie in [1e-6, 1e-3], got {delta}")
     H, O = build_tfim(model)
-    states = _shifted_gibbs(H, O, ens.beta, (delta, -delta), eps_deg)
+    states = _shifted_gibbs(H, O, ens.beta, (delta, -delta))
     plus, minus = (e.density_matrix() for e in states)
     drho = (plus - minus) / (2.0 * delta)
     rho = ens.density_matrix()

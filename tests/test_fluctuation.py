@@ -101,6 +101,38 @@ class TestDissipationSpectrum:
         assert float(np.max(np.abs(s.weights), initial=0.0)) < 1e-14
 
 
+class TestDissipationRoute:
+    """The QFI from the dissipation spectrum (Hauke, Heyl, Tagliacozzo and
+    Zoller, Nat. Phys. 12, 778 (2016)): F = beta^2 c + (2/pi) sum over the
+    dissipation lines of tanh(beta omega / 2) / omega^2 times their weight,
+    c the autocorrelation spectrum's omega = 0 weight over 2 pi."""
+
+    BETA = 2.0
+    # gamma = 0.05 at N = 6: the ferromagnetic doublets fall inside eps_deg
+    CASES = {
+        **{f"tfim{n}_g{g}_t{t}": (lambda n=n, g=g, t=t: q.build_tfim(q.ModelSpec(n, g, t)))
+           for n, g in ((4, 0.9), (6, 0.9), (6, 0.05)) for t in (0.0, 0.1)},
+        "complex_d8": lambda: (q.random_hermitian(8, 11), q.random_hermitian(8, 12)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_qfi_spectral(self, case):
+        H, O = self.CASES[case]()
+        ens = q.prepared_gibbs(H, O, self.BETA)
+        diss = dissipation_spectrum(ens, O)
+        assert np.all(diss.omegas != 0.0)
+        auto = autocorrelation_spectrum(ens, O)
+        c = float(np.sum(auto.weights[auto.omegas == 0.0])) / (2.0 * math.pi)
+        w = diss.omegas
+        kernel = np.tanh(self.BETA * w / 2.0) / w**2
+        f = self.BETA**2 * c + (2.0 / math.pi) * float(np.dot(kernel, diss.weights))
+        assert math.isclose(f, q.qfi_spectral(ens, O), rel_tol=1e-10, abs_tol=0.0)
+
+    def test_doublets_cluster(self):
+        H, O = self.CASES["tfim6_g0.05_t0.0"]()
+        assert any(b - a > 1 for a, b in q.prepared_gibbs(H, O, self.BETA).eigs.clusters)
+
+
 class TestKernels:
     def test_zero_frequency_limits_agree(self):
         beta = 1.7

@@ -87,7 +87,7 @@ class TestThermalAverage:
 class TestDistinctClusterPairs:
     def test_pair_count_no_degeneracies(self, tfim3):
         _, O, ens = tfim3
-        total = int(_pair_table(ens.eigs, O).distinct.sum())
+        total = int(_pair_table(ens.eigs, O).distinct().sum())
         n_in_cluster = sum((b - a) ** 2 for a, b in ens.eigs.clusters)
         assert total == ens.dim**2 - n_in_cluster
 
@@ -112,7 +112,7 @@ class TestNearDegenerate:
         with pytest.raises(ValueError, match="rotate_within_clusters"):
             _pair_table(eigs, O)
         table = _pair_table(rotate_within_clusters(eigs, O), O)
-        assert table.distinct.sum() == 6**2 - (2**2 + 4)  # minus within-cluster pairs
+        assert table.distinct().sum() == 6**2 - (2**2 + 4)  # minus within-cluster pairs
 
 
 def _reference_kernel(kind, omega, beta):

@@ -122,12 +122,15 @@ class TestRunSweep:
         assert math.isclose(row.report.qfi, rep.qfi, rel_tol=1e-12)
 
     def test_parallel_matches_serial(self):
-        cfg = config_from_dict(SMALL)
-        serial = run_sweep(cfg, workers=1)
-        parallel = run_sweep(cfg, workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.axis == b.axis
-            assert a.report == b.report
+        # a temperature sweep has one Hamiltonian, so nothing to share out;
+        # no sweep runs on fewer than one worker (the gamma pool is
+        # test_gamma_pool_matches_serial)
+        gamma = config_from_dict(
+            {**SMALL, "sweep_axis": "gamma", "fixed": {"beta": 1.0}})
+        for cfg, workers in ((config_from_dict(SMALL), 2), (config_from_dict(SMALL), 0),
+                             (gamma, 0), (gamma, -2)):
+            with pytest.raises(ConfigError, match="workers"):
+                run_sweep(cfg, workers=workers)
 
     def test_temperature_sweep_equals_pointwise(self, monkeypatch):
         import qfibounds.gibbs as gibbs
@@ -297,9 +300,29 @@ class TestCli:
         # never the chain length's fault
         assert "chain too short" not in err[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--beta", "1", "--out", "x"],
+        ["sld-check", "--beta", "1", "--out", "x"],
+        ["selftest", "--out", "x"],
+        ["selftest", "--eps-deg", "1"],
+        ["locality", "--eps-deg", "1"],
+    ], ids=["bounds-out", "sld-check-out", "selftest-out", "selftest-eps-deg",
+            "locality-eps-deg"])
+    def test_flag_the_command_does_not_read_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_workers_below_one_exit_two(self, capsys):
+        assert main(["sweep-gamma", "--n-sites", "2", "--points", "2",
+                     "--workers", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: workers"), err
+
     def test_sld_check_default_panels_n8(self, tmp_path, capsys):
         # 2048 panels (16384 nodes): a d^2 x nodes cosine table would be 8 GiB here
-        assert main(["sld-check", "--n-sites", "8", "--beta", "1.0", "--out", str(tmp_path)]) == 0
+        assert main(["sld-check", "--n-sites", "8", "--beta", "1.0"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["time_domain_rel_deviation"] < 1e-5
 

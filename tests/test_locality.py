@@ -7,6 +7,7 @@ import qfibounds as q
 from qfibounds.locality import (
     DressSpec,
     LocalApproximation,
+    _is_hermitian,
     _pauli_commutator_norm,
     _unitary_commutator_norm,
     commutator_decay_profile,
@@ -15,7 +16,12 @@ from qfibounds.locality import (
     local_approximation,
     spectral_norm,
 )
-from qfibounds.operators import PauliString, pauli_string_matrix, random_hermitian
+from qfibounds.operators import (
+    PauliString,
+    check_hermitian,
+    pauli_string_matrix,
+    random_hermitian,
+)
 from qfibounds.spectral import eigendecompose
 
 
@@ -56,6 +62,31 @@ class TestNorms:
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         c = a @ b - b @ a
         assert abs(commutator_norm(a, b) - spectral_norm(c)) < 1e-10
+
+
+def _accepted(a):
+    try:
+        check_hermitian(a)
+    except ValueError:
+        return False
+    return True
+
+
+class TestHermitianRule:
+    """The locality diagnostics decide Hermiticity by check_hermitian's rule."""
+
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_agrees_with_check_hermitian(self, is_complex):
+        h = random_hermitian(200, 4)  # two tiles a side
+        h = h if is_complex else h.real.copy()
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(h))))
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            a = h.copy()
+            a[150, 2] += factor * tol * (1j if is_complex else 1.0)
+            assert _is_hermitian(a) == _accepted(a) == (factor < 1.0)
+        a = h.copy()
+        a[150, 2] = math.nan
+        assert not _is_hermitian(a) and not _accepted(a)
 
 
 def _operator(kind, n):
