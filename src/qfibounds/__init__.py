@@ -15,7 +15,6 @@ from .spectral import (
     EigenSystem,
     cluster_degeneracies,
     eigendecompose,
-    rotate_within_clusters,
 )
 from .gibbs import (
     GibbsEnsemble,

@@ -2,10 +2,13 @@
 generalized fluctuation-dissipation relation with its zero-frequency
 correction, and kernel moments that reproduce the QFI and both bounds.
 
-Both spectra emit one line per distinct-cluster pair of the same pair table
-(``gibbs._pair_table``), in row-major pair order, whose kernel moments are
-F, beta chi and Var, so the ``moment``s of the autocorrelation spectrum
-reproduce those scalars line for line.  ``moment`` takes a ``KernelKind``.
+Both spectra emit the lines of the same pair table (``gibbs._pair_table``)
+in row-major pair order, at the differences of its cluster-mean levels: the
+autocorrelation spectrum one per pair, the same-cluster pairs merging into
+its omega = 0 line, and the dissipation spectrum one per distinct-cluster
+pair.  The table's kernel moments are F, beta chi and Var, so the
+``moment``s of the autocorrelation spectrum reproduce those scalars line for
+line.  ``moment`` takes a ``KernelKind``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import GibbsEnsemble, KernelKind, _classical, _diagonal, _pair_table
+from .gibbs import GibbsEnsemble, KernelKind, _classical, _pair_table
 
 FREQ_MERGE_TOL = 1e-10
 
@@ -59,19 +62,24 @@ def _aggregate(omegas, weights, kind: str) -> LineSpectrum:
     return LineSpectrum(out_o, out_w, kind)
 
 
-def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
-    """Symmetrized fluctuation spectrum S(omega).
-
-    One line per distinct energy difference omega = E_n - E_m with weight
-    pi (p_m + p_n) |O_mn|^2, plus the zero-frequency line
-    2 pi sum_n p_n (O_nn - <O>)^2.  Sum rule: total weight = 2 pi Var(O).
-    """
+def _autocorrelation_lines(ens: GibbsEnsemble, O: np.ndarray):
+    """Unaggregated (omegas, weights): the line omega = E_n - E_m of the
+    levels with weight pi (p_m + p_n) |O_mn|^2 for every pair in row-major
+    order, then 2 pi sum_n p_n (O_nn - <O>)^2 at omega = 0.  The same-cluster
+    pairs sit at omega = 0 too, and with it make the basis-independent
+    zero-frequency weight."""
     t = _pair_table(ens.eigs, O)
-    p, distinct = ens.populations, t.distinct()
-    omegas = np.concatenate([-t.gaps()[distinct], [0.0]])
-    w = (math.pi * ((p[:, None] + p[None, :]) * t.o2))[distinct]
-    weights = np.concatenate([w, [2.0 * math.pi * _classical(p, t.diag)]])
-    return _aggregate(omegas, weights, AUTOCORRELATION)
+    p = ens.populations
+    omegas = np.append(-t.gaps(), 0.0)
+    weights = np.append(math.pi * ((p[:, None] + p[None, :]) * t.o2),
+                        2.0 * math.pi * _classical(p, t.diag))
+    return omegas, weights
+
+
+def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
+    """Symmetrized fluctuation spectrum S(omega) (``_autocorrelation_lines``).
+    Sum rule: total weight = 2 pi Var(O)."""
+    return _aggregate(*_autocorrelation_lines(ens, O), AUTOCORRELATION)
 
 
 def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
@@ -92,12 +100,12 @@ def generalized_fdt(
         raise ValueError("expected a dissipation spectrum")
     if not ens.beta > 0:
         raise ValueError("generalized FDT needs beta > 0")
-    diag = _diagonal(ens.eigs, O).real
-    zero_weight = 2.0 * math.pi * _classical(ens.populations, diag)
+    lines, weights = _autocorrelation_lines(ens, O)
+    zero = lines == 0.0
 
     # Guard against a spectrum from a different ensemble: every line must sit
-    # at an energy difference of this eigensystem.
-    diffs = np.sort(np.subtract.outer(ens.eigs.energies, ens.eigs.energies), axis=None)
+    # at a level difference of this eigensystem.
+    diffs = np.sort(lines, axis=None)
     pos = np.searchsorted(diffs, dissipation.omegas)
     near = diffs[np.clip([pos - 1, pos], 0, len(diffs) - 1)]  # both neighbours
     bad = dissipation.omegas[
@@ -107,9 +115,9 @@ def generalized_fdt(
                          "energy difference of the ensemble")
 
     nz = dissipation.omegas != 0.0
-    omegas = np.concatenate([dissipation.omegas[nz], [0.0]])
+    omegas = np.concatenate([dissipation.omegas[nz], lines[zero]])
     coth = 1.0 / np.tanh(ens.beta * dissipation.omegas[nz] / 2.0)
-    weights = np.concatenate([coth * dissipation.weights[nz], [zero_weight]])
+    weights = np.concatenate([coth * dissipation.weights[nz], weights[zero]])
     return _aggregate(omegas, weights, AUTOCORRELATION)
 
 

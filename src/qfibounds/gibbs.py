@@ -1,10 +1,15 @@
 """Gibbs ensembles, thermal averages, and the one beta-independent pair
 table per (eigensystem, O) that feeds F, chi, Var and both line spectra.
-The table is O's eigenbasis diagonal, the energies and the dense |O_mn|^2
-with its same-cluster entries zeroed; one pass of the kernel x =
-tanh(beta omega / 2) / omega over it gives F, beta chi and Var, the three
-``KernelKind`` moments of the autocorrelation spectrum, and masking it to
-the distinct-cluster pairs gives the spectra's lines."""
+
+Populations and gaps are read from the cluster-mean ``levels``, so every
+state of a cluster has the same population and every same-cluster pair sits
+at omega = 0 exactly.  The table is O's eigenbasis diagonal, the levels and
+the dense |O_mn|^2 with only its diagonal zeroed; one pass of the kernel
+x = tanh(beta omega / 2) / omega over it gives F, beta chi and Var, the three
+``KernelKind`` moments of the autocorrelation spectrum.  The same-cluster
+entries enter that pass at x = beta / 2, which turns the diagonal's
+classical weight into the basis-independent sum_c p_c ||O_cc||_F^2 - <O>^2
+over the clusters c, with no special case."""
 
 from __future__ import annotations
 
@@ -15,19 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import TILE, ModelSpec, build_tfim, check_hermitian
-from .spectral import (
-    EigenSystem,
-    eigendecompose,
-    rotate_within_clusters,
-    to_eigenbasis,
-)
+from .spectral import EigenSystem, eigendecompose, to_eigenbasis
 
 _IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class GibbsEnsemble:
-    """Normalized thermal populations tied to a (rotated) eigensystem."""
+    """Normalized thermal populations tied to an eigensystem."""
 
     beta: float
     populations: np.ndarray
@@ -43,10 +43,11 @@ class GibbsEnsemble:
 
 
 def gibbs_ensemble(eigs: EigenSystem, beta: float) -> GibbsEnsemble:
-    """Populations p_n = exp(-beta(E_n - E_min)) / Z, overflow-safe."""
+    """Populations p_n = exp(-beta(E_n - E_min)) / Z of the cluster-mean
+    levels E_n, overflow-safe; equal across each cluster."""
     if not math.isfinite(beta) or beta < 0:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    e = eigs.energies
+    e = eigs.levels
     shifted = -beta * (e - e[0])
     w = np.exp(shifted)
     z = float(w.sum())
@@ -60,15 +61,9 @@ def prepared_gibbs(
     beta: float,
     eps_deg: float | None = None,
 ) -> GibbsEnsemble:
-    """Diagonalize H, rotate degenerate clusters against O, thermalize.
-
-    This is the canonical pipeline every downstream formula expects: the
-    returned ensemble's eigenbasis makes O diagonal inside each degenerate
-    cluster.
-    """
-    eigs = eigendecompose(H, eps_deg)
-    eigs = rotate_within_clusters(eigs, O)
-    return gibbs_ensemble(eigs, beta)
+    """Diagonalize H and thermalize.  O is not read; callers pass
+    (H, O, beta) positionally, so the signature keeps it."""
+    return gibbs_ensemble(eigendecompose(H, eps_deg), beta)
 
 
 def _shifted_gibbs(H, O, beta, shifts):
@@ -76,7 +71,7 @@ def _shifted_gibbs(H, O, beta, shifts):
     one rebuild path (bit-identical to rebuilding the TFIM at theta + s), at
     the default tolerance: an oracle checks the ensemble's, not inheriting it."""
     for s in shifts:
-        yield prepared_gibbs(H + s * O, O, beta)
+        yield gibbs_ensemble(eigendecompose(H + s * O), beta)
 
 
 def _real_or_raise(value: complex, scale: float, what: str) -> float:
@@ -85,18 +80,14 @@ def _real_or_raise(value: complex, scale: float, what: str) -> float:
     return float(value.real)
 
 
-def _diagonal(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:
-    """Validate A; <n|A|n> for every eigenvector n, without the full transform."""
-    A = check_hermitian(A)
-    if A.shape[0] != eigs.dim:
-        raise ValueError("dimension mismatch")
-    v = eigs.vectors
-    return np.einsum("ij,ij->j", v.conj(), A @ v)
-
-
 def thermal_average(ens: GibbsEnsemble, A: np.ndarray) -> float:
-    """<A> = sum_n p_n <n|A|n>."""
-    val = complex(np.dot(ens.populations, _diagonal(ens.eigs, A)))
+    """<A> = sum_n p_n <n|A|n> of a Hermitian A of the ensemble's dimension,
+    from the eigenbasis diagonal alone."""
+    A = check_hermitian(A)
+    if A.shape[0] != ens.dim:
+        raise ValueError("dimension mismatch")
+    v = ens.eigs.vectors
+    val = complex(np.dot(ens.populations, np.einsum("ij,ij->j", v.conj(), A @ v)))
     return _real_or_raise(val, float(np.max(np.abs(A))) or 1.0, "thermal average")
 
 
@@ -131,22 +122,6 @@ class KernelKind(enum.Enum):
         return x * x if self is KernelKind.QFI else beta * x / 2.0
 
 
-def _check_rotated(eigs: EigenSystem, Oe: np.ndarray) -> None:
-    """Reject within-cluster off-diagonal elements of O; they must have been
-    removed by the cluster rotation before any spectral formula is applied."""
-    scale = float(np.max(np.abs(Oe))) or 1.0
-    for a, b in eigs.clusters:
-        if b - a < 2:
-            continue
-        block = Oe[a:b, a:b].copy()
-        np.fill_diagonal(block, 0.0)
-        if not np.max(np.abs(block)) <= 1e-9 * scale:  # NaN fails
-            raise ValueError(
-                "degenerate cluster carries off-diagonal O elements; "
-                "rotate_within_clusters must run before spectral formulas"
-            )
-
-
 def _classical(p: np.ndarray, diag: np.ndarray) -> float:
     """Classical weight sum_n p_n (O_nn - <O>)^2 of the eigenbasis diagonal."""
     return float(np.dot(p, (diag - float(np.dot(p, diag))) ** 2))
@@ -155,34 +130,31 @@ def _classical(p: np.ndarray, diag: np.ndarray) -> float:
 @dataclass(frozen=True)
 class _PairTable:
     """The beta-independent lines of O over one eigensystem: ``diag`` = O_nn,
-    the ``energies``, the d x d ``o2`` = |O_mn|^2 with every same-cluster
-    entry (the diagonal included) zero, and the eigensystem's ``clusters``."""
+    the cluster-mean ``levels`` and the d x d ``o2`` = |O_mn|^2 with its
+    diagonal zero."""
 
     diag: np.ndarray
-    energies: np.ndarray
+    levels: np.ndarray
     o2: np.ndarray
-    clusters: tuple
 
     def distinct(self) -> np.ndarray:
         """Mask of the pairs (m, n) in different clusters."""
-        sizes = [b - a for a, b in self.clusters]
-        cid = np.repeat(np.arange(len(sizes)), sizes)
-        return cid[:, None] != cid[None, :]
+        return self.gaps() != 0.0
 
     def gaps(self) -> np.ndarray:
-        """E_m - E_n for every (m, n)."""
-        return np.subtract.outer(self.energies, self.energies)
+        """E_m - E_n of the levels for every (m, n); 0 inside a cluster."""
+        return np.subtract.outer(self.levels, self.levels)
 
     def moments(self, p: np.ndarray, beta: float) -> tuple[float, float, float]:
         """F, beta chi and Var at populations p: the QFI-, susceptibility- and
         variance-kernel sums (2/pi) sum kernel(omega) weight over the
-        autocorrelation lines, pi (p_m + p_n)|O_mn|^2 per distinct-cluster
-        pair and 2 pi times the classical weight at omega = 0.  o2 is
+        autocorrelation lines, pi (p_m + p_n)|O_mn|^2 per pair m != n and
+        2 pi times the diagonal's classical weight at omega = 0.  o2 is
         symmetric and the kernels are even, so each pair sum is 2 p . (row
         sums of o2 times the kernel).  The kernel is evaluated over TILE rows
         at a time, so its temporaries are TILE x d whatever d is."""
         c = _classical(p, self.diag)
-        e = self.energies
+        e = self.levels
         ox2, ox = np.empty(len(e)), np.empty(len(e))
         for i in range(0, len(e), TILE):
             rows = slice(i, i + TILE)
@@ -196,21 +168,16 @@ class _PairTable:
 
 
 def _pair_table(eigs: EigenSystem, O: np.ndarray) -> _PairTable:
-    """Validate O, transform it to the eigenbasis once, reject an unrotated
-    cluster and keep |O_mn|^2 outside the clusters: the clusters are index
-    ranges, so their diagonal blocks are zeroed in place.  O's eigenbasis
-    matrix is dropped once the table exists."""
+    """Validate O, transform it to the eigenbasis once and keep its diagonal
+    and |O_mn|^2 off the diagonal.  O's eigenbasis matrix is dropped once the
+    table exists."""
     Oe = to_eigenbasis(eigs, O)
-    _check_rotated(eigs, Oe)
     diag = Oe.diagonal().real.copy()
     o2 = np.abs(Oe)
     del Oe
     np.square(o2, out=o2)
     np.fill_diagonal(o2, 0.0)
-    for a, b in eigs.clusters:
-        if b - a > 1:
-            o2[a:b, a:b] = 0.0
-    return _PairTable(diag, eigs.energies, o2, eigs.clusters)
+    return _PairTable(diag, eigs.levels, o2)
 
 
 def variance(ens: GibbsEnsemble, O: np.ndarray) -> float:

@@ -32,6 +32,7 @@ from .fluctuation import (
     moment,
 )
 from .sld import sld_matrix
+from .spectral import eigendecompose
 
 CSV_HEADER = "axis,lb,qfi,ub1,ub2,alpha,phi,dtheta_min,d_o,d_o_bar,ms"
 
@@ -169,7 +170,7 @@ def _hamiltonian_rows(config: SweepConfig, points: list) -> list[SweepRow]:
         model = ModelSpec(config.model.n_sites, points[0], config.model.theta)
         betas = [config.fixed_beta]
     H, O = build_tfim(model)
-    eigs = prepared_gibbs(H, O, betas[0], config.eps_deg).eigs
+    eigs = eigendecompose(H, config.eps_deg)
     table = _pair_table(eigs, O)
     rows = []
     for x, beta in zip(points, betas):

@@ -53,19 +53,16 @@ def _centered_eigenbasis(ens: GibbsEnsemble, O: np.ndarray) -> np.ndarray:
 
 
 def sld_matrix(ens: GibbsEnsemble, O: np.ndarray) -> SldResult:
-    """L_mn = f(E_m - E_n) (O - <O>)_mn in the (rotated) eigenbasis.
-
-    Same-cluster pairs use the degenerate limit f(0) = -beta regardless of
-    their residual numerical splitting.
+    """L_mn = f(E_m - E_n) (O - <O>)_mn in the eigenbasis, with E the
+    cluster-mean levels: every same-cluster pair takes the degenerate limit
+    f(0) = -beta whatever its residual numerical splitting.
     """
     if not ens.beta > 0:
         raise ValueError("the SLD construction requires beta > 0")
     Obar = _centered_eigenbasis(ens, O)
 
-    e = ens.eigs.energies
+    e = ens.eigs.levels
     f = energy_kernel(e[:, None] - e[None, :], ens.beta)
-    cid = ens.eigs.cluster_ids()
-    f[cid[:, None] == cid[None, :]] = -ens.beta
 
     L_eig = f * Obar
     L_eig = (L_eig + L_eig.conj().T) / 2.0

@@ -8,12 +8,11 @@ columns.  A matrix with neither symmetry takes one dense ``eigh``, the
 reference the sector path is tested against.
 
 Eigenvalues that coincide within a tolerance are grouped into clusters, and
-the eigenbasis inside each cluster is rotated so that a chosen observable is
-diagonal there.  That rotation is the numerical counterpart of picking the
-gauge in which within-degenerate-subspace matrix elements of the conjugate
-observable vanish, and every downstream formula assumes it has been applied.
-A cluster may straddle symmetry sectors (the ferromagnetic doublet pairs the
-two parities); the rotation acts on dense columns and mixes them freely.
+every formula downstream reads each state's cluster-mean energy
+(``EigenSystem.levels``) instead of its own.  The outputs are sums over pairs
+of clusters, so they do not depend on the basis chosen inside a cluster: no
+gauge is fixed.  A cluster may straddle symmetry sectors (the ferromagnetic
+doublet pairs the two parities).
 """
 
 from __future__ import annotations
@@ -55,12 +54,13 @@ class EigenSystem:
     def dim(self) -> int:
         return len(self.energies)
 
-    def cluster_ids(self) -> np.ndarray:
-        """Integer cluster label for each eigenvalue index."""
-        ids = np.empty(self.dim, dtype=np.int64)
-        for k, (a, b) in enumerate(self.clusters):
-            ids[a:b] = k
-        return ids
+    @property
+    def levels(self) -> np.ndarray:
+        """Each state's cluster-mean energy, bit-identical across its cluster
+        and equal to its own energy in a cluster of one."""
+        starts, stops = np.array(self.clusters, dtype=np.intp).reshape(-1, 2).T
+        means = np.add.reduceat(self.energies, starts) / (stops - starts)
+        return np.repeat(means, stops - starts)
 
     def density_matrix(self, populations: np.ndarray) -> np.ndarray:
         v = self.vectors
@@ -173,8 +173,8 @@ def eigendecompose(H: np.ndarray, eps_deg: float | None = None) -> EigenSystem:
     (``_z2_symmetries``), LAPACK ``eigh`` runs once per symmetry block, the
     block eigenvectors are scattered into dense d x d columns and the
     energies are sorted stably across blocks; otherwise one dense ``eigh``
-    of H.  Either way the columns are orthonormal eigenvectors of H, so the
-    cluster rotation and every downstream formula take them unchanged.
+    of H.  Either way the columns are orthonormal eigenvectors of H, and
+    every downstream formula takes them unchanged.
     """
     H = check_hermitian(H)
     symmetries = _z2_symmetries(H)
@@ -194,51 +194,20 @@ def eigendecompose(H: np.ndarray, eps_deg: float | None = None) -> EigenSystem:
     )
 
 
-def _cluster_chunks(clusters: tuple):
-    """Runs of adjacent clusters of size > 1, cut where a run would pass
-    TILE columns (a larger cluster alone): each run is one contiguous column
-    range, rotated with a few GEMMs whose results are at most d x TILE, and
-    an isolated cluster is a run of its own."""
-    chunk = []
-    for a, b in clusters:
-        if chunk and (b - a < 2 or b - chunk[0][0] > TILE):
-            yield chunk
-            chunk = []
-        if b - a > 1:
-            chunk.append((a, b))
-    if chunk:
-        yield chunk
-
-
 def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
-    """Diagonalize the projection of ``O`` inside each degenerate cluster.
-
-    Energies and clusters are unchanged; only eigenvector columns inside
-    clusters of size > 1 are re-mixed (a unitary transformation), so the
-    result is still a valid eigenbasis of the original Hamiltonian, of the
-    result type of (vectors, O).  Without a cluster O is not read.
-    """
+    """The eigensystem in the gauge where O is diagonal inside each
+    degenerate cluster: one ``eigh`` of O's projection per cluster.  No
+    formula needs a gauge; this one serves as a reference basis."""
     if all(b - a == 1 for a, b in eigs.clusters):
         return eigs
-    O = check_hermitian(O)
-    if O.shape[0] != eigs.dim:
-        raise ValueError("dimension mismatch between eigensystem and O")
     vectors = eigs.vectors.astype(np.result_type(eigs.vectors, O))
-    for chunk in _cluster_chunks(eigs.clusters):
-        lo, hi = chunk[0][0], chunk[-1][1]
-        block = vectors[:, lo:hi]
-        o_sub = block.conj().T @ (O @ block)
-        w = np.zeros_like(o_sub)  # block-diagonal: one rotation per cluster
-        for a, b in chunk:
-            c = slice(a - lo, b - lo)
-            _, w[c, c] = np.linalg.eigh((o_sub[c, c] + o_sub[c, c].conj().T) / 2.0)
-        vectors[:, lo:hi] = block @ w
-    return EigenSystem(
-        energies=eigs.energies,
-        vectors=vectors,
-        clusters=eigs.clusters,
-        eps_deg=eigs.eps_deg,
-    )
+    for a, b in eigs.clusters:
+        if b - a > 1:
+            block = vectors[:, a:b]
+            o = block.conj().T @ (O @ block)
+            _, w = np.linalg.eigh((o + o.conj().T) / 2.0)
+            vectors[:, a:b] = block @ w
+    return EigenSystem(eigs.energies, vectors, eigs.clusters, eigs.eps_deg)
 
 
 def to_eigenbasis(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import qfibounds as q
 from qfibounds.fluctuation import _aggregate
 from qfibounds.gibbs import (
-    _check_rotated,
     _classical,
     _pair_table,
     _real_or_raise,
@@ -19,9 +18,16 @@ from qfibounds.spectral import (
     cluster_degeneracies,
     eigendecompose,
     rotate_within_clusters,
+    to_eigenbasis,
 )
 
-from conftest import random_instance, rel_close
+from conftest import (
+    assert_same_results,
+    close_arrays,
+    pipeline_results,
+    random_instance,
+    rel_close,
+)
 
 
 class TestGibbsEnsemble:
@@ -98,21 +104,46 @@ class TestNearDegenerate:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_clusters_split_at_eps_deg(self, seed):
-        # gaps just below and just above eps_deg: only the first pair joins
-        eps = self.EPS
-        e = np.array([0.0, eps * (1 - 1e-3), 1.0, 1.0 + eps * (1 + 1e-3), 2.0, 3.0])
+        # gaps just below and just above eps_deg: only the first pair joins,
+        # for real and complex H alike
+        eps, beta = self.EPS, 2.0
+        split = eps * (1 + 1e-3)
+        e = np.array([0.0, eps * (1 - 1e-3), 1.0, 1.0 + split, 2.0, 3.0])
         rng = np.random.default_rng(seed)
-        v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        H = (v * e) @ v.T
-        g = rng.standard_normal((6, 6))
-        O = g + g.T
-        eigs = eigendecompose(H, eps)
-        joined = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6))
-        assert cluster_degeneracies(eigs.energies, eps) == eigs.clusters == joined
-        with pytest.raises(ValueError, match="rotate_within_clusters"):
-            _pair_table(eigs, O)
-        table = _pair_table(rotate_within_clusters(eigs, O), O)
-        assert table.distinct().sum() == 6**2 - (2**2 + 4)  # minus within-cluster pairs
+
+        def draw(arithmetic):
+            g = rng.standard_normal((6, 6))
+            return g if arithmetic == "real" else g + 1j * rng.standard_normal((6, 6))
+
+        for arithmetic in ("real", "complex"):
+            v, _ = np.linalg.qr(draw(arithmetic))
+            H = (v * e) @ v.conj().T
+            g = draw(arithmetic)
+            O = g + g.conj().T
+            eigs = eigendecompose(H, eps)
+            joined = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+            assert cluster_degeneracies(eigs.energies, eps) == eigs.clusters == joined
+            table = _pair_table(eigs, O)
+            assert table.distinct().sum() == 6**2 - (2**2 + 4)  # minus within-cluster pairs
+
+            # the joined pair is one level, so no line resolves its splitting;
+            # the split pair keeps its lines at +-split
+            ens = gibbs_ensemble(eigs, beta)
+            got = pipeline_results(ens, O)
+            for kind in ("auto", "diss"):
+                omegas = np.abs(got[kind].omegas)
+                assert not np.any((omegas > 0.0) & (omegas < eps)), kind
+                assert np.sum(np.isclose(omegas, split, rtol=1e-6, atol=0.0)) == 2, kind
+            assert np.all(got["diss"].omegas != 0.0)
+
+            # the SLD takes f(0) = -beta across the joined block
+            Obar = to_eigenbasis(eigs, O) - q.thermal_average(ens, O) * np.eye(6)
+            L = to_eigenbasis(eigs, got["L"])
+            assert close_arrays(L[:2, :2], -beta * Obar[:2, :2])
+
+            # and everything matches the gauge where O is diagonal in the cluster
+            ref = pipeline_results(gibbs_ensemble(rotate_within_clusters(eigs, O), beta), O)
+            assert_same_results(got, ref, beta, 0.0)
 
 
 def _reference_kernel(kind, omega, beta):
@@ -132,12 +163,14 @@ def _reference_kernel(kind, omega, beta):
 
 def _reference_pair_sums(eigs, O, p, beta):
     """Flat ordered-pair reference: F, beta chi and Var as kernel sums of
-    (p_m + p_n)|O_mn|^2 over the distinct-cluster pairs np.nonzero lists in
-    row-major order, and both spectra's unaggregated lines in that order."""
+    (p_m + p_n)|O_mn|^2 over the pairs m != n np.nonzero lists in row-major
+    order, at the differences of the cluster-mean levels (0 for a
+    same-cluster pair), and both spectra's unaggregated lines in that order:
+    every pair for the autocorrelation, those at omega != 0 for the
+    dissipation."""
     Oe = eigs.vectors.conj().T @ O @ eigs.vectors
-    cid = eigs.cluster_ids()
-    m, n = np.nonzero(cid[:, None] != cid[None, :])
-    dE = eigs.energies[m] - eigs.energies[n]
+    m, n = np.nonzero(~np.eye(eigs.dim, dtype=bool))
+    dE = eigs.levels[m] - eigs.levels[n]
     o2 = np.abs(Oe[m, n]) ** 2
     diag = Oe.diagonal().real.copy()
     classical = float(np.dot(p, (diag - float(np.dot(p, diag))) ** 2))
@@ -149,7 +182,8 @@ def _reference_pair_sums(eigs, O, p, beta):
     sums = (moment("qfi", beta), moment("chi", beta), moment("var", 1.0))
     auto = (np.concatenate([-dE, [0.0]]),
             np.concatenate([math.pi * w, [2.0 * math.pi * classical]]))
-    diss = (-dE, math.pi * (p[m] - p[n]) * o2)
+    nz = dE != 0.0
+    diss = (-dE[nz], (math.pi * (p[m] - p[n]) * o2)[nz])
     return sums, auto, diss
 
 
@@ -223,14 +257,6 @@ class TestNanGates:
     def test_real_or_raise_rejects_nan_imaginary_part(self):
         with pytest.raises(ValueError):
             _real_or_raise(complex(1.0, math.nan), 1.0, "x")
-
-    def test_check_rotated_rejects_nan_in_cluster(self):
-        eigs = eigendecompose(np.diag([0.0, 0.0, 1.0]), 1e-8)
-        assert eigs.clusters == ((0, 2), (2, 3))
-        Oe = np.zeros((3, 3))
-        Oe[0, 1] = Oe[1, 0] = math.nan
-        with pytest.raises(ValueError, match="rotate_within_clusters"):
-            _check_rotated(eigs, Oe)
 
 
 class TestSusceptibility:

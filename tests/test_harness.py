@@ -133,13 +133,13 @@ class TestRunSweep:
                 run_sweep(cfg, workers=workers)
 
     def test_temperature_sweep_equals_pointwise(self, monkeypatch):
-        import qfibounds.gibbs as gibbs
+        import qfibounds.harness as harness
 
         cfg = config_from_dict({**SMALL, "grid": [0.2, 0.5, 1.0, 2.0, 8.0]})
         calls = []
-        real_eigendecompose = gibbs.eigendecompose
+        real_eigendecompose = harness.eigendecompose
         monkeypatch.setattr(
-            gibbs, "eigendecompose",
+            harness, "eigendecompose",
             lambda *a, **k: calls.append(1) or real_eigendecompose(*a, **k),
         )
         rows = run_sweep(cfg)

@@ -44,27 +44,6 @@ class TestQfiSpectral:
         ens0 = q.prepared_gibbs(H, O, 0.0)
         assert abs(q.qfi_spectral(ens0, O)) < 1e-12
 
-    @pytest.mark.parametrize(
-        "route",
-        [
-            "qfi_spectral",
-            "susceptibility",
-            "variance",
-            "bounds_chain",
-            "autocorrelation_spectrum",
-            "dissipation_spectrum",
-        ],
-    )
-    def test_rejects_unrotated_cluster(self, route):
-        from qfibounds.spectral import eigendecompose
-        from qfibounds.gibbs import gibbs_ensemble
-
-        H = np.diag([0.0, 0.0, 2.0]).astype(complex)
-        O = q.random_hermitian(3, 31)
-        ens = gibbs_ensemble(eigendecompose(H), 1.0)  # rotation skipped
-        with pytest.raises(ValueError, match="rotate_within_clusters"):
-            getattr(q, route)(ens, O)
-
     def test_gap_closure_meets_degenerate_limit(self):
         # the near-degenerate branch must approach the rotated-basis
         # classical value continuously as the 2-level gap closes

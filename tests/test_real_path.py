@@ -20,7 +20,7 @@ from qfibounds.locality import (
     spectral_norm,
 )
 from qfibounds.operators import PauliString, pauli_string_matrix
-from qfibounds.spectral import eigendecompose, to_eigenbasis
+from qfibounds.spectral import eigendecompose
 
 from conftest import assert_same_results, close_arrays, pipeline_results
 from test_spectral import _degenerate_pair
@@ -56,10 +56,7 @@ def test_real_tfim_matches_complex(model, beta):
 def test_real_h_with_complex_o(imag):
     H, O = _degenerate_pair()
     O = O + imag * np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]])
-    ens, fast = _results(H.real.copy(), O, 1.3)
-    assert ens.eigs.vectors.dtype == np.complex128
-    Oe = to_eigenbasis(ens.eigs, O)
-    assert abs(Oe[0, 1]) < 1e-12 and abs(Oe[1, 0]) < 1e-12
+    _, fast = _results(H.real.copy(), O, 1.3)
     _, ref = _results(H, O, 1.3)
     assert_same_results(fast, ref, 1.3, 0.0)
 

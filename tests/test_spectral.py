@@ -1,15 +1,11 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
-from qfibounds.gibbs import _check_rotated, gibbs_ensemble
-from qfibounds.operators import TILE
+from qfibounds.gibbs import gibbs_ensemble
 from qfibounds.spectral import (
     EigenSystem,
-    _cluster_chunks,
     _sector_blocks,
     _z2_symmetries,
     cluster_degeneracies,
@@ -55,13 +51,6 @@ class TestEigendecompose:
         recon = (v * eigs.energies) @ v.conj().T
         spread = eigs.energies[-1] - eigs.energies[0]
         assert np.max(np.abs(recon - H)) < 1e-9 * spread
-
-    def test_cluster_ids_cover_all_indices(self):
-        H, _ = q.build_tfim(q.ModelSpec(4, 0.25))
-        eigs = eigendecompose(H)
-        ids = eigs.cluster_ids()
-        assert len(ids) == 16
-        assert np.all(np.diff(ids) >= 0)
 
     @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 4, 8]))
     @settings(max_examples=25, deadline=None)
@@ -259,43 +248,3 @@ class TestSectorEigendecompose:
                                rtol=0.0, atol=1e-12)
             assert np.allclose(odd_weight(rotated.vectors, a, b), 0.5, rtol=0.0, atol=1e-9)
         _assert_matches_dense(H, O, 3.0)
-
-
-def _rotate_cluster_by_cluster(eigs, O):
-    """The cluster rotation one cluster at a time, one ``O @ block`` each:
-    the reference for the batched GEMMs of ``rotate_within_clusters``."""
-    vectors = eigs.vectors.astype(np.result_type(eigs.vectors, O))
-    for a, b in eigs.clusters:
-        if b - a < 2:
-            continue
-        block = vectors[:, a:b]
-        o_sub = block.conj().T @ O @ block
-        o_sub = (o_sub + o_sub.conj().T) / 2.0
-        _, w = np.linalg.eigh(o_sub)
-        vectors[:, a:b] = block @ w
-    return dataclasses.replace(eigs, vectors=vectors)
-
-
-class TestBatchedRotation:
-    # N=6: 32 doublets in one chunk; N=8: 128 doublets in two chunks
-    @pytest.mark.parametrize("n", [6, 8])
-    def test_matches_per_cluster_loop(self, n):
-        H, O = q.build_tfim(q.ModelSpec(n, 0.05))
-        eigs = eigendecompose(H)
-        batched = rotate_within_clusters(eigs, O)
-        ref = _rotate_cluster_by_cluster(eigs, O)
-        _check_rotated(batched, to_eigenbasis(batched, O))
-        beta = 3.0
-        assert_same_results(
-            pipeline_results(gibbs_ensemble(batched, beta), O),
-            pipeline_results(gibbs_ensemble(ref, beta), O),
-            beta, eigs.eps_deg,
-        )
-
-    def test_chunks(self):
-        # a singleton ends a run; a run is cut before it passes TILE columns
-        widths = [1, 2, 1, TILE - 2, 2, TILE + 1, 2, 1, 1, 3]
-        edges = np.cumsum([0] + widths).tolist()
-        chunks = list(_cluster_chunks(tuple(zip(edges[:-1], edges[1:]))))
-        assert [[b - a for a, b in c] for c in chunks] == [[2], [TILE - 2, 2], [TILE + 1], [2], [3]]
-        assert all(x[1] == y[0] for c in chunks for x, y in zip(c, c[1:]))
