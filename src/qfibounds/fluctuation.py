@@ -2,13 +2,15 @@
 generalized fluctuation-dissipation relation with its zero-frequency
 correction, and kernel moments that reproduce the QFI and both bounds.
 
-Both spectra emit the lines of the same pair table (``gibbs._pair_table``)
-in row-major pair order, at the differences of its cluster-mean levels: the
-autocorrelation spectrum one per pair, the same-cluster pairs merging into
-its omega = 0 line, and the dissipation spectrum one per distinct-cluster
-pair.  The table's kernel moments are F, beta chi and Var, so the
-``moment``s of the autocorrelation spectrum reproduce those scalars line for
-line.  ``moment`` takes a ``KernelKind``.
+Both spectra emit the lines of the same pair table (``gibbs._pair_table``),
+block by block in row-major pair order, an a < b block once in each order,
+at the differences of its cluster-mean levels: the autocorrelation spectrum
+one per pair, the same-cluster pairs merging into its omega = 0 line, and
+the dissipation spectrum one per distinct-cluster pair.  Pairs of symmetry
+sectors that O cannot link have O_mn = 0 and emit no line.  The table's
+kernel moments are F, beta chi and Var, so the ``moment``s of the
+autocorrelation spectrum reproduce those scalars line for line.  ``moment``
+takes a ``KernelKind``.
 """
 
 from __future__ import annotations
@@ -62,18 +64,35 @@ def _aggregate(omegas, weights, kind: str) -> LineSpectrum:
     return LineSpectrum(out_o, out_w, kind)
 
 
+def _pair_lines(ens: GibbsEnsemble, O: np.ndarray, weight):
+    """Unaggregated (omegas, weights) of every pair the pair table holds: the
+    line omega = E_n - E_m of the levels with weight(p_m, p_n, |O_mn|^2),
+    block by block in row-major order, an a < b block's pairs then again in
+    the reverse order (n, m); and the table."""
+    t = _pair_table(ens.eigs, O)
+    e, p = t.levels, ens.populations
+    omegas, weights = [], []
+    for a, b, o2 in t.blocks:
+        gaps = np.subtract.outer(e[a.columns], e[b.columns])
+        pa, pb = p[a.columns][:, None], p[b.columns][None, :]
+        omegas.append(-gaps.ravel())
+        weights.append(weight(pa, pb, o2).ravel())
+        if a is not b:
+            omegas.append(gaps.ravel())
+            weights.append(weight(pb, pa, o2).ravel())
+    return np.concatenate(omegas), np.concatenate(weights), t
+
+
 def _autocorrelation_lines(ens: GibbsEnsemble, O: np.ndarray):
     """Unaggregated (omegas, weights): the line omega = E_n - E_m of the
-    levels with weight pi (p_m + p_n) |O_mn|^2 for every pair in row-major
-    order, then 2 pi sum_n p_n (O_nn - <O>)^2 at omega = 0.  The same-cluster
-    pairs sit at omega = 0 too, and with it make the basis-independent
-    zero-frequency weight."""
-    t = _pair_table(ens.eigs, O)
-    p = ens.populations
-    omegas = np.append(-t.gaps(), 0.0)
-    weights = np.append(math.pi * ((p[:, None] + p[None, :]) * t.o2),
-                        2.0 * math.pi * _classical(p, t.diag))
-    return omegas, weights
+    levels with weight pi (p_m + p_n) |O_mn|^2 for every pair of the table
+    (``_pair_lines``), then 2 pi sum_n p_n (O_nn - <O>)^2 at omega = 0.  The
+    same-cluster pairs sit at omega = 0 too, and with it make the
+    basis-independent zero-frequency weight."""
+    omegas, weights, t = _pair_lines(
+        ens, O, lambda pm, pn, o2: math.pi * ((pm + pn) * o2))
+    classical = 2.0 * math.pi * _classical(ens.populations, t.diag)
+    return np.append(omegas, 0.0), np.append(weights, classical)
 
 
 def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
@@ -85,10 +104,10 @@ def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
 def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     """Im chi(omega): odd line spectrum with weights pi (p_m - p_n) |O_mn|^2
     and no zero-frequency weight."""
-    t = _pair_table(ens.eigs, O)
-    p, distinct = ens.populations, t.distinct()
-    w = (math.pi * (p[:, None] - p[None, :]) * t.o2)[distinct]
-    return _aggregate(-t.gaps()[distinct], w, DISSIPATION)
+    omegas, weights, _ = _pair_lines(
+        ens, O, lambda pm, pn, o2: math.pi * (pm - pn) * o2)
+    distinct = omegas != 0.0
+    return _aggregate(omegas[distinct], weights[distinct], DISSIPATION)
 
 
 def generalized_fdt(
@@ -104,7 +123,7 @@ def generalized_fdt(
     zero = lines == 0.0
 
     # Guard against a spectrum from a different ensemble: every line must sit
-    # at a level difference of this eigensystem.
+    # at the level difference of a pair this (eigensystem, O) links.
     diffs = np.sort(lines, axis=None)
     pos = np.searchsorted(diffs, dissipation.omegas)
     near = diffs[np.clip([pos - 1, pos], 0, len(diffs) - 1)]  # both neighbours

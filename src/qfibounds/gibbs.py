@@ -3,13 +3,15 @@ table per (eigensystem, O) that feeds F, chi, Var and both line spectra.
 
 Populations and gaps are read from the cluster-mean ``levels``, so every
 state of a cluster has the same population and every same-cluster pair sits
-at omega = 0 exactly.  The table is O's eigenbasis diagonal, the levels and
-the dense |O_mn|^2 with only its diagonal zeroed; one pass of the kernel
-x = tanh(beta omega / 2) / omega over it gives F, beta chi and Var, the three
-``KernelKind`` moments of the autocorrelation spectrum.  The same-cluster
-entries enter that pass at x = beta / 2, which turns the diagonal's
-classical weight into the basis-independent sum_c p_c ||O_cc||_F^2 - <O>^2
-over the clusters c, with no special case."""
+at omega = 0 exactly.  The table is O's eigenbasis diagonal, the levels and,
+for each symmetry-sector pair (a, b) that O links, the block |O_mn|^2 of
+m in a, n in b, with only the diagonal of an a = b block zeroed; the pairs O
+cannot link are never formed.  One pass of the kernel
+x = tanh(beta omega / 2) / omega over the blocks gives F, beta chi and Var,
+the three ``KernelKind`` moments of the autocorrelation spectrum.  The
+same-cluster entries enter that pass at x = beta / 2, which turns the
+diagonal's classical weight into the basis-independent
+sum_c p_c ||O_cc||_F^2 - <O>^2 over the clusters c, with no special case."""
 
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TILE, ModelSpec, build_tfim, check_hermitian
-from .spectral import EigenSystem, eigendecompose, to_eigenbasis
+from .operators import TILE, ModelSpec, build_tfim
+from .spectral import EigenSystem, eigenbasis_blocks, eigendecompose
 
 _IMAG_TOL = 1e-10
 
@@ -82,12 +84,11 @@ def _real_or_raise(value: complex, scale: float, what: str) -> float:
 
 def thermal_average(ens: GibbsEnsemble, A: np.ndarray) -> float:
     """<A> = sum_n p_n <n|A|n> of a Hermitian A of the ensemble's dimension,
-    from the eigenbasis diagonal alone."""
-    A = check_hermitian(A)
-    if A.shape[0] != ens.dim:
-        raise ValueError("dimension mismatch")
-    v = ens.eigs.vectors
-    val = complex(np.dot(ens.populations, np.einsum("ij,ij->j", v.conj(), A @ v)))
+    from the diagonal of its eigenbasis blocks alone."""
+    pairs, block = eigenbasis_blocks(ens.eigs, A)
+    p = ens.populations
+    val = sum(complex(np.dot(p[a.columns], block(a, a).diagonal()))
+              for a, b in pairs if a is b)
     return _real_or_raise(val, float(np.max(np.abs(A))) or 1.0, "thermal average")
 
 
@@ -130,54 +131,64 @@ def _classical(p: np.ndarray, diag: np.ndarray) -> float:
 @dataclass(frozen=True)
 class _PairTable:
     """The beta-independent lines of O over one eigensystem: ``diag`` = O_nn,
-    the cluster-mean ``levels`` and the d x d ``o2`` = |O_mn|^2 with its
-    diagonal zero."""
+    the cluster-mean ``levels`` and ``blocks``, one (a, b, o2) per sector
+    pair a <= b that O links, o2 = |O_mn|^2 for m in sector a and n in
+    sector b, its diagonal zero when a is b.  An a < b block stands for the
+    pairs in both orders; every pair outside the blocks has O_mn = 0."""
 
     diag: np.ndarray
     levels: np.ndarray
-    o2: np.ndarray
-
-    def distinct(self) -> np.ndarray:
-        """Mask of the pairs (m, n) in different clusters."""
-        return self.gaps() != 0.0
-
-    def gaps(self) -> np.ndarray:
-        """E_m - E_n of the levels for every (m, n); 0 inside a cluster."""
-        return np.subtract.outer(self.levels, self.levels)
+    blocks: tuple
 
     def moments(self, p: np.ndarray, beta: float) -> tuple[float, float, float]:
         """F, beta chi and Var at populations p: the QFI-, susceptibility- and
         variance-kernel sums (2/pi) sum kernel(omega) weight over the
         autocorrelation lines, pi (p_m + p_n)|O_mn|^2 per pair m != n and
-        2 pi times the diagonal's classical weight at omega = 0.  o2 is
+        2 pi times the diagonal's classical weight at omega = 0.  |O_mn|^2 is
         symmetric and the kernels are even, so each pair sum is 2 p . (row
-        sums of o2 times the kernel).  The kernel is evaluated over TILE rows
-        at a time, so its temporaries are TILE x d whatever d is."""
+        sums of |O_mn|^2 times the kernel), an a < b block adding its row
+        sums to a's states and its column sums to b's.  The kernel is
+        evaluated over TILE rows of a block at a time, so its temporaries are
+        TILE x (block width) whatever d is."""
         c = _classical(p, self.diag)
         e = self.levels
-        ox2, ox = np.empty(len(e)), np.empty(len(e))
-        for i in range(0, len(e), TILE):
-            rows = slice(i, i + TILE)
-            x = _tanh_over_omega(np.subtract.outer(e[rows], e), beta)
-            o2x = self.o2[rows] * x
-            ox2[rows] = np.einsum("mn,mn->m", o2x, x)
-            ox[rows] = o2x.sum(axis=1)
+        ox2, ox, o0 = np.zeros(len(e)), np.zeros(len(e)), np.zeros(len(e))
+        for a, b, o2 in self.blocks:
+            ea, eb = e[a.columns], e[b.columns]
+            for i in range(0, len(ea), TILE):
+                rows = slice(i, i + TILE)
+                m = a.columns[rows]
+                x = _tanh_over_omega(np.subtract.outer(ea[rows], eb), beta)
+                o2x = o2[rows] * x
+                ox2[m] += np.einsum("mn,mn->m", o2x, x)
+                ox[m] += o2x.sum(axis=1)
+                o0[m] += o2[rows].sum(axis=1)
+                if a is not b:
+                    ox2[b.columns] += np.einsum("mn,mn->n", o2x, x)
+                    ox[b.columns] += o2x.sum(axis=0)
+                    o0[b.columns] += o2[rows].sum(axis=0)
         return (beta**2 * c + 4.0 * float(p @ ox2),
                 beta**2 * c + 2.0 * beta * float(p @ ox),
-                c + float(p @ self.o2.sum(axis=1)))
+                c + float(p @ o0))
 
 
 def _pair_table(eigs: EigenSystem, O: np.ndarray) -> _PairTable:
-    """Validate O, transform it to the eigenbasis once and keep its diagonal
-    and |O_mn|^2 off the diagonal.  O's eigenbasis matrix is dropped once the
-    table exists."""
-    Oe = to_eigenbasis(eigs, O)
-    diag = Oe.diagonal().real.copy()
-    o2 = np.abs(Oe)
-    del Oe
-    np.square(o2, out=o2)
-    np.fill_diagonal(o2, 0.0)
-    return _PairTable(diag, eigs.levels, o2)
+    """Validate O, transform the sector blocks it links to the eigenbasis
+    (``eigenbasis_blocks``) and keep their diagonal and |O_mn|^2.  Each
+    eigenbasis block is dropped once its |O_mn|^2 exists."""
+    pairs, block = eigenbasis_blocks(eigs, O)
+    diag = np.zeros(eigs.dim)
+    blocks = []
+    for a, b in pairs:
+        ob = block(a, b)
+        o2 = np.abs(ob)
+        if a is b:
+            diag[a.columns] = ob.diagonal().real
+            np.fill_diagonal(o2, 0.0)
+        del ob
+        np.square(o2, out=o2)
+        blocks.append((a, b, o2))
+    return _PairTable(diag, eigs.levels, tuple(blocks))
 
 
 def variance(ens: GibbsEnsemble, O: np.ndarray) -> float:

@@ -1,11 +1,18 @@
-"""Hermitian eigendecomposition with explicit degeneracy handling.
+"""Hermitian eigendecomposition in symmetry blocks, with explicit degeneracy
+handling.
 
 A Hamiltonian on 2^n basis states is split into the blocks of whichever
 exact Z2 symmetries it has, the spin parity P = prod Z and the reflection R
-of the chain, each detected bitwise from H itself; every block is
-diagonalized on its own and the block eigenvectors are assembled into dense
-columns.  A matrix with neither symmetry takes one dense ``eigh``, the
-reference the sector path is tested against.
+of the chain, each detected bitwise from H itself, and every block is
+diagonalized on its own.  The eigensystem keeps those blocks: per sector its
+basis map into the symmetry-adapted basis, its block eigenvectors W and the
+positions of its states in the ascending order.  An operator with a definite
+parity under each of H's symmetries links only some sector pairs, and
+``eigenbasis_blocks`` transforms only those, W_a^H A_ab W_b.  Dense
+eigenvector columns (``EigenSystem.vectors``) are assembled on first use,
+for the callers whose output is a computational-basis matrix.  A matrix with
+neither symmetry is one sector with the identity map, and so is the
+reference every block path is tested against (``dense_eigensystem``).
 
 Eigenvalues that coincide within a tolerance are grouped into clusters, and
 every formula downstream reads each state's cluster-mean energy
@@ -17,7 +24,9 @@ doublet pairs the two parities).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,14 +50,39 @@ def resolve_eps_deg(energies: np.ndarray, eps_deg: float | None) -> float:
     return 1e-8 * max(1.0, float(energies[-1] - energies[0]))
 
 
+class SectorBasis(NamedTuple):
+    """A sector's symmetry-adapted basis: (e_{s_k} + sign e_{r(s_k)}) / sqrt 2
+    for its m leading rows s_k, the pairs s_k < r(s_k), and e_{s_k} for the
+    rest; ``parity`` indexes its spin-parity class.  Without R, m = 0 and
+    sign = 1: the rows themselves."""
+
+    parity: int
+    rows: np.ndarray
+    m: int
+    sign: float
+
+
+@dataclass(frozen=True)
+class Sector:
+    """One symmetry block of an eigensystem: its basis, its eigenvectors W in
+    that basis and the positions of its states in the ascending order."""
+
+    basis: SectorBasis
+    vectors: np.ndarray
+    columns: np.ndarray
+
+
 @dataclass(frozen=True)
 class EigenSystem:
-    """Sorted eigenvalues, eigenvector columns and degeneracy clusters."""
+    """Sorted eigenvalues, the symmetry sectors holding the eigenvectors and
+    the degeneracy clusters.  ``symmetries`` is H's (groups, rev) of
+    ``_z2_symmetries``, or None for a single sector with the identity map."""
 
     energies: np.ndarray
-    vectors: np.ndarray
+    sectors: tuple
     clusters: tuple  # half-open (start, stop) index ranges
     eps_deg: float
+    symmetries: tuple | None
 
     @property
     def dim(self) -> int:
@@ -62,9 +96,35 @@ class EigenSystem:
         means = np.add.reduceat(self.energies, starts) / (stops - starts)
         return np.repeat(means, stops - starts)
 
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """Dense eigenvector columns in the computational basis, assembled
+        from the sector blocks on first use and kept."""
+        rev = None if self.symmetries is None else self.symmetries[1]
+        out = np.zeros((self.dim, self.dim), dtype=self.sectors[0].vectors.dtype)
+        for sector in self.sectors:
+            (_, s, m, sign), w, cols = sector.basis, sector.vectors, sector.columns
+            if m:
+                w = w.copy()
+                w[:m] *= np.sqrt(0.5)
+                out[np.ix_(rev[s[:m]], cols)] = sign * w[:m]
+            out[np.ix_(s, cols)] = w
+        return out
+
     def density_matrix(self, populations: np.ndarray) -> np.ndarray:
         v = self.vectors
         return (v * populations) @ v.conj().T
+
+
+def _identity_sector(vectors: np.ndarray) -> Sector:
+    idx = np.arange(len(vectors))
+    return Sector(SectorBasis(0, idx, 0, 1.0), vectors, idx)
+
+
+def dense_eigensystem(energies, vectors, clusters, eps_deg) -> EigenSystem:
+    """The eigensystem of ascending ``energies`` and eigenvector columns
+    ``vectors`` as one sector with the identity map."""
+    return EigenSystem(energies, (_identity_sector(vectors),), clusters, eps_deg, None)
 
 
 def cluster_degeneracies(energies: np.ndarray, eps: float) -> tuple:
@@ -81,6 +141,19 @@ def cluster_degeneracies(energies: np.ndarray, eps: float) -> tuple:
     if len(energies) > 0:
         clusters.append((start, len(energies)))
     return tuple(clusters)
+
+
+def _links(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether any element M[rows, cols] is nonzero, TILE rows at a time."""
+    return any(np.take(M[rows[i:i + TILE]], cols, axis=1).any()
+               for i in range(0, len(rows), TILE))
+
+
+def _mirrored(M: np.ndarray, rev: np.ndarray, sign: int) -> bool:
+    """Whether M[r, r] == sign M exactly, TILE rows at a time."""
+    return all(np.array_equal(np.take(M[rev[i:i + TILE]], rev, axis=1),
+                              M[i:i + TILE] if sign > 0 else -M[i:i + TILE])
+               for i in range(0, len(rev), TILE))
 
 
 def _z2_symmetries(H: np.ndarray):
@@ -106,63 +179,63 @@ def _z2_symmetries(H: np.ndarray):
         parity ^= bit
         rev |= bit << (n - 1 - k)
     even, odd = idx[parity == 0], idx[parity == 1]
-    has_p = not any(np.take(H[even[i:i + TILE]], odd, axis=1).any()
-                    for i in range(0, len(even), TILE))
-    has_r = all(np.array_equal(np.take(H[rev[i:i + TILE]], rev, axis=1), H[i:i + TILE])
-                for i in range(0, d, TILE))
+    has_p = not _links(H, even, odd)
+    has_r = _mirrored(H, rev, 1)
     if not (has_p or has_r):
         return None
     return (even, odd) if has_p else (idx,), rev if has_r else None
 
 
-def _sector_blocks(H: np.ndarray, groups: tuple, rev: np.ndarray | None):
-    """(block of H, s, m, sign) for each sector: its basis vectors are
-    (e_{s_k} + sign e_{r(s_k)}) / sqrt 2 for its m leading rows k < m, the
-    pairs s_k < r(s_k), and e_{s_k} for the rest.
-
-    Without R a sector is one parity group (m = 0).  Under R each group's
-    representatives s <= r(s), pairs first, then palindromes s = r(s), span
-    R-even; its pairs alone span R-odd.  With A = H[s, s] and C = H[s, r(s)],
-    R's invariance of H gives the block (A + sign C)_ij w_i w_j, with w = 1
-    for a pair and 1/sqrt 2 for a palindrome, so both R parities share one
-    A and one C."""
-    for s in groups:
+def _sector_bases(groups: tuple, rev: np.ndarray | None):
+    """The ``SectorBasis`` of each sector.  Without R a sector is one parity
+    group.  Under R each group's representatives s <= r(s), pairs first,
+    then palindromes s = r(s), span R-even; its pairs alone span R-odd."""
+    for g, s in enumerate(groups):
         if rev is None:
-            yield H[np.ix_(s, s)], s, 0, 1.0
+            yield SectorBasis(g, s, 0, 1.0)
             continue
         s = np.concatenate([s[s < rev[s]], s[s == rev[s]]])
         m = int(np.count_nonzero(s != rev[s]))
-        a = H[np.ix_(s, s)]
-        c = H[np.ix_(s, rev[s])]
-        odd = a[:m, :m] - c[:m, :m]
-        a += c
-        del c
-        w = np.where(s == rev[s], np.sqrt(0.5), 1.0)
-        a *= w[:, None]
-        a *= w
-        yield a, s, m, 1.0
-        yield odd, s[:m], m, -1.0
+        yield SectorBasis(g, s, m, 1.0)
+        yield SectorBasis(g, s[:m], m, -1.0)
+
+
+def _palindrome_weights(rows: np.ndarray, rev: np.ndarray) -> np.ndarray:
+    return np.where(rows == rev[rows], np.sqrt(0.5), 1.0)
+
+
+def _gather(M: np.ndarray, a: SectorBasis, b: SectorBasis, rev: np.ndarray | None):
+    """M's block between sectors a and b in their symmetry-adapted bases.
+
+    For M with M[r, r] = sign_a sign_b M, the block is
+    (A + sign_b C)_kl w_k w_l with A = M[s_a, s_b], C = M[s_a, r(s_b)] and
+    w = 1 for a pair, 1/sqrt 2 for a palindrome (R-odd sectors hold pairs
+    only).  With ``rev`` None the bases are the rows themselves."""
+    block = M[np.ix_(a.rows, b.rows)]
+    if rev is None:
+        return block
+    (np.add if b.sign > 0 else np.subtract)(block, M[np.ix_(a.rows, rev[b.rows])], out=block)
+    if a.sign > 0:
+        block *= _palindrome_weights(a.rows, rev)[:, None]
+    if b.sign > 0:
+        block *= _palindrome_weights(b.rows, rev)
+    return block
 
 
 def _sector_eigh(H: np.ndarray, groups: tuple, rev: np.ndarray | None):
-    """Ascending energies, sorted stably across sectors, and dense
-    eigenvector columns from one ``eigh`` per sector block."""
-    parts = [(*np.linalg.eigh(block), s, m, sign)
-             for block, s, m, sign in _sector_blocks(H, groups, rev) if len(s)]
+    """Ascending energies, sorted stably across sectors, and the sectors
+    from one ``eigh`` per block of H."""
+    parts = [(*np.linalg.eigh(_gather(H, b, b, rev)), b)
+             for b in _sector_bases(groups, rev) if len(b.rows)]
     energies = np.concatenate([p[0] for p in parts])
     order = np.argsort(energies, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(len(order))
-    vectors = np.zeros(H.shape, dtype=H.dtype)
-    start = 0
-    for e, w, s, m, sign in parts:
-        cols = column[start:start + len(e)]
+    sectors, start = [], 0
+    for e, w, basis in parts:
+        sectors.append(Sector(basis, w, column[start:start + len(e)]))
         start += len(e)
-        if m:
-            w[:m] *= np.sqrt(0.5)
-            vectors[np.ix_(rev[s[:m]], cols)] = sign * w[:m]
-        vectors[np.ix_(s, cols)] = w
-    return energies[order], vectors
+    return energies[order], tuple(sectors)
 
 
 def eigendecompose(H: np.ndarray, eps_deg: float | None = None) -> EigenSystem:
@@ -170,34 +243,75 @@ def eigendecompose(H: np.ndarray, eps_deg: float | None = None) -> EigenSystem:
     ``resolve_eps_deg(energies, eps_deg)``.
 
     When H has an exact spin-parity or reflection symmetry
-    (``_z2_symmetries``), LAPACK ``eigh`` runs once per symmetry block, the
-    block eigenvectors are scattered into dense d x d columns and the
-    energies are sorted stably across blocks; otherwise one dense ``eigh``
-    of H.  Either way the columns are orthonormal eigenvectors of H, and
-    every downstream formula takes them unchanged.
+    (``_z2_symmetries``), LAPACK ``eigh`` runs once per symmetry block and
+    the energies are sorted stably across blocks; otherwise H is one block.
+    The eigensystem keeps the block eigenvectors.
     """
     H = check_hermitian(H)
     symmetries = _z2_symmetries(H)
+    groups, rev = symmetries or ((np.arange(H.shape[0]),), None)
     try:
-        if symmetries is None:
-            energies, vectors = np.linalg.eigh(H)
-        else:
-            energies, vectors = _sector_eigh(H, *symmetries)
+        energies, sectors = _sector_eigh(H, groups, rev)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     eps = resolve_eps_deg(energies, eps_deg)
     return EigenSystem(
         energies=energies,
-        vectors=vectors,
+        sectors=sectors,
         clusters=cluster_degeneracies(energies, eps),
         eps_deg=eps,
+        symmetries=symmetries,
     )
+
+
+def _linked_sectors(eigs: EigenSystem, A: np.ndarray):
+    """The sector pairs (a, b), a before or at b, that A can link, and the
+    reflection their gather uses.
+
+    A links sectors of spin-parity classes g_a, g_b when g_a xor g_b is its
+    P parity (0 when it links only equal parities, 1 when only opposite
+    ones) and sectors of R signs s_a, s_b when s_a s_b is its R parity
+    (A[r, r] = +-A), each tested exactly as ``_z2_symmetries`` tests H.
+    Without a definite parity under one of H's symmetries, A takes the one
+    dense sector of ``vectors``."""
+    if eigs.symmetries is None:
+        (sector,) = eigs.sectors
+        return [(sector, sector)], None
+    groups, rev = eigs.symmetries
+    flip = 0 if len(groups) == 1 or not _links(A, *groups) else (
+        None if any(_links(A, g, g) for g in groups) else 1)
+    sign = 1 if rev is None else next((s for s in (1, -1) if _mirrored(A, rev, s)), None)
+    if flip is None or sign is None:
+        dense = _identity_sector(eigs.vectors)
+        return [(dense, dense)], None
+    sectors = eigs.sectors
+    return [(a, b) for i, a in enumerate(sectors) for b in sectors[i:]
+            if a.basis.parity ^ b.basis.parity == flip
+            and a.basis.sign * b.basis.sign == sign], rev
+
+
+def eigenbasis_blocks(eigs: EigenSystem, A: np.ndarray):
+    """Validate ``A`` as Hermitian of the eigensystem's dimension; the sector
+    pairs (a, b) it links (``_linked_sectors``) and ``block(a, b)``, which
+    gives W_a^H A_ab W_b, A's eigenbasis matrix elements between the states
+    of sectors a and b.  The elements between b and a are the conjugate
+    transpose, and those of the pairs not listed are zero."""
+    A = check_hermitian(A)
+    if A.shape[0] != eigs.dim:
+        raise ValueError("dimension mismatch")
+    pairs, rev = _linked_sectors(eigs, A)
+
+    def block(a: Sector, b: Sector) -> np.ndarray:
+        return a.vectors.conj().T @ _gather(A, a.basis, b.basis, rev) @ b.vectors
+
+    return pairs, block
 
 
 def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
     """The eigensystem in the gauge where O is diagonal inside each
-    degenerate cluster: one ``eigh`` of O's projection per cluster.  No
-    formula needs a gauge; this one serves as a reference basis."""
+    degenerate cluster: one ``eigh`` of O's projection per cluster, as one
+    dense sector.  No formula needs a gauge; this one serves as a reference
+    basis."""
     if all(b - a == 1 for a, b in eigs.clusters):
         return eigs
     vectors = eigs.vectors.astype(np.result_type(eigs.vectors, O))
@@ -207,12 +321,12 @@ def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
             o = block.conj().T @ (O @ block)
             _, w = np.linalg.eigh((o + o.conj().T) / 2.0)
             vectors[:, a:b] = block @ w
-    return EigenSystem(eigs.energies, vectors, eigs.clusters, eigs.eps_deg)
+    return dense_eigensystem(eigs.energies, vectors, eigs.clusters, eigs.eps_deg)
 
 
 def to_eigenbasis(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:
-    """Validate ``A`` as Hermitian of the eigensystem's dimension; its matrix
-    elements in the eigenbasis, A_mn = <m|A|n>."""
+    """Validate ``A`` as Hermitian of the eigensystem's dimension; its dense
+    matrix of elements in the eigenbasis, A_mn = <m|A|n>."""
     A = check_hermitian(A)
     if A.shape[0] != eigs.dim:
         raise ValueError("dimension mismatch")

@@ -1,0 +1,118 @@
+"""The block eigensystem against its one-dense-sector reference.
+
+``eigendecompose`` keeps the symmetry blocks, and the pair table, its kernel
+pass and both line spectra run over the sector pairs O can link.  The
+reference is the same eigensystem as one dense sector
+(``dense_eigensystem``), whose table holds all d^2 pairs.  The chain, both
+spectra, the SLD and <O> must agree to 1e-12, line by line; the lines only
+the reference has must weigh nothing (``assert_same_results``).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import qfibounds as q
+from qfibounds.gibbs import _pair_table, gibbs_ensemble
+from qfibounds.operators import PauliString, pauli_string_matrix
+from qfibounds.spectral import dense_eigensystem, eigendecompose
+
+from conftest import REL, assert_same_results, close_arrays, pipeline_results
+
+
+def _site_sum(n, axis, coefficient):
+    return sum(coefficient(j) * pauli_string_matrix(PauliString({j: axis}), n)
+               for j in range(n))
+
+
+# O by its (P, R) parity under the TFIM's spin flip and reflection
+OPERATORS = {
+    "sum_x": lambda n: _site_sum(n, "X", lambda j: 1.0),  # P-odd, R-even
+    "sum_z": lambda n: _site_sum(n, "Z", lambda j: 1.0),  # P-even, R-even
+    "ramp_x": lambda n: _site_sum(n, "X", lambda j: j - (n - 1) / 2),  # P-odd, R-odd
+    "z0": lambda n: pauli_string_matrix(PauliString({0: "Z"}), n),  # no R parity
+}
+
+# (n, gamma, theta), beta; odd n has palindromes, gamma = 0.05 has doublets
+# straddling the P sectors
+MODELS = {
+    "n5_t0": ((5, 0.9, 0.0), 1.5),
+    "n6_t0": ((6, 0.9, 0.0), 1.5),
+    "n6_t0.1": ((6, 0.9, 0.1), 1.5),
+    "n7_t0.1": ((7, 0.9, 0.1), 1.5),
+    "n8_doublets": ((8, 0.05, 0.0), 3.0),
+}
+
+
+def _block_and_dense(H, O, beta):
+    eigs = eigendecompose(H)
+    ref = dense_eigensystem(eigs.energies, eigs.vectors, eigs.clusters, eigs.eps_deg)
+    return gibbs_ensemble(eigs, beta), gibbs_ensemble(ref, beta)
+
+
+def _assert_matches_dense_sector(H, O, beta):
+    ens, ref = _block_and_dense(H, O, beta)
+    assert "vectors" in vars(ens.eigs)  # the reference was built from them
+    got, want = pipeline_results(ens, O), pipeline_results(ref, O)
+    assert_same_results(got, want)
+    scale = REL * float(np.max(np.abs(O)))
+    assert math.isclose(q.thermal_average(ens, O), q.thermal_average(ref, O),
+                        rel_tol=REL, abs_tol=scale)
+
+
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_matches_dense_sector(model, operator):
+    (n, gamma, theta), beta = MODELS[model]
+    H, _ = q.build_tfim(q.ModelSpec(n, gamma, theta))
+    _assert_matches_dense_sector(H, OPERATORS[operator](n), beta)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+def test_matches_dense_sector_n10(theta):
+    H, O = q.build_tfim(q.ModelSpec(10, 0.3, theta))
+    _assert_matches_dense_sector(H, O, 2.0)
+
+
+@pytest.mark.parametrize("model", ["n6_t0", "n8_doublets"])
+def test_complex_matches_dense_sector(model):
+    (n, gamma, theta), beta = MODELS[model]
+    H, O = q.build_tfim(q.ModelSpec(n, gamma, theta))
+    _assert_matches_dense_sector(H.astype(complex), O.astype(complex), beta)
+
+
+@pytest.mark.parametrize(
+    "theta, operator, sectors, blocks",
+    [
+        (0.0, "sum_x", 4, 2),  # P-odd: P+ <-> P- within each R
+        (0.1, "sum_x", 2, 2),  # R-even: R+ <-> R+, R- <-> R-
+        (0.0, "sum_z", 4, 4),
+        (0.0, "ramp_x", 4, 2),
+        (0.1, "ramp_x", 2, 1),  # R-odd: R+ <-> R-
+        (0.0, "z0", 4, 1),  # the one dense sector
+    ],
+)
+@pytest.mark.parametrize("n", [5, 6])
+def test_linked_sector_pairs(n, theta, operator, sectors, blocks):
+    H, _ = q.build_tfim(q.ModelSpec(n, 0.9, theta))
+    O = OPERATORS[operator](n)
+    eigs = eigendecompose(H)
+    table = _pair_table(eigs, O)
+    assert len(eigs.sectors) == sectors and len(table.blocks) == blocks
+
+    # the blocks hold the dense |O_mn|^2, and every pair outside them weighs
+    # nothing against the total
+    v = eigs.vectors
+    o2 = np.abs(v.T @ O @ v) ** 2
+    inside = np.zeros(o2.shape, dtype=bool)
+    for a, b, block in table.blocks:
+        want = o2[np.ix_(a.columns, b.columns)]
+        if a is b:
+            np.fill_diagonal(want, 0.0)
+        assert close_arrays(block, want)
+        inside[np.ix_(a.columns, b.columns)] = inside[np.ix_(b.columns, a.columns)] = True
+    assert np.sum(o2[~inside]) <= 1e-26 * np.sum(o2)
+    if operator == "z0":
+        ((a, b, _),) = table.blocks
+        assert a is b and np.array_equal(a.columns, np.arange(len(H)))

@@ -149,6 +149,28 @@ class TestRunSweep:
             evaluate_point(cfg, x).report for x in cfg.grid
         ]
 
+    @pytest.mark.parametrize("axis", ["temperature", "gamma"])
+    def test_sweep_builds_no_dense_vectors(self, monkeypatch, axis):
+        # the chain needs only the symmetry blocks: no eigensystem of the
+        # sweep path assembles the dense eigenvector columns
+        import qfibounds.harness as harness
+
+        made = []
+        real_eigendecompose = harness.eigendecompose
+        monkeypatch.setattr(
+            harness, "eigendecompose",
+            lambda *a, **k: made.append(real_eigendecompose(*a, **k)) or made[-1],
+        )
+        raw = {**SMALL, "model": {"n_sites": 6, "gamma": 0.4, "theta": 0.0},
+               "sweep_axis": axis, "grid": [0.2, 0.5, 0.9]}
+        if axis == "gamma":
+            raw["fixed"] = {"beta": 2.0}
+        rows = run_sweep(config_from_dict(raw))
+        assert len(rows) == 3 and len(made) == (1 if axis == "temperature" else 3)
+        for eigs in made:
+            assert len(eigs.sectors) == 4
+            assert "vectors" not in vars(eigs)
+
     def test_gamma_pool_matches_serial(self):
         cfg = config_from_dict(
             {**SMALL, "sweep_axis": "gamma", "grid": [0.2, 0.5, 0.9],

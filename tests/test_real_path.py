@@ -2,8 +2,8 @@
 
 Real H and O run in float64 end to end; the same matrices cast to complex
 take the complex-arithmetic path, the reference.  Every downstream
-result must agree to 1e-12 relative to its scale, at the resolution the
-degeneracy tolerance leaves defined (see ``assert_same_results``).
+result must agree to 1e-12 relative to its scale, line by line
+(``assert_same_results``).
 """
 
 import math
@@ -49,7 +49,7 @@ def test_real_tfim_matches_complex(model, beta):
     assert ens.eigs.clusters == ens_c.eigs.clusters
     clustered = any(b - a > 1 for a, b in ens.eigs.clusters)
     assert clustered == (model.theta == 0.0)
-    assert_same_results(fast, ref, beta, ens.eigs.eps_deg if clustered else 0.0)
+    assert_same_results(fast, ref)
 
 
 @pytest.mark.parametrize("imag", [0.0, 0.3], ids=["real-valued", "imaginary-part"])
@@ -58,7 +58,7 @@ def test_real_h_with_complex_o(imag):
     O = O + imag * np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]])
     _, fast = _results(H.real.copy(), O, 1.3)
     _, ref = _results(H, O, 1.3)
-    assert_same_results(fast, ref, 1.3, 0.0)
+    assert_same_results(fast, ref)
 
 
 def test_pauli_string_is_real_without_y():

@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 import qfibounds as q
 from qfibounds.gibbs import gibbs_ensemble
 from qfibounds.spectral import (
-    EigenSystem,
-    _sector_blocks,
     _z2_symmetries,
     cluster_degeneracies,
+    dense_eigensystem,
     eigendecompose,
     from_eigenbasis,
     resolve_eps_deg,
@@ -112,10 +111,7 @@ class TestRotateWithinClusters:
         c, s = np.cos(angle), np.sin(angle)
         v = eigs.vectors.copy()
         v[:, 0:2] = v[:, 0:2] @ np.array([[c, -s], [s, c]])
-        remixed = type(eigs)(
-            energies=eigs.energies, vectors=v, clusters=eigs.clusters,
-            eps_deg=eigs.eps_deg,
-        )
+        remixed = dense_eigensystem(eigs.energies, v, eigs.clusters, eigs.eps_deg)
         ens = q.gibbs_ensemble(rotate_within_clusters(remixed, O), beta)
         got = q.qfi_spectral(ens, O), q.susceptibility(ens, O), q.variance(ens, O)
         for a, b in zip(ref, got):
@@ -141,16 +137,16 @@ def _dense_eigensystem(H):
     default tolerance."""
     e, v = np.linalg.eigh(H)
     eps = resolve_eps_deg(e, None)
-    return EigenSystem(e, v, cluster_degeneracies(e, eps), eps)
+    return dense_eigensystem(e, v, cluster_degeneracies(e, eps), eps)
 
 
 def _results(eigs, O, beta):
-    return pipeline_results(gibbs_ensemble(rotate_within_clusters(eigs, O), beta), O)
+    return pipeline_results(gibbs_ensemble(eigs, beta), O)
 
 
 def _assert_matches_dense(H, O, beta):
-    """Energies, eigenvectors and the rotated pipeline's chain, spectra and
-    SLD of ``eigendecompose`` against the dense reference."""
+    """Energies, eigenvectors and the pipeline's chain, spectra and SLD of
+    ``eigendecompose`` against the dense reference, line by line."""
     eigs, ref = eigendecompose(H), _dense_eigensystem(H)
     scale = max(1.0, float(ref.energies[-1] - ref.energies[0]))
     assert np.max(np.abs(eigs.energies - ref.energies)) <= 1e-12 * scale
@@ -158,9 +154,7 @@ def _assert_matches_dense(H, O, beta):
     v = eigs.vectors
     assert np.max(np.abs(v.conj().T @ v - np.eye(len(v)))) <= 1e-12
     assert np.max(np.abs(H @ v - v * eigs.energies)) <= 1e-12 * scale
-    clustered = any(b - a > 1 for a, b in eigs.clusters)
-    assert_same_results(_results(eigs, O, beta), _results(ref, O, beta), beta,
-                        eigs.eps_deg if clustered else 0.0)
+    assert_same_results(_results(eigs, O, beta), _results(ref, O, beta))
 
 
 def _one_ulp_off(H, i, j):
@@ -198,8 +192,9 @@ class TestSectorEigendecompose:
     )
     def test_block_sizes(self, n, theta, sizes):
         H, _ = q.build_tfim(q.ModelSpec(n, 0.9, theta))
-        blocks = list(_sector_blocks(H, *_z2_symmetries(H)))
-        assert [len(s) for _, s, _, _ in blocks] == sizes
+        sectors = eigendecompose(H).sectors
+        assert [len(s.basis.rows) for s in sectors] == sizes
+        assert [len(s.vectors) for s in sectors] == sizes
 
     def test_parity_only_after_reflection_broken(self):
         # theta = 0 keeps P; moving H[0, 3] (an XX bond at the last two sites)
@@ -225,6 +220,10 @@ class TestSectorEigendecompose:
         assert _z2_symmetries(H) is None
         eigs = eigendecompose(H)
         e, v = np.linalg.eigh(H)
+        (sector,) = eigs.sectors
+        assert np.array_equal(sector.basis.rows, np.arange(len(H)))
+        assert np.array_equal(sector.columns, np.arange(len(H)))
+        assert np.array_equal(sector.vectors, v)
         assert np.array_equal(eigs.energies, e) and np.array_equal(eigs.vectors, v)
 
     @pytest.mark.parametrize("n", [6, 7])
