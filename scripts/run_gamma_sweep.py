@@ -21,7 +21,6 @@ def main() -> None:
     ap.add_argument("--temperature", type=float, default=10.0)
     ap.add_argument("--points", type=int, default=40)
     ap.add_argument("--out", default="out/gamma")
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     cfg = config_from_dict(
@@ -38,7 +37,7 @@ def main() -> None:
             "outputs": args.out,
         }
     )
-    rows = run_sweep(cfg, workers=args.workers)
+    rows = run_sweep(cfg)
     paths = emit_report(rows, cfg)
 
     spread = max((r.report.ub2 - r.report.lb) / r.report.ub2 for r in rows)

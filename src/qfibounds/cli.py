@@ -33,15 +33,28 @@ from .harness import (
 )
 
 
-WORKERS_HELP = ("worker processes, one gamma point each; slower than serial unless "
-                "BLAS runs one thread per worker; see README")
 EPS_DEG_HELP = "degeneracy tolerance (default: 1e-8 x spectral range)"
 
+MODEL_DEFAULTS = {"n_sites": 8, "gamma": 0.35 * math.pi, "theta": 0.0}
 
-def _add_model(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-sites", type=int, default=8)
-    p.add_argument("--gamma", type=float, default=0.35 * math.pi)
-    p.add_argument("--theta", type=float, default=0.0)
+# A sweep's flags and their defaults.  With --config the sweep reads these
+# from the file, so none of them may be given next to it.
+SWEEP_DEFAULTS = {
+    "temperature": {**MODEL_DEFAULTS, "start": 0.05, "stop": 50.0, "points": 40,
+                    "spacing": "log"},
+    "gamma": {**MODEL_DEFAULTS, "beta": 0.1, "start": 0.02, "stop": math.pi / 2 - 0.02,
+              "points": 40, "spacing": "linear"},
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, defaults: dict, unset: bool = False) -> None:
+    """One flag per entry of ``defaults``, typed as its value; with ``unset``
+    a flag not given reads None, so a given one can be told from its default."""
+    for name, value in defaults.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(value),
+                       default=None if unset else value,
+                       choices=("linear", "log") if name == "spacing" else None,
+                       help=f"default: {value}" if unset else None)
 
 
 def _spec(cls, *fields):
@@ -57,34 +70,33 @@ def _model(args) -> ModelSpec:
 
 
 def _sweep_config(args, axis: str) -> SweepConfig:
+    """The sweep's config: its file, with --eps-deg and --out overriding it,
+    or else the flags over SWEEP_DEFAULTS."""
+    given = {k: v for k, v in vars(args).items()
+             if k in SWEEP_DEFAULTS[axis] and v is not None}
     if args.config is not None:
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ConfigError(f"{flags} cannot be given with --config; "
+                              "set them in the config file")
         cfg = load_config(args.config)
         if cfg.sweep_axis != axis:
             raise ConfigError(
                 f"config sweep_axis={cfg.sweep_axis!r} but subcommand wants {axis!r}"
             )
-        overrides = {}
-        if args.eps_deg is not None:
-            overrides["eps_deg"] = args.eps_deg
-        if args.out != Path("out"):
-            overrides["outputs"] = str(args.out)
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
-        return cfg
+        overrides = {"eps_deg": args.eps_deg, "outputs": args.out and str(args.out)}
+        return dataclasses.replace(
+            cfg, **{k: v for k, v in overrides.items() if v is not None})
+    v = {**SWEEP_DEFAULTS[axis], **given}
     raw = {
-        "model": {"n_sites": args.n_sites, "gamma": args.gamma, "theta": args.theta},
+        "model": {"n_sites": v["n_sites"], "gamma": v["gamma"], "theta": v["theta"]},
         "sweep_axis": axis,
-        "grid": {
-            "start": args.start,
-            "stop": args.stop,
-            "points": args.points,
-            "spacing": args.spacing,
-        },
+        "grid": {k: v[k] for k in ("start", "stop", "points", "spacing")},
         "eps_deg": args.eps_deg,
-        "outputs": str(args.out),
+        "outputs": str(args.out or "out"),
     }
     if axis == "gamma":
-        raw["fixed"] = {"beta": args.beta}
+        raw["fixed"] = {"beta": v["beta"]}
     return config_from_dict(raw)
 
 
@@ -96,35 +108,21 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep-temperature", help="bounds chain vs temperature")
-    p.add_argument("--config", type=Path, default=None, help="YAML sweep config")
-    _add_model(p)
-    p.add_argument("--start", type=float, default=0.05)
-    p.add_argument("--stop", type=float, default=50.0)
-    p.add_argument("--points", type=int, default=40)
-    p.add_argument("--spacing", choices=("linear", "log"), default="log")
-    p.add_argument("--eps-deg", type=float, help=EPS_DEG_HELP)
-    p.add_argument("--out", type=Path, default=Path("out"))
-
-    p = sub.add_parser("sweep-gamma", help="bounds chain vs field angle gamma")
-    p.add_argument("--config", type=Path, default=None)
-    _add_model(p)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--start", type=float, default=0.02)
-    p.add_argument("--stop", type=float, default=math.pi / 2 - 0.02)
-    p.add_argument("--points", type=int, default=40)
-    p.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.add_argument("--eps-deg", type=float, help=EPS_DEG_HELP)
-    p.add_argument("--out", type=Path, default=Path("out"))
+    for axis, what in (("temperature", "temperature"), ("gamma", "field angle gamma")):
+        p = sub.add_parser(f"sweep-{axis}", help=f"bounds chain vs {what}")
+        p.add_argument("--config", type=Path,
+                       help="YAML sweep config; excludes the model, grid and beta flags")
+        _add_flags(p, SWEEP_DEFAULTS[axis], unset=True)
+        p.add_argument("--eps-deg", type=float, help=EPS_DEG_HELP)
+        p.add_argument("--out", type=Path, help="default: out")
 
     p = sub.add_parser("bounds", help="single bounds-chain evaluation")
-    _add_model(p)
+    _add_flags(p, MODEL_DEFAULTS)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--eps-deg", type=float, help=EPS_DEG_HELP)
 
     p = sub.add_parser("spectrum", help="line spectrum as CSV")
-    _add_model(p)
+    _add_flags(p, MODEL_DEFAULTS)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--kind", choices=("autocorrelation", "dissipation"),
                    default="autocorrelation")
@@ -132,7 +130,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, default=Path("out"))
 
     p = sub.add_parser("sld-check", help="SLD diagnostics for one model")
-    _add_model(p)
+    _add_flags(p, MODEL_DEFAULTS)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--horizon-betas", type=float, default=12.0,
                    help="time horizon in units of beta")
@@ -141,7 +139,7 @@ def main(argv=None) -> int:
     p.add_argument("--eps-deg", type=float, help=EPS_DEG_HELP)
 
     p = sub.add_parser("locality", help="commutator-decay and local-approximation run")
-    _add_model(p)
+    _add_flags(p, MODEL_DEFAULTS)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--mu", type=float, default=None, help="default pi/beta")
     p.add_argument("--probe", choices=("X", "Y", "Z"), default="Z")
@@ -181,7 +179,7 @@ def _dispatch(args) -> int:
     if cmd in ("sweep-temperature", "sweep-gamma"):
         axis = "temperature" if cmd == "sweep-temperature" else "gamma"
         cfg = _sweep_config(args, axis)
-        rows = run_sweep(cfg, workers=getattr(args, "workers", 1))
+        rows = run_sweep(cfg)
         paths = emit_report(rows, cfg)
         print(json.dumps(paths))
         return 0

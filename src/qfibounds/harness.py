@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -189,22 +188,17 @@ def _hamiltonian_rows(config: SweepConfig, points: list) -> list[SweepRow]:
 def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     """One SweepRow per grid point, ordered by axis value.
 
-    A temperature sweep diagonalizes once; gamma points, one Hamiltonian each,
-    go to a process pool when workers > 1 and come back in grid order.
+    A temperature sweep diagonalizes once; a gamma sweep diagonalizes once
+    per point, serially.  ``workers`` is kept only for the benchmark's
+    ``run_sweep(cfg, workers=1)`` call, and 1 is its one legal value; a
+    change to the benchmark can drop it.
     """
-    temperature = config.sweep_axis == "temperature"
-    if workers < 1 or (temperature and workers > 1):
-        raise ConfigError("workers must be >= 1, and 1 for a temperature sweep "
-                          f"(one Hamiltonian), got {workers}")
+    if workers != 1:
+        raise ConfigError(f"sweeps run serially: workers must be 1, got {workers}")
     points = list(config.grid)
-    if temperature:
+    if config.sweep_axis == "temperature":
         return _hamiltonian_rows(config, points)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate_point, [config] * len(points), points))
-    else:
-        rows = [evaluate_point(config, x) for x in points]
-    return rows
+    return [evaluate_point(config, x) for x in points]
 
 
 def _fmt(x: float) -> str:

@@ -91,10 +91,10 @@ def _chain_report(table, ens: GibbsEnsemble) -> BoundsReport:
     )
 
 
-def check_bounds_report(rep: BoundsReport, rel_slack: float = 1e-9) -> None:
-    """Raise if the chain inequality or geometric-mean identity is violated."""
+def check_bounds_report(rep: BoundsReport) -> None:
+    """Raise if the chain or the geometric-mean identity fails by over 1e-9 relative."""
     scale = max(abs(rep.ub2), 1e-300)
-    slack = rel_slack * max(1.0, scale)
+    slack = 1e-9 * max(1.0, scale)
     chain = (rep.lb, rep.qfi, rep.ub1, rep.ub2)
     for lo, hi in zip(chain, chain[1:]):
         if not lo <= hi + slack:  # NaN fails
@@ -102,7 +102,7 @@ def check_bounds_report(rep: BoundsReport, rel_slack: float = 1e-9) -> None:
     if not rep.lb >= -slack:
         raise RuntimeError(f"negative lower bound {rep.lb}")
     gm = rep.ub2 * rep.lb
-    if not abs(rep.ub1**2 - gm) <= rel_slack * max(1.0, rep.ub1**2, abs(gm)):
+    if not abs(rep.ub1**2 - gm) <= 1e-9 * max(1.0, rep.ub1**2, abs(gm)):
         raise RuntimeError(
             f"geometric-mean identity violated: ub1^2={rep.ub1**2}, ub2*lb={gm}"
         )

@@ -99,13 +99,13 @@ def kernel_g(t, beta: float):
     return (2.0 / math.pi) * np.log(np.tanh(math.pi * t / (2.0 * beta)))
 
 
-def _gauss_panels(a: float, b: float, panels: int, order: int = 8, grade: float = 1.0):
-    """Composite Gauss-Legendre nodes/weights on [a, b].
+def _gauss_panels(a: float, b: float, panels: int, grade: float = 1.0):
+    """Composite 8-point Gauss-Legendre nodes/weights on [a, b].
 
     ``grade > 1`` crowds panels toward ``a``, which tames integrable
     endpoint singularities (the SLD kernel is logarithmic at t = 0).
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(8)
     edges = a + (b - a) * np.linspace(0.0, 1.0, panels + 1) ** grade
     lo, hi = edges[:-1], edges[1:]
     half = (hi - lo) / 2.0
@@ -152,10 +152,10 @@ def _kernel_nodes(beta: float, horizon: float, panels: int):
     return t_in, q_in
 
 
-def kernel_g_integral(beta: float, horizon: float | None = None, panels: int = 512) -> float:
-    """Quadrature of the kernel over |t| <= horizon (None = infinite); the
-    exact infinite-horizon value is -beta."""
-    _, q = _substituted_nodes(beta, horizon, panels)
+def kernel_g_integral(beta: float, horizon: float | None = None) -> float:
+    """Quadrature of the kernel over |t| <= horizon (None = infinite) on 512
+    panels; the exact infinite-horizon value is -beta."""
+    _, q = _substituted_nodes(beta, horizon, 512)
     return 2.0 * float(np.sum(q))
 
 
@@ -179,14 +179,15 @@ def sld_time_domain(
 
     Over symmetric t, integral g(t) e^{i dE t} dt = 2 integral g cos(dE t); the
     eigenbasis phases factor per energy (``_cosine_kernel``), so each
-    quadrature node costs O(d) trigonometry and a rank-2 GEMM update.
+    quadrature node costs O(d) trigonometry and a rank-2 GEMM update.  Phases
+    run at the cluster-mean levels, as in ``sld_matrix``.
     """
     if abs(spec.beta - ens.beta) > 1e-12 * max(1.0, ens.beta):
         raise ValueError("TimeKernelSpec.beta disagrees with the ensemble")
     Obar = _centered_eigenbasis(ens, O)
 
     t, q = _kernel_nodes(ens.beta, spec.horizon, spec.panels)
-    L_eig = _cosine_kernel(ens.eigs.energies, t, q) * Obar
+    L_eig = _cosine_kernel(ens.eigs.levels, t, q) * Obar
     L_eig = (L_eig + L_eig.conj().T) / 2.0
     return from_eigenbasis(ens.eigs, L_eig)
 

@@ -72,7 +72,7 @@ def test_criterion_01_chain_inequalities(report):
     for k, H, O, beta in _instances():
         rep = q.bounds_chain(q.prepared_gibbs(H, O, beta), O)
         try:
-            check_bounds_report(rep, rel_slack=1e-9)
+            check_bounds_report(rep)
         except RuntimeError as exc:
             ok = False
             worst = f"instance {k}: {exc}"

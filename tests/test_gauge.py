@@ -14,6 +14,7 @@ import pytest
 
 import qfibounds as q
 from qfibounds.gibbs import gibbs_ensemble
+from qfibounds.sld import TimeKernelSpec, sld_time_domain
 from qfibounds.spectral import dense_eigensystem, eigendecompose, rotate_within_clusters
 
 from conftest import REL, assert_same_results, close_arrays, pipeline_results
@@ -59,6 +60,7 @@ def _gauge_results(eigs, O, beta):
     out = pipeline_results(ens, O)
     out["mean"] = q.thermal_average(ens, O)
     out["fdt"] = q.generalized_fdt(out["diss"], ens, O)
+    out["L_time"] = sld_time_domain(ens, O, TimeKernelSpec(beta, 12.0 * beta, 256))
     return out
 
 
@@ -83,6 +85,7 @@ def test_cluster_remix_moves_nothing(case, arithmetic):
         # the FDT's reconstruction against the direct spectrum, line by line
         assert close_arrays(got["fdt"].omegas, got["auto"].omegas)
         assert close_arrays(got["fdt"].weights, got["auto"].weights)
+        assert close_arrays(got["L_time"], ref["L_time"])
 
 
 def test_real_and_complex_spectra_agree_line_by_line():

@@ -122,13 +122,11 @@ class TestRunSweep:
         assert math.isclose(row.report.qfi, rep.qfi, rel_tol=1e-12)
 
     def test_parallel_matches_serial(self):
-        # a temperature sweep has one Hamiltonian, so nothing to share out;
-        # no sweep runs on fewer than one worker (the gamma pool is
-        # test_gamma_pool_matches_serial)
+        # every sweep runs serially: 1 is the one legal number of workers
         gamma = config_from_dict(
             {**SMALL, "sweep_axis": "gamma", "fixed": {"beta": 1.0}})
         for cfg, workers in ((config_from_dict(SMALL), 2), (config_from_dict(SMALL), 0),
-                             (gamma, 0), (gamma, -2)):
+                             (gamma, 0), (gamma, 2), (gamma, -2)):
             with pytest.raises(ConfigError, match="workers"):
                 run_sweep(cfg, workers=workers)
 
@@ -170,16 +168,6 @@ class TestRunSweep:
         for eigs in made:
             assert len(eigs.sectors) == 4
             assert "vectors" not in vars(eigs)
-
-    def test_gamma_pool_matches_serial(self):
-        cfg = config_from_dict(
-            {**SMALL, "sweep_axis": "gamma", "grid": [0.2, 0.5, 0.9],
-             "fixed": {"beta": 2.0}}
-        )
-        serial = run_sweep(cfg, workers=1)
-        parallel = run_sweep(cfg, workers=2)
-        assert [r.axis for r in parallel] == [r.axis for r in serial]
-        assert [r.report for r in parallel] == [r.report for r in serial]
 
 
 class TestEmitReport:
@@ -269,6 +257,34 @@ class TestCli:
         assert main(["sweep-gamma", "--config", str(path)]) == 0
         assert (tmp_path / "sweep.csv").exists()
 
+    def test_out_and_eps_deg_override_config(self, tmp_path, monkeypatch):
+        # an explicit --out wins even when it names the default directory
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.yaml"
+        path.write_text("model: {n_sites: 2, gamma: 0.5}\nsweep_axis: gamma\n"
+                        "grid: [0.3]\nfixed: {beta: 1.0}\noutputs: elsewhere\n")
+        assert main(["sweep-gamma", "--config", str(path), "--out", "out",
+                     "--eps-deg", "1e-6"]) == 0
+        assert not (tmp_path / "elsewhere").exists()
+        payload = json.loads((tmp_path / "out" / "sweep.json").read_text())
+        assert payload["config"]["outputs"] == "out"
+        assert payload["config"]["eps_deg"] == 1e-6
+
+    @pytest.mark.parametrize("command, flags", [
+        ("sweep-gamma", ["--beta", "7", "--n-sites", "6"]),
+        ("sweep-temperature", ["--points", "3", "--spacing", "log"]),
+    ])
+    def test_flags_the_config_sets_exit_two(self, tmp_path, capsys, command, flags):
+        axis = command.removeprefix("sweep-")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"model: {{n_sites: 2, gamma: 0.5}}\nsweep_axis: {axis}\n"
+                        f"grid: [0.3]\nfixed: {{beta: 1.0}}\noutputs: {tmp_path}\n")
+        assert main([command, "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert all(f in err[0] for f in flags[::2]), err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_config_error_exit_two(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("model: {n_sites: 2, gamma: 0.5}\nsweep_axis: pressure\ngrid: [1.0]\n")
@@ -328,19 +344,14 @@ class TestCli:
         ["selftest", "--out", "x"],
         ["selftest", "--eps-deg", "1"],
         ["locality", "--eps-deg", "1"],
+        ["sweep-gamma", "--workers", "2"],
     ], ids=["bounds-out", "sld-check-out", "selftest-out", "selftest-eps-deg",
-            "locality-eps-deg"])
+            "locality-eps-deg", "sweep-gamma-workers"])
     def test_flag_the_command_does_not_read_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_workers_below_one_exit_two(self, capsys):
-        assert main(["sweep-gamma", "--n-sites", "2", "--points", "2",
-                     "--workers", "0"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: workers"), err
 
     def test_sld_check_default_panels_n8(self, tmp_path, capsys):
         # 2048 panels (16384 nodes): a d^2 x nodes cosine table would be 8 GiB here

@@ -197,7 +197,7 @@ def _table_sld_time_domain(ens, O, spec):
     Oe = to_eigenbasis(ens.eigs, O)
     Obar = Oe - float(np.dot(ens.populations, Oe.diagonal().real)) * np.eye(ens.dim)
     t, qk = _kernel_nodes(ens.beta, spec.horizon, spec.panels)
-    L = _cosine_table(ens.eigs.energies, t, qk) * Obar
+    L = _cosine_table(ens.eigs.levels, t, qk) * Obar
     return from_eigenbasis(ens.eigs, (L + L.conj().T) / 2.0)
 
 
