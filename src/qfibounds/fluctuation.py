@@ -31,7 +31,7 @@ DISSIPATION = "dissipation"
 @dataclass(frozen=True)
 class LineSpectrum:
     """Finite list of (frequency, weight) delta spikes, frequencies sorted
-    ascending and deduplicated within FREQ_MERGE_TOL."""
+    ascending; lines within FREQ_MERGE_TOL merge at their |weight|-weighted mean."""
 
     omegas: np.ndarray
     weights: np.ndarray
@@ -53,13 +53,20 @@ def _aggregate(omegas, weights, kind: str) -> LineSpectrum:
     if len(omegas) == 0:
         return LineSpectrum(omegas, weights, kind)
     order = np.argsort(omegas, kind="stable")
-    omegas = omegas[order]
-    weights = weights[order]
+    omegas, weights = omegas[order], weights[order]  # copies, reused in place below
+    values = np.count_nonzero(np.diff(omegas)) + 1  # distinct frequencies
     group = np.concatenate([[0], np.cumsum(np.diff(omegas) > FREQ_MERGE_TOL)])
-    n_groups = int(group[-1]) + 1
-    out_w = np.bincount(group, weights=weights, minlength=n_groups)
-    counts = np.bincount(group, minlength=n_groups)
-    out_o = np.bincount(group, weights=omegas, minlength=n_groups) / counts
+    out_w = np.bincount(group, weights=weights)
+    counts = np.bincount(group)
+    out_o = np.bincount(group, weights=omegas) / counts
+    if values > len(counts):
+        # a group of distinct frequencies merges at its |w|-weighted mean unless |w| sums to 0
+        first, last = omegas[np.cumsum(counts) - counts], omegas[np.cumsum(counts) - 1]
+        mass = np.bincount(group, weights=np.abs(weights, out=weights))
+        weights *= np.subtract(omegas, first[group], out=omegas)
+        lean = np.bincount(group, weights=weights)
+        mixed = (mass > 0) & (last > first)
+        out_o[mixed] = first[mixed] + lean[mixed] / mass[mixed]
     out_o[np.abs(out_o) <= FREQ_MERGE_TOL] = 0.0
     return LineSpectrum(out_o, out_w, kind)
 

@@ -55,8 +55,8 @@ class SweepConfig:
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}")
         grid = np.asarray(self.grid, dtype=float)
-        if grid.size == 0:
-            raise ConfigError("grid must be non-empty")
+        if grid.size == 0 or not np.all(np.isfinite(grid)):
+            raise ConfigError(f"grid must be non-empty and finite, got {list(self.grid)}")
         diffs = np.diff(grid)
         if grid.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("grid must be strictly monotone")
@@ -82,13 +82,19 @@ def checked_number(value, what: str, positive: bool = False) -> float:
     return x
 
 
+def _checked_int(value, what: str) -> int:  # a bool or a fraction is refused, not truncated
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _resolve_grid(raw) -> tuple:
     if isinstance(raw, (list, tuple)):
         return tuple(float(x) for x in raw)
     if isinstance(raw, dict):
         try:
             start, stop = float(raw["start"]), float(raw["stop"])
-            points = int(raw["points"])
+            points = _checked_int(raw["points"], "grid points")
         except KeyError as exc:
             raise ConfigError(f"grid dict missing key {exc}") from exc
         spacing = raw.get("spacing", "linear")
@@ -119,7 +125,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
     try:
         m = raw["model"]
         model = ModelSpec(
-            n_sites=int(m["n_sites"]),
+            n_sites=_checked_int(m["n_sites"], "n_sites"),
             gamma=float(m["gamma"]),
             theta=float(m.get("theta", 0.0)),
         )

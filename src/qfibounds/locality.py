@@ -1,6 +1,6 @@
-"""Locality diagnostics for dressed operators: exponential time-filtering
-of the Heisenberg evolution, commutator decay against distant probes, and the
-finite-support approximation with its sampled commutator bound."""
+"""Locality diagnostics for dressed operators: the exponential time filter of
+the Heisenberg evolution in closed form, commutator decay against distant
+probes, and the finite-support approximation with its sampled commutator bound."""
 
 from __future__ import annotations
 
@@ -12,25 +12,17 @@ import numpy as np
 
 from .operators import _hermitian_deviation
 from .spectral import EigenSystem, from_eigenbasis, to_eigenbasis
-from .sld import _cosine_kernel, _gauss_panels
 
 
 @dataclass(frozen=True)
 class DressSpec:
-    """Exponential time filter e^{-mu |t|} and its quadrature controls."""
+    """Exponential time filter e^{-mu |t|}."""
 
     mu: float
-    horizon: float = 0.0
-    panels: int = 256
-    closed_form: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ValueError(f"mu must be finite and positive, got {self.mu}")
-        if not self.closed_form and not self.horizon > 0:
-            raise ValueError("quadrature route needs a positive horizon")
-        if self.panels < 1:
-            raise ValueError("panels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -78,23 +70,14 @@ def _is_hermitian(a: np.ndarray) -> bool:
     return dev <= tol
 
 
-def dressed_operator(
-    eigs: EigenSystem, A_loc: np.ndarray, spec: DressSpec
-) -> np.ndarray:
-    """Time average of A(t) against e^{-mu |t|}.
-
-    Closed form: the filter is a Lorentzian 2 mu / (mu^2 + (E_m - E_n)^2)
-    acting elementwise in the eigenbasis.  The quadrature route integrates
-    the phases directly over |t| <= horizon and exists as a cross-check.
-    """
+def dressed_operator(eigs: EigenSystem, A_loc: np.ndarray, spec: DressSpec) -> np.ndarray:
+    """Time average of A(t) against e^{-mu |t|}, in closed form: the filter
+    is a Lorentzian 2 mu / (mu^2 + (E_m - E_n)^2) acting elementwise in the
+    eigenbasis."""
     Ae = to_eigenbasis(eigs, A_loc)
-    if spec.closed_form:
-        dE = np.subtract.outer(eigs.energies, eigs.energies)
-        with np.errstate(all="ignore"):  # a non-finite filter is reported below
-            out = 2.0 * spec.mu / (np.float64(spec.mu) ** 2 + dE**2) * Ae
-    else:
-        t, w = _gauss_panels(0.0, spec.horizon, spec.panels)
-        out = _cosine_kernel(eigs.energies, t, w * np.exp(-spec.mu * t)) * Ae
+    dE = np.subtract.outer(eigs.energies, eigs.energies)
+    with np.errstate(all="ignore"):  # a non-finite filter is reported below
+        out = 2.0 * spec.mu / (np.float64(spec.mu) ** 2 + dE**2) * Ae
     if not np.all(np.isfinite(out)):
         raise ValueError(f"dressed operator is not finite at mu={spec.mu:g}")
     out = (out + out.conj().T) / 2.0

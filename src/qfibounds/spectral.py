@@ -8,11 +8,12 @@ diagonalized on its own.  The eigensystem keeps those blocks: per sector its
 basis map into the symmetry-adapted basis, its block eigenvectors W and the
 positions of its states in the ascending order.  An operator with a definite
 parity under each of H's symmetries links only some sector pairs, and
-``eigenbasis_blocks`` transforms only those, W_a^H A_ab W_b.  Dense
-eigenvector columns (``EigenSystem.vectors``) are assembled on first use,
-for the callers whose output is a computational-basis matrix.  A matrix with
-neither symmetry is one sector with the identity map, and so is the
-reference every block path is tested against (``dense_eigensystem``).
+``eigenbasis_blocks`` transforms only those, W_a^H A_ab W_b, the one way into
+the eigenbasis (``to_eigenbasis`` assembles them densely).  Dense eigenvector
+columns (``EigenSystem.vectors``) are assembled on first use, for the callers
+whose output is a computational-basis matrix.  A matrix with neither symmetry
+is one sector with the identity map, and so is the reference every block path
+is tested against (``dense_eigensystem``).
 
 Eigenvalues that coincide within a tolerance are grouped into clusters, and
 every formula downstream reads each state's cluster-mean energy
@@ -325,13 +326,14 @@ def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
 
 
 def to_eigenbasis(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:
-    """Validate ``A`` as Hermitian of the eigensystem's dimension; its dense
-    matrix of elements in the eigenbasis, A_mn = <m|A|n>."""
-    A = check_hermitian(A)
-    if A.shape[0] != eigs.dim:
-        raise ValueError("dimension mismatch")
-    v = eigs.vectors
-    return v.conj().T @ A @ v
+    """A_mn = <m|A|n> from A's linked blocks (``eigenbasis_blocks`` validates A), 0 elsewhere."""
+    pairs, block = eigenbasis_blocks(eigs, A)
+    out = np.zeros((eigs.dim,) * 2, dtype=np.result_type(eigs.sectors[0].vectors, np.asarray(A)))
+    for a, b in pairs:
+        out[np.ix_(a.columns, b.columns)] = x = block(a, b)
+        if a is not b:
+            out[np.ix_(b.columns, a.columns)] = x.conj().T
+    return out
 
 
 def from_eigenbasis(eigs: EigenSystem, A_eig: np.ndarray) -> np.ndarray:

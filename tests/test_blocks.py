@@ -16,7 +16,12 @@ import pytest
 import qfibounds as q
 from qfibounds.gibbs import _pair_table, gibbs_ensemble
 from qfibounds.operators import PauliString, pauli_string_matrix
-from qfibounds.spectral import dense_eigensystem, eigendecompose
+from qfibounds.spectral import (
+    dense_eigensystem,
+    eigenbasis_blocks,
+    eigendecompose,
+    to_eigenbasis,
+)
 
 from conftest import REL, assert_same_results, close_arrays, pipeline_results
 
@@ -116,3 +121,28 @@ def test_linked_sector_pairs(n, theta, operator, sectors, blocks):
     if operator == "z0":
         ((a, b, _),) = table.blocks
         assert a is b and np.array_equal(a.columns, np.arange(len(H)))
+
+
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+@pytest.mark.parametrize("n", [5, 6])
+def test_to_eigenbasis_assembles_linked_blocks(n, theta, operator):
+    # the dense eigenbasis matrix from the linked blocks: V^T A V to 1e-12,
+    # exactly 0 between the sectors A cannot link, and for an A without a
+    # definite parity the dense product itself
+    H, _ = q.build_tfim(q.ModelSpec(n, 0.9, theta))
+    A = OPERATORS[operator](n)
+    eigs = eigendecompose(H)
+    got = to_eigenbasis(eigs, A)
+    v = eigs.vectors
+    want = v.conj().T @ A @ v
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(A))
+
+    linked = np.zeros(got.shape, dtype=bool)
+    for a, b in eigenbasis_blocks(eigs, A)[0]:
+        linked[np.ix_(a.columns, b.columns)] = linked[np.ix_(b.columns, a.columns)] = True
+    assert np.all(got[~linked] == 0.0)
+    if operator == "z0":
+        assert linked.all() and np.array_equal(got, want)
+    else:
+        assert not linked.all()

@@ -41,6 +41,15 @@ class TestAggregate:
         s = _aggregate([3.0, -1.0, 2.0], [1, 1, 1], AUTOCORRELATION)
         assert np.all(np.diff(s.omegas) > 0)
 
+    def test_merged_line_at_weighted_frequency(self):
+        # |w|-weighted, so a signed dissipation weight pulls like a positive
+        # one; the plain mean where every weight is 0
+        s = _aggregate([1.0, 1.0 + 4e-11, 2.0, 2.0 + 4e-11], [-3.0, 1.0, 0.0, 0.0],
+                       DISSIPATION)
+        assert len(s) == 2 and s.weights[0] == -2.0
+        assert abs(s.omegas[0] - (1.0 + 1e-11)) <= 1e-15
+        assert abs(s.omegas[1] - (2.0 + 2e-11)) <= 1e-15
+
 
 class TestAutocorrelationSpectrum:
     def test_single_qubit_lines(self, single_qubit_beta1):
@@ -115,9 +124,7 @@ class TestDissipationRoute:
         "complex_d8": lambda: (q.random_hermitian(8, 11), q.random_hermitian(8, 12)),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_qfi_spectral(self, case):
-        H, O = self.CASES[case]()
+    def _route_and_qfi(self, H, O):
         ens = q.prepared_gibbs(H, O, self.BETA)
         diss = dissipation_spectrum(ens, O)
         assert np.all(diss.omegas != 0.0)
@@ -126,7 +133,19 @@ class TestDissipationRoute:
         w = diss.omegas
         kernel = np.tanh(self.BETA * w / 2.0) / w**2
         f = self.BETA**2 * c + (2.0 / math.pi) * float(np.dot(kernel, diss.weights))
-        assert math.isclose(f, q.qfi_spectral(ens, O), rel_tol=1e-10, abs_tol=0.0)
+        return f, q.qfi_spectral(ens, O)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_qfi_spectral(self, case):
+        f, qfi = self._route_and_qfi(*self.CASES[case]())
+        assert math.isclose(f, qfi, rel_tol=1e-10, abs_tol=0.0)
+
+    def test_merged_near_doublet_lines(self):
+        # N = 4, gamma = 0.05 has two near-doublet clusters whose lines fall
+        # within FREQ_MERGE_TOL: at their weighted frequency the route agrees
+        # as well as the sum over the unaggregated lines does
+        f, qfi = self._route_and_qfi(*q.build_tfim(q.ModelSpec(4, 0.05, 0.0)))
+        assert math.isclose(f, qfi, rel_tol=1e-11, abs_tol=0.0)
 
     def test_doublets_cluster(self):
         H, O = self.CASES["tfim6_g0.05_t0.0"]()
@@ -205,6 +224,17 @@ class TestGeneralizedFdt:
     def test_random_instances(self, seed, beta):
         _, O, ens = random_instance(4, beta, seed)
         self._check_line_by_line(ens, O)
+
+    def test_merged_near_doublet_lines(self):
+        # the omega ~ 1.4e-5 near-doublet line of N = 10, gamma = 0.3: coth
+        # amplifies any misplacement of the merged frequency
+        H, O = q.build_tfim(q.ModelSpec(10, 0.3, 0.0))
+        ens = q.prepared_gibbs(H, O, 2.0)
+        recon = generalized_fdt(dissipation_spectrum(ens, O), ens, O)
+        direct = autocorrelation_spectrum(ens, O)
+        assert len(recon) == len(direct)
+        assert np.max(np.abs(recon.omegas - direct.omegas)) <= 1e-12
+        assert np.all(np.abs(recon.weights - direct.weights) <= 1e-11 * np.abs(direct.weights))
 
     def test_commuting_case_correction_is_everything(self):
         # [H, O] = 0: Im chi vanishes and the zero-frequency correction term

@@ -285,6 +285,29 @@ class TestCli:
         assert all(f in err[0] for f in flags[::2]), err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("axis, model, grid", [
+        pytest.param("gamma", "{n_sites: 2, gamma: 0.5}", "[0.1, .inf]", id="gamma-inf"),
+        pytest.param("temperature", "{n_sites: 2, gamma: 0.5}", "[.nan]",
+                     id="temperature-nan"),
+        pytest.param("temperature", "{n_sites: 2, gamma: 0.5}", "[1.0, .inf]",
+                     id="temperature-inf"),
+        pytest.param("temperature", "{n_sites: 3.7, gamma: 0.5}", "[1.0]",
+                     id="n-sites-fraction"),
+        pytest.param("temperature", "{n_sites: true, gamma: 0.5}", "[1.0]",
+                     id="n-sites-bool"),
+        pytest.param("temperature", "{n_sites: 2, gamma: 0.5}",
+                     "{start: 0.5, stop: 2.0, points: 2.9}", id="points-fraction"),
+    ])
+    def test_bad_sweep_config_exit_two(self, tmp_path, capsys, axis, model, grid):
+        # refused up front: no traceback, and no value silently truncated
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"model: {model}\nsweep_axis: {axis}\ngrid: {grid}\n"
+                        f"fixed: {{beta: 1.0}}\noutputs: {tmp_path}\n")
+        assert main([f"sweep-{axis}", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_config_error_exit_two(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("model: {n_sites: 2, gamma: 0.5}\nsweep_axis: pressure\ngrid: [1.0]\n")

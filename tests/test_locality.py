@@ -22,7 +22,8 @@ from qfibounds.operators import (
     pauli_string_matrix,
     random_hermitian,
 )
-from qfibounds.spectral import eigendecompose
+from qfibounds.sld import _cosine_kernel, _gauss_panels
+from qfibounds.spectral import eigendecompose, from_eigenbasis, to_eigenbasis
 
 
 @pytest.fixture(scope="module")
@@ -149,13 +150,16 @@ class TestConjugationNorms:
 
 class TestDressedOperator:
     def test_route_equivalence(self, chain8):
+        # the closed form against the time integral it evaluates, by Gauss
+        # panels over |t| <= 16: the truncated tail is ~ 2 e^{-mu T} / mu, with
+        # mu T = 32
         _, eigs, a_loc = chain8
-        closed = dressed_operator(eigs, a_loc, DressSpec(mu=2.0))
-        quad = dressed_operator(
-            eigs, a_loc, DressSpec(mu=2.0, horizon=8.0, panels=256, closed_form=False)
-        )
-        # truncation tail ~ 2 e^{-mu T} / mu with mu T = 16
-        assert np.max(np.abs(closed - quad)) < 1e-6
+        mu, horizon, panels = 2.0, 16.0, 256
+        t, w = _gauss_panels(0.0, horizon, panels)
+        quad = _cosine_kernel(eigs.energies, t, w * np.exp(-mu * t)) * to_eigenbasis(eigs, a_loc)
+        ref = from_eigenbasis(eigs, (quad + quad.conj().T) / 2.0)
+        closed = dressed_operator(eigs, a_loc, DressSpec(mu=mu))
+        assert np.max(np.abs(closed - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_hermitian_output(self, chain8):
         _, eigs, a_loc = chain8
@@ -175,8 +179,6 @@ class TestDressedOperator:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             DressSpec(mu=0.0)
-        with pytest.raises(ValueError):
-            DressSpec(mu=1.0, closed_form=False)  # needs horizon
 
     @pytest.mark.parametrize("mu", [math.inf, math.nan, -1.0])
     def test_spec_rejects_non_finite_mu(self, mu):

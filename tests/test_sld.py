@@ -201,9 +201,10 @@ def _table_sld_time_domain(ens, O, spec):
     return from_eigenbasis(ens.eigs, (L + L.conj().T) / 2.0)
 
 
-def _table_dressed_operator(eigs, A, spec):
-    t, w = _gauss_panels(0.0, spec.horizon, spec.panels)
-    out = _cosine_table(eigs.energies, t, w * np.exp(-spec.mu * t)) * to_eigenbasis(eigs, A)
+def _table_dressed_operator(eigs, A, mu, horizon, panels):
+    """The time integral of A(t) against e^{-mu |t|} over |t| <= horizon."""
+    t, w = _gauss_panels(0.0, horizon, panels)
+    out = _cosine_table(eigs.energies, t, w * np.exp(-mu * t)) * to_eigenbasis(eigs, A)
     return from_eigenbasis(eigs, (out + out.conj().T) / 2.0)
 
 
@@ -218,9 +219,9 @@ def _kernel_case(kind):
 
 
 class TestCosineKernel:
-    """Both time-domain routes against the direct cosine table, to 1e-12
-    relative.  The node counts (800 and 400) are not multiples of the node
-    block, so the last block is partial."""
+    """The time-domain SLD and the closed-form dressed operator against the
+    direct cosine table, to 1e-12 relative.  The SLD's 800 nodes are not a
+    multiple of the node block, so its last block is partial."""
 
     @pytest.mark.parametrize("kind", ("tfim-theta-0.1", "complex-random", "doublets"))
     def test_sld_time_domain_matches_table(self, kind):
@@ -232,10 +233,10 @@ class TestCosineKernel:
 
     @pytest.mark.parametrize("kind", ("tfim-theta-0.1", "complex-random", "doublets"))
     def test_dressed_quadrature_matches_table(self, kind):
+        # the closed form; the quadrature's tail past horizon 16 is ~ e^{-32}
         O, ens = _kernel_case(kind)
-        spec = DressSpec(mu=1.0, horizon=8.0, panels=50, closed_form=False)
-        ref = _table_dressed_operator(ens.eigs, O, spec)
-        got = dressed_operator(ens.eigs, O, spec)
+        ref = _table_dressed_operator(ens.eigs, O, 2.0, 16.0, 256)
+        got = dressed_operator(ens.eigs, O, DressSpec(mu=2.0))
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
