@@ -140,7 +140,20 @@ def _pauli_commutator_norm(a: np.ndarray, site: int, axis: str, hermitian: bool)
         couplings = [(diag - c * a01 + c.conjugate() * a10) / 2.0]
         if not hermitian:
             couplings.append((diag + c * a01 - c.conjugate() * a10) / 2.0)
-    return 2.0 * max(spectral_norm(m.reshape(half, half)) for m in couplings)
+    return 2.0 * max(_gram_norm(m.reshape(half, half)) for m in couplings)
+
+
+def _gram_norm(m: np.ndarray) -> float:
+    """||m|| = sqrt(lambda_max(m m^H)), a GEMM and an ``eigvalsh`` at about a
+    third of an SVD's cost.  The top eigenvalue of a positive semidefinite
+    Gram matrix keeps its relative accuracy, so tiny norms do too.
+    ``eigvalsh`` may return finite values or NaN for a matrix holding NaN or
+    inf, so an m that is not finite, or whose ||m||_F^2 overflows (||m||
+    above about 1e154), raises."""
+    g = m @ m.conj().T
+    if not np.isfinite(np.trace(g)):
+        raise np.linalg.LinAlgError("probe coupling is not finite or its Gram matrix overflows")
+    return math.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0))
 
 
 def _unitary_commutator_norm(a: np.ndarray, u: np.ndarray, hermitian: bool):

@@ -211,10 +211,11 @@ def _gather(M: np.ndarray, a: SectorBasis, b: SectorBasis, rev: np.ndarray | Non
     For M with M[r, r] = sign_a sign_b M, the block is
     (A + sign_b C)_kl w_k w_l with A = M[s_a, s_b], C = M[s_a, r(s_b)] and
     w = 1 for a pair, 1/sqrt 2 for a palindrome (R-odd sectors hold pairs
-    only).  With ``rev`` None the bases are the rows themselves."""
-    block = M[np.ix_(a.rows, b.rows)]
+    only).  With ``rev`` None the bases are the rows themselves, ascending,
+    so two sectors of all d rows are the identity map and the block is M."""
     if rev is None:
-        return block
+        return M if len(a.rows) == len(b.rows) == len(M) else M[np.ix_(a.rows, b.rows)]
+    block = M[np.ix_(a.rows, b.rows)]
     (np.add if b.sign > 0 else np.subtract)(block, M[np.ix_(a.rows, rev[b.rows])], out=block)
     if a.sign > 0:
         block *= _palindrome_weights(a.rows, rev)[:, None]
@@ -328,6 +329,8 @@ def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
 def to_eigenbasis(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:
     """A_mn = <m|A|n> from A's linked blocks (``eigenbasis_blocks`` validates A), 0 elsewhere."""
     pairs, block = eigenbasis_blocks(eigs, A)
+    if len(pairs[0][0].columns) == eigs.dim:  # the one dense sector
+        return block(*pairs[0])
     out = np.zeros((eigs.dim,) * 2, dtype=np.result_type(eigs.sectors[0].vectors, np.asarray(A)))
     for a, b in pairs:
         out[np.ix_(a.columns, b.columns)] = x = block(a, b)

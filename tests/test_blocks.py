@@ -146,3 +146,17 @@ def test_to_eigenbasis_assembles_linked_blocks(n, theta, operator):
         assert linked.all() and np.array_equal(got, want)
     else:
         assert not linked.all()
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+def test_to_eigenbasis_dense_fallback_n8(theta):
+    # sigma^x_0, the operator locality dresses, has no R parity and takes the
+    # one dense sector: the result is the dense product itself
+    n = 8
+    H, _ = q.build_tfim(q.ModelSpec(n, 0.4 * math.pi, theta))
+    A = pauli_string_matrix(PauliString({0: "X"}), n)
+    eigs = eigendecompose(H)
+    (a, b), = eigenbasis_blocks(eigs, A)[0]
+    assert a is b and np.array_equal(a.columns, np.arange(1 << n))
+    v = eigs.vectors
+    assert np.array_equal(to_eigenbasis(eigs, A), v.conj().T @ A @ v)

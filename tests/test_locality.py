@@ -147,6 +147,50 @@ class TestConjugationNorms:
             got = _unitary_commutator_norm(a, u, kind != "non-hermitian")
             assert abs(got - ref) <= tol, region
 
+    def test_dressed_tail_matches_dense(self, chain8):
+        # the decay profile's operator, whose far-site norms fall to 1e-6 ..
+        # 1e-15: the Gram route keeps them to the same absolute tolerance
+        n, eigs, a_loc = chain8
+        a = dressed_operator(eigs, a_loc, DressSpec(mu=math.pi))
+        tol = 1e-12 * max(1.0, spectral_norm(a))
+        refs = []
+        for site in range(n):
+            for axis in ("X", "Y", "Z"):
+                ref = commutator_norm(a, pauli_string_matrix(PauliString({site: axis}), n))
+                refs.append(ref)
+                for hermitian in (True, False):
+                    got = _pauli_commutator_norm(a, site, axis, hermitian)
+                    assert abs(got - ref) <= tol, (site, axis, hermitian)
+        assert min(refs) < 1e-12  # the tail is reached
+
+    @pytest.mark.parametrize("axis", ["X", "Z"])
+    def test_zero_coupling_is_exactly_zero(self, axis):
+        n = 4
+        for site in range(n):
+            a = pauli_string_matrix(PauliString({site: axis}), n)
+            for hermitian in (True, False):
+                assert _pauli_commutator_norm(a, site, axis, hermitian) == 0.0, site
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_nan_raises(self, hermitian):
+        # a[0, d-1] links all-0 bits to all-1 bits, so every probe's coupling reads it
+        n = 4
+        a = _operator("real-symmetric", n)
+        a[0, -1] = math.nan
+        for site in range(n):
+            for axis in ("X", "Y", "Z"):
+                with pytest.raises(np.linalg.LinAlgError):
+                    _pauli_commutator_norm(a, site, axis, hermitian)
+
+    def test_gram_overflow_raises(self):
+        # ||m||_F^2 overflows: eigvalsh of diag(inf, 1) returns NaN without
+        # raising, and the norm must not come out NaN or clamped to 0
+        a = np.zeros((4, 4))
+        a[0, 2] = a[2, 0] = 1e160
+        a[1, 3] = a[3, 1] = 1.0
+        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _pauli_commutator_norm(a, 0, "Z", True)
+
 
 class TestDressedOperator:
     def test_route_equivalence(self, chain8):
@@ -282,6 +326,13 @@ class TestLocalApproximation:
             ref, _ = _dense_local_approximation(a, k, 3, 5, commutator=svd)
             assert abs(got.err - ref.err) <= tol, k
             assert abs(got.eps_hat - ref.eps_hat) <= tol, k
+
+    @pytest.mark.parametrize("region", [1, 2, 3])
+    def test_nan_raises(self, region):
+        a = _operator("complex-hermitian", 4)
+        a[0, -1] = math.nan
+        with pytest.raises(ValueError):
+            local_approximation(a, region, n_random_probes=2)
 
     def test_region_validation(self):
         a = pauli_string_matrix(PauliString({0: "X"}), 3)
