@@ -28,7 +28,7 @@ def main() -> None:
     args = ap.parse_args()
 
     mu = args.mu if args.mu is not None else math.pi / args.beta
-    H, _ = q.build_tfim(q.ModelSpec(args.n_sites, args.gamma))
+    H, _ = q.tfim_operators(q.ModelSpec(args.n_sites, args.gamma))
     eigs = eigendecompose(H)
     a_loc = pauli_string_matrix(PauliString({0: "X"}), args.n_sites)
 

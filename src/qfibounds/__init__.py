@@ -4,12 +4,14 @@ construction and locality diagnostics for Gibbs states of finite spin chains."""
 __version__ = "0.1.0"
 
 from .operators import (
+    FlipOperator,
     ModelSpec,
     PauliString,
     build_tfim,
     pauli_string_matrix,
     random_hermitian,
     single_qubit_model,
+    tfim_operators,
 )
 from .spectral import (
     EigenSystem,

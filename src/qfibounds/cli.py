@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import ModelSpec, build_tfim
+from .operators import ModelSpec, tfim_operators
 from .gibbs import prepared_gibbs
 from .qfi import bounds_chain, check_bounds_report, uncertainty_report
 from .fluctuation import autocorrelation_spectrum, dissipation_spectrum
@@ -161,7 +161,7 @@ def main(argv=None) -> int:
 
 def _prepared(args):
     model = _model(args)
-    H, O = build_tfim(model)
+    H, O = tfim_operators(model)
     return model, O, prepared_gibbs(H, O, args.beta, args.eps_deg)
 
 
@@ -233,7 +233,7 @@ def _dispatch(args) -> int:
         model = _model(args)
         mu = args.mu if args.mu is not None else math.pi / args.beta
         spec = _spec(DressSpec, mu)
-        H, _ = build_tfim(model)
+        H, _ = tfim_operators(model)
         eigs = eigendecompose(H)
         a_loc = pauli_string_matrix(PauliString({0: "X"}), model.n_sites)
         try:  # the filter overflows, or too few norms stay above 1e-12 to fit

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TILE, ModelSpec, build_tfim
+from .operators import TILE, FlipOperator, ModelSpec, tfim_operators
 from .spectral import EigenSystem, eigenbasis_blocks, eigendecompose
 
 _IMAG_TOL = 1e-10
@@ -82,14 +82,16 @@ def _real_or_raise(value: complex, scale: float, what: str) -> float:
     return float(value.real)
 
 
-def thermal_average(ens: GibbsEnsemble, A: np.ndarray) -> float:
-    """<A> = sum_n p_n <n|A|n> of a Hermitian A of the ensemble's dimension,
-    from the diagonal of its eigenbasis blocks alone."""
+def thermal_average(ens: GibbsEnsemble, A) -> float:
+    """<A> = sum_n p_n <n|A|n> of a Hermitian A (a matrix or a
+    ``FlipOperator``) of the ensemble's dimension, from the diagonal of its
+    eigenbasis blocks alone."""
     pairs, block = eigenbasis_blocks(ens.eigs, A)
     p = ens.populations
     val = sum(complex(np.dot(p[a.columns], block(a, a).diagonal()))
               for a, b in pairs if a is b)
-    return _real_or_raise(val, float(np.max(np.abs(A))) or 1.0, "thermal average")
+    scale = A.max_abs() if isinstance(A, FlipOperator) else float(np.max(np.abs(A)))
+    return _real_or_raise(val, scale or 1.0, "thermal average")
 
 
 def _tanh_over_omega(omega: np.ndarray, beta: float) -> np.ndarray:
@@ -219,7 +221,7 @@ def susceptibility_fd(model: ModelSpec, beta: float, delta: float) -> float:
     """
     if not (1e-6 <= delta <= 1e-2):
         raise ValueError(f"delta must lie in [1e-6, 1e-2], got {delta}")
-    H, O = build_tfim(model)
+    H, O = tfim_operators(model)
     states = _shifted_gibbs(H, O, beta, (delta, -delta))
     plus, minus = (thermal_average(ens, O) for ens in states)
     return -(plus - minus) / (2.0 * delta)

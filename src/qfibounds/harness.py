@@ -13,7 +13,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .operators import ModelSpec, build_tfim, single_qubit_model
+from .operators import ModelSpec, single_qubit_model, tfim_operators
 from .gibbs import _pair_table, gibbs_ensemble, prepared_gibbs
 from .gibbs import susceptibility, susceptibility_fd, variance
 from .qfi import (
@@ -174,7 +174,7 @@ def _hamiltonian_rows(config: SweepConfig, points: list) -> list[SweepRow]:
     else:
         model = ModelSpec(config.model.n_sites, points[0], config.model.theta)
         betas = [config.fixed_beta]
-    H, O = build_tfim(model)
+    H, O = tfim_operators(model)
     eigs = eigendecompose(H, config.eps_deg)
     table = _pair_table(eigs, O)
     rows = []
@@ -207,9 +207,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     return [evaluate_point(config, x) for x in points]
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
+def _fmt(x: float) -> str:  # .12g prints NaN of either sign as "nan"
     return format(float(x), ".12g")
 
 
@@ -303,7 +301,7 @@ def selftest() -> list[tuple[str, bool, str]]:
     ok = True
     for beta in (0.5, 1.0, 3.0):
         for gamma in (0.2, 0.7, 1.3):
-            Ht, Ot = build_tfim(ModelSpec(1, gamma))
+            Ht, Ot = tfim_operators(ModelSpec(1, gamma))
             e1 = prepared_gibbs(Ht, Ot, beta)
             expected = math.tanh(beta * math.sin(gamma)) ** 2 / math.sin(gamma) ** 2
             ok = ok and _close(qfi_spectral(e1, Ot), expected)
@@ -323,7 +321,7 @@ def selftest() -> list[tuple[str, bool, str]]:
     )
 
     # route equivalence on a small TFIM
-    Hr, Or = build_tfim(ModelSpec(3, 0.4, 0.05))
+    Hr, Or = tfim_operators(ModelSpec(3, 0.4, 0.05))
     ensr = prepared_gibbs(Hr, Or, 1.5)
     s = autocorrelation_spectrum(ensr, Or)
     record(

@@ -1,6 +1,9 @@
-"""Dense Hermitian operator construction for finite spin chains.
+"""Hermitian operator construction for finite spin chains.
 
-Everything here returns plain ``numpy`` arrays in the computational (z)
+The TFIM is defined once, as bit terms (``FlipOperator``: a diagonal plus
+coefficients of bit-flip masks), from which the symmetry blocks are read
+without a dense matrix; ``build_tfim`` writes the same terms densely.  Every
+other builder returns a plain ``numpy`` array in the computational (z)
 basis, float64 where real and complex otherwise.  Site 0 is the leftmost
 tensor factor, i.e. the most significant bit of the basis index.
 """
@@ -121,37 +124,131 @@ def pauli_string_matrix(ps: PauliString, n_sites: int) -> np.ndarray:
     return out
 
 
-def build_tfim(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Transverse-field Ising Hamiltonian and its conjugate observable.
+@dataclass(frozen=True, eq=False)
+class FlipOperator:
+    """A real operator on the d = 2^n basis states of a chain as bit terms,
+    diag(diagonal) + sum_m c_m X^m over ``flips`` = ((m, c_m), ...), where X^m
+    flips the bits of the mask m, |i> -> |i xor m>.  Every X^m is a symmetric
+    permutation, so the operator is Hermitian by construction.  The masks are
+    distinct and nonzero and the coefficients finite; a zero coefficient is
+    dropped, as the dense matrix holds nothing for it, and ``flips`` is kept
+    sorted by mask."""
+
+    diagonal: np.ndarray
+    flips: tuple = ()
+
+    __array_ufunc__ = None  # a numpy scalar times A takes __rmul__
+    dtype = np.dtype(float)
+
+    def __post_init__(self):
+        diagonal = np.array(self.diagonal, dtype=float)
+        d = len(diagonal)
+        if diagonal.ndim != 1 or not 2 <= d <= HARD_DIM_CAP or d & (d - 1):
+            raise ValueError(f"diagonal must have 2^n entries, 1 <= n <= "
+                             f"{HARD_SITE_CAP}, got shape {diagonal.shape}")
+        flips = {}
+        for mask, c in self.flips:
+            if not 0 < mask < d or mask in flips:
+                raise ValueError(f"flip masks must be distinct and in [1, {d}), got {mask}")
+            flips[int(mask)] = float(c)
+        if not (np.all(np.isfinite(diagonal)) and all(map(math.isfinite, flips.values()))):
+            raise ValueError("coefficients must be finite")
+        diagonal.setflags(write=False)
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "flips", tuple(sorted(
+            (m, c) for m, c in flips.items() if c != 0.0)))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.diagonal),) * 2
+
+    def __rmul__(self, s):
+        """s A: s times every diagonal entry and coefficient."""
+        return FlipOperator(s * self.diagonal, tuple((m, s * c) for m, c in self.flips))
+
+    def __add__(self, other):
+        """A + B by the dense sum's float operations: a term of one operand
+        alone adds 0.0 from the other, and every other off-diagonal entry is
+        0.0 + 0.0."""
+        if not isinstance(other, FlipOperator):
+            return NotImplemented
+        if other.shape != self.shape:
+            raise ValueError(f"dimension mismatch: {self.shape} and {other.shape}")
+        a, b = dict(self.flips), dict(other.flips)
+        return FlipOperator(self.diagonal + other.diagonal,
+                            tuple((m, a.get(m, 0.0) + b.get(m, 0.0)) for m in a.keys() | b.keys()))
+
+    def links_parity(self, flip: int) -> bool:
+        """Whether a nonzero element links states whose spin parities
+        (popcount mod 2) differ by ``flip``: the diagonal keeps the parity,
+        and the mask m changes it by its popcount mod 2."""
+        return (flip == 0 and bool(np.any(self.diagonal))) or any(
+            m.bit_count() % 2 == flip for m, _ in self.flips)
+
+    def mirrored(self, rev: np.ndarray, sign: int) -> bool:
+        """Whether A[r, r] == sign A exactly for a permutation of the bits,
+        r = ``rev`` on indices: the diagonal must satisfy it, and each mask m
+        must have a partner r(m) with coefficient sign c_m."""
+        flips = dict(self.flips)
+        return np.array_equal(self.diagonal[rev], sign * self.diagonal) and all(
+            flips.get(int(rev[m])) == sign * c for m, c in self.flips)
+
+    def max_abs(self) -> float:
+        """max |A_ij| over the dense matrix."""
+        return max([float(np.max(np.abs(self.diagonal)))] + [abs(c) for _, c in self.flips])
+
+    def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """A[np.ix_(rows, cols)] for distinct ``cols``, filled term by term
+        through the position of each column: row s holds the diagonal at
+        column s and c_m at column s xor m, where those are among ``cols``."""
+        pos = np.full(len(self.diagonal), -1, dtype=np.intp)
+        pos[cols] = np.arange(len(cols))
+        out = np.zeros((len(rows), len(cols)))
+        k = np.arange(len(rows))
+        for mask, c in ((0, self.diagonal[rows]), *self.flips):
+            col = pos[rows ^ mask]
+            hit = col >= 0
+            out[k[hit], col[hit]] = c[hit] if mask == 0 else c
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The d x d float64 matrix."""
+        idx = np.arange(len(self.diagonal))
+        out = np.zeros(self.shape)
+        out[idx, idx] = self.diagonal
+        for mask, c in self.flips:
+            out[idx ^ mask, idx] = c
+        return out
+
+
+def tfim_operators(spec: ModelSpec) -> tuple[FlipOperator, FlipOperator]:
+    """Transverse-field Ising Hamiltonian and its conjugate observable as bit
+    terms.
 
     H = sin(gamma) sum_i sigma_i^z - cos(gamma) sum_i sigma_i^x sigma_{i+1}^x
         + theta sum_i sigma_i^x      (open boundary)
     O = sum_i sigma_i^x = dH/dtheta
 
-    Built with basis-index bit arithmetic rather than Kronecker products so
-    chains near the site cap stay cheap.
+    sigma_i^z is diagonal, and sigma_i^x flips bit n-1-i of the basis index.
+    H is formed as H_0 + theta O, so its entries are those of the dense sum.
     """
     n = spec.n_sites
-    d = spec.dim
-    idx = np.arange(d)
-
-    zdiag = np.zeros(d)
+    idx = np.arange(spec.dim)
+    zdiag = np.zeros(spec.dim)
     for i in range(n):
         bit = (idx >> (n - 1 - i)) & 1
         zdiag += 1.0 - 2.0 * bit
+    sites = [1 << (n - 1 - i) for i in range(n)]
+    O = FlipOperator(np.zeros(spec.dim), tuple((m, 1.0) for m in sites))
+    H0 = FlipOperator(np.sin(spec.gamma) * zdiag,
+                      tuple((m | m >> 1, -np.cos(spec.gamma)) for m in sites[:-1]))
+    return H0 + spec.theta * O, O
 
-    H = np.zeros((d, d))
-    H[idx, idx] = np.sin(spec.gamma) * zdiag
-    for i in range(n - 1):
-        mask = (1 << (n - 1 - i)) | (1 << (n - 2 - i))
-        H[idx ^ mask, idx] += -np.cos(spec.gamma)
 
-    O = np.zeros((d, d))
-    for i in range(n):
-        O[idx ^ (1 << (n - 1 - i)), idx] += 1.0
-
-    H += spec.theta * O
-    return H, O
+def build_tfim(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The dense H and O of ``tfim_operators``, float64 d x d arrays."""
+    H, O = tfim_operators(spec)
+    return H.dense(), O.dense()
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:

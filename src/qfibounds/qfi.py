@@ -8,7 +8,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .operators import ModelSpec, build_tfim
+from .operators import ModelSpec, tfim_operators
 from .gibbs import (
     GibbsEnsemble,
     _pair_table,
@@ -150,7 +150,7 @@ def _sqrt_fidelity(a: GibbsEnsemble, b: GibbsEnsemble) -> float:
 def qfi_fidelity_oracle(model: ModelSpec, beta: float, delta: float) -> float:
     """Independent oracle for the spectral QFI via Uhlmann fidelity of the
     exactly built Gibbs states at theta -/+ delta/2."""
-    H, O = build_tfim(model)
+    H, O = tfim_operators(model)
     return qfi_fidelity_oracle_generic(H, O, beta, delta)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ModelSpec, build_tfim
+from .operators import ModelSpec, tfim_operators
 from .gibbs import GibbsEnsemble, KernelKind, _shifted_gibbs
 from .spectral import from_eigenbasis, to_eigenbasis
 
@@ -81,7 +81,7 @@ def lyapunov_residual(
     d(rho)/dtheta built from full rediagonalizations at theta +/- delta."""
     if not (1e-6 <= delta <= 1e-3):
         raise ValueError(f"delta must lie in [1e-6, 1e-3], got {delta}")
-    H, O = build_tfim(model)
+    H, O = tfim_operators(model)
     states = _shifted_gibbs(H, O, ens.beta, (delta, -delta))
     plus, minus = (e.density_matrix() for e in states)
     drho = (plus - minus) / (2.0 * delta)

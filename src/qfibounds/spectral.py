@@ -4,9 +4,12 @@ handling.
 A Hamiltonian on 2^n basis states is split into the blocks of whichever
 exact Z2 symmetries it has, the spin parity P = prod Z and the reflection R
 of the chain, each detected bitwise from H itself, and every block is
-diagonalized on its own.  The eigensystem keeps those blocks: per sector its
-basis map into the symmetry-adapted basis, its block eigenvectors W and the
-positions of its states in the ascending order.  An operator with a definite
+diagonalized on its own.  H and the operators may be dense matrices or
+``FlipOperator`` bit terms; the symmetries and the blocks of the latter are
+read from the terms, bit for bit the dense ones, with no d x d matrix.  The
+eigensystem keeps those blocks: per sector its basis map into the
+symmetry-adapted basis, its block eigenvectors W and the positions of its
+states in the ascending order.  An operator with a definite
 parity under each of H's symmetries links only some sector pairs, and
 ``eigenbasis_blocks`` transforms only those, W_a^H A_ab W_b, the one way into
 the eigenbasis (``to_eigenbasis`` assembles them densely).  Dense eigenvector
@@ -31,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import TILE, check_hermitian
+from .operators import TILE, FlipOperator, check_hermitian
 
 
 def resolve_eps_deg(energies: np.ndarray, eps_deg: float | None) -> float:
@@ -144,20 +147,40 @@ def cluster_degeneracies(energies: np.ndarray, eps: float) -> tuple:
     return tuple(clusters)
 
 
+def _checked(M):
+    """M validated by ``check_hermitian``; a ``FlipOperator`` is Hermitian by
+    construction and passes as it is."""
+    return M if isinstance(M, FlipOperator) else check_hermitian(M)
+
+
 def _links(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
     """Whether any element M[rows, cols] is nonzero, TILE rows at a time."""
     return any(np.take(M[rows[i:i + TILE]], cols, axis=1).any()
                for i in range(0, len(rows), TILE))
 
 
-def _mirrored(M: np.ndarray, rev: np.ndarray, sign: int) -> bool:
-    """Whether M[r, r] == sign M exactly, TILE rows at a time."""
+def _links_parity(M, groups: tuple, flip: int) -> bool:
+    """Whether M has a nonzero element between states whose spin parities
+    differ by ``flip`` (1: opposite parities, 0: equal ones), for the two
+    parity classes ``groups``; a ``FlipOperator`` reads it from its terms."""
+    if isinstance(M, FlipOperator):
+        return M.links_parity(flip)
+    if flip:
+        return _links(M, *groups)
+    return any(_links(M, g, g) for g in groups)
+
+
+def _mirrored(M, rev: np.ndarray, sign: int) -> bool:
+    """Whether M[r, r] == sign M exactly, TILE rows at a time; a
+    ``FlipOperator`` reads it from its terms."""
+    if isinstance(M, FlipOperator):
+        return M.mirrored(rev, sign)
     return all(np.array_equal(np.take(M[rev[i:i + TILE]], rev, axis=1),
                               M[i:i + TILE] if sign > 0 else -M[i:i + TILE])
                for i in range(0, len(rev), TILE))
 
 
-def _z2_symmetries(H: np.ndarray):
+def _z2_symmetries(H):
     """The exact Z2 symmetries of H: (groups, rev), or None without one.
 
     On d = 2^n >= 4 states the index bits are the sites (site 0 the most
@@ -166,7 +189,10 @@ def _z2_symmetries(H: np.ndarray):
     parity classes of indices, else all indices.  The reflection
     R: i -> n-1-i acts on indices as the bit reversal r and holds when
     H[r, r] == H; ``rev`` is then r, else None.  Both tests are exact, so
-    an H one ulp off a symmetry does not have it.
+    an H one ulp off a symmetry does not have it.  A ``FlipOperator``'s are
+    read from its terms: P holds when every mask has even popcount, R when
+    the diagonal and the set of masks with their coefficients are invariant
+    under r.
     """
     d = H.shape[0]
     n = d.bit_length() - 1
@@ -180,7 +206,7 @@ def _z2_symmetries(H: np.ndarray):
         parity ^= bit
         rev |= bit << (n - 1 - k)
     even, odd = idx[parity == 0], idx[parity == 1]
-    has_p = not _links(H, even, odd)
+    has_p = not _links_parity(H, (even, odd), 1)
     has_r = _mirrored(H, rev, 1)
     if not (has_p or has_r):
         return None
@@ -205,18 +231,27 @@ def _palindrome_weights(rows: np.ndarray, rev: np.ndarray) -> np.ndarray:
     return np.where(rows == rev[rows], np.sqrt(0.5), 1.0)
 
 
-def _gather(M: np.ndarray, a: SectorBasis, b: SectorBasis, rev: np.ndarray | None):
+def _submatrix(M, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """M[np.ix_(rows, cols)], a new array; a ``FlipOperator`` fills it from
+    its terms."""
+    return M.submatrix(rows, cols) if isinstance(M, FlipOperator) else M[np.ix_(rows, cols)]
+
+
+def _gather(M, a: SectorBasis, b: SectorBasis, rev: np.ndarray | None):
     """M's block between sectors a and b in their symmetry-adapted bases.
 
     For M with M[r, r] = sign_a sign_b M, the block is
     (A + sign_b C)_kl w_k w_l with A = M[s_a, s_b], C = M[s_a, r(s_b)] and
     w = 1 for a pair, 1/sqrt 2 for a palindrome (R-odd sectors hold pairs
     only).  With ``rev`` None the bases are the rows themselves, ascending,
-    so two sectors of all d rows are the identity map and the block is M."""
+    so two sectors of all d rows of a dense M are the identity map and the
+    block is M.  A and C of a ``FlipOperator`` equal the dense ones bit for
+    bit, and so does the block."""
     if rev is None:
-        return M if len(a.rows) == len(b.rows) == len(M) else M[np.ix_(a.rows, b.rows)]
-    block = M[np.ix_(a.rows, b.rows)]
-    (np.add if b.sign > 0 else np.subtract)(block, M[np.ix_(a.rows, rev[b.rows])], out=block)
+        full = isinstance(M, np.ndarray) and len(a.rows) == len(b.rows) == len(M)
+        return M if full else _submatrix(M, a.rows, b.rows)
+    block = _submatrix(M, a.rows, b.rows)
+    (np.add if b.sign > 0 else np.subtract)(block, _submatrix(M, a.rows, rev[b.rows]), out=block)
     if a.sign > 0:
         block *= _palindrome_weights(a.rows, rev)[:, None]
     if b.sign > 0:
@@ -240,16 +275,17 @@ def _sector_eigh(H: np.ndarray, groups: tuple, rev: np.ndarray | None):
     return energies[order], tuple(sectors)
 
 
-def eigendecompose(H: np.ndarray, eps_deg: float | None = None) -> EigenSystem:
+def eigendecompose(H, eps_deg: float | None = None) -> EigenSystem:
     """Full eigendecomposition with degeneracy clusters at the tolerance
     ``resolve_eps_deg(energies, eps_deg)``.
 
-    When H has an exact spin-parity or reflection symmetry
+    H is a Hermitian matrix or a ``FlipOperator``, whose blocks are read from
+    its terms.  When H has an exact spin-parity or reflection symmetry
     (``_z2_symmetries``), LAPACK ``eigh`` runs once per symmetry block and
     the energies are sorted stably across blocks; otherwise H is one block.
     The eigensystem keeps the block eigenvectors.
     """
-    H = check_hermitian(H)
+    H = _checked(H)
     symmetries = _z2_symmetries(H)
     groups, rev = symmetries or ((np.arange(H.shape[0]),), None)
     try:
@@ -280,8 +316,8 @@ def _linked_sectors(eigs: EigenSystem, A: np.ndarray):
         (sector,) = eigs.sectors
         return [(sector, sector)], None
     groups, rev = eigs.symmetries
-    flip = 0 if len(groups) == 1 or not _links(A, *groups) else (
-        None if any(_links(A, g, g) for g in groups) else 1)
+    flip = 0 if len(groups) == 1 or not _links_parity(A, groups, 1) else (
+        None if _links_parity(A, groups, 0) else 1)
     sign = 1 if rev is None else next((s for s in (1, -1) if _mirrored(A, rev, s)), None)
     if flip is None or sign is None:
         dense = _identity_sector(eigs.vectors)
@@ -292,13 +328,14 @@ def _linked_sectors(eigs: EigenSystem, A: np.ndarray):
             and a.basis.sign * b.basis.sign == sign], rev
 
 
-def eigenbasis_blocks(eigs: EigenSystem, A: np.ndarray):
-    """Validate ``A`` as Hermitian of the eigensystem's dimension; the sector
-    pairs (a, b) it links (``_linked_sectors``) and ``block(a, b)``, which
-    gives W_a^H A_ab W_b, A's eigenbasis matrix elements between the states
-    of sectors a and b.  The elements between b and a are the conjugate
-    transpose, and those of the pairs not listed are zero."""
-    A = check_hermitian(A)
+def eigenbasis_blocks(eigs: EigenSystem, A):
+    """Validate ``A`` (a matrix or a ``FlipOperator``) as Hermitian of the
+    eigensystem's dimension; the sector pairs (a, b) it links
+    (``_linked_sectors``) and ``block(a, b)``, which gives W_a^H A_ab W_b,
+    A's eigenbasis matrix elements between the states of sectors a and b.
+    The elements between b and a are the conjugate transpose, and those of
+    the pairs not listed are zero."""
+    A = _checked(A)
     if A.shape[0] != eigs.dim:
         raise ValueError("dimension mismatch")
     pairs, rev = _linked_sectors(eigs, A)
@@ -331,7 +368,8 @@ def to_eigenbasis(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:
     pairs, block = eigenbasis_blocks(eigs, A)
     if len(pairs[0][0].columns) == eigs.dim:  # the one dense sector
         return block(*pairs[0])
-    out = np.zeros((eigs.dim,) * 2, dtype=np.result_type(eigs.sectors[0].vectors, np.asarray(A)))
+    a_dtype = A.dtype if isinstance(A, FlipOperator) else np.asarray(A).dtype
+    out = np.zeros((eigs.dim,) * 2, dtype=np.result_type(eigs.sectors[0].vectors, a_dtype))
     for a, b in pairs:
         out[np.ix_(a.columns, b.columns)] = x = block(a, b)
         if a is not b:

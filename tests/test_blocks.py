@@ -14,9 +14,13 @@ import numpy as np
 import pytest
 
 import qfibounds as q
+from qfibounds.cli import main
 from qfibounds.gibbs import _pair_table, gibbs_ensemble
-from qfibounds.operators import PauliString, pauli_string_matrix
+from qfibounds.operators import FlipOperator, PauliString, pauli_string_matrix
 from qfibounds.spectral import (
+    _gather,
+    _sector_bases,
+    _z2_symmetries,
     dense_eigensystem,
     eigenbasis_blocks,
     eigendecompose,
@@ -160,3 +164,128 @@ def test_to_eigenbasis_dense_fallback_n8(theta):
     assert a is b and np.array_equal(a.columns, np.arange(1 << n))
     v = eigs.vectors
     assert np.array_equal(to_eigenbasis(eigs, A), v.conj().T @ A @ v)
+
+
+# -- the TFIM's bit terms against the dense matrices ----------------------------
+
+
+def _reference_tfim(spec):
+    """The dense TFIM by bit arithmetic, H_0 + theta O as one more d x d sum."""
+    n, d = spec.n_sites, spec.dim
+    idx = np.arange(d)
+    zdiag = np.zeros(d)
+    for i in range(n):
+        zdiag += 1.0 - 2.0 * ((idx >> (n - 1 - i)) & 1)
+    H = np.zeros((d, d))
+    H[idx, idx] = np.sin(spec.gamma) * zdiag
+    for i in range(n - 1):
+        H[idx ^ ((1 << (n - 1 - i)) | (1 << (n - 2 - i))), idx] += -np.cos(spec.gamma)
+    O = np.zeros((d, d))
+    for i in range(n):
+        O[idx ^ (1 << (n - 1 - i)), idx] += 1.0
+    H += spec.theta * O
+    return H, O
+
+
+def _same_bits(x, y):
+    """Equal dtype, shape and bytes: signed zeros must match too."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.9, math.pi / 2])
+@pytest.mark.parametrize("theta", [0.0, -0.0, 0.1])
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 9, 10])
+def test_terms_match_dense(n, gamma, theta):
+    # the terms written densely are the reference build; their symmetries,
+    # every gathered sector block of H and O and the shifted sum H + s O are
+    # the dense ones bit for bit (gamma = 0 puts signed zeros on H's diagonal)
+    spec = q.ModelSpec(n, gamma, theta)
+    Hd, Od = _reference_tfim(spec)
+    H, O = q.tfim_operators(spec)
+    assert all(map(_same_bits, q.build_tfim(spec), (Hd, Od)))
+
+    want, got = _z2_symmetries(Hd), _z2_symmetries(H)
+    assert (want is None) == (got is None) == (n == 1)
+    groups, rev = want or ((np.arange(spec.dim),), None)
+    if got is not None:
+        assert len(got[0]) == len(groups) == (1 if theta else 2)
+        assert all(map(_same_bits, got[0], groups)) and _same_bits(got[1], rev)
+    bases = list(_sector_bases(groups, rev))
+    for a in bases:
+        for b in bases:
+            for dense, terms in ((Hd, H), (Od, O)):
+                assert _same_bits(_gather(terms, a, b, rev), _gather(dense, a, b, rev))
+
+    for s in (1e-4, -1e-4, 5e-4, -0.0):
+        assert _same_bits((H + s * O).dense(), Hd + s * Od)
+        assert _same_bits((H + np.float64(s) * O).dense(), Hd + s * Od)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+def test_terms_eigensystem_matches_dense(theta):
+    # the same blocks give the same eigensystem and pair table, bit for bit
+    H, O = q.tfim_operators(q.ModelSpec(8, 0.3, theta))
+    Hd, Od = H.dense(), O.dense()
+    got, want = eigendecompose(H), eigendecompose(Hd)
+    assert _same_bits(got.energies, want.energies) and got.clusters == want.clusters
+    assert all(_same_bits(x.vectors, y.vectors) for x, y in zip(got.sectors, want.sectors))
+    t_got, t_want = _pair_table(got, O), _pair_table(want, Od)
+    assert _same_bits(t_got.diag, t_want.diag)
+    assert all(_same_bits(x[2], y[2]) for x, y in zip(t_got.blocks, t_want.blocks))
+    assert _same_bits(to_eigenbasis(got, O), to_eigenbasis(want, Od))
+
+
+def test_flip_operator_validation():
+    with pytest.raises(ValueError, match="finite"):
+        FlipOperator(np.zeros(4), ((1, math.inf),))
+    with pytest.raises(ValueError, match="finite"):
+        FlipOperator(np.array([0.0, math.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="distinct"):
+        FlipOperator(np.zeros(4), ((1, 1.0), (1, 2.0)))
+    for mask in (0, 4):
+        with pytest.raises(ValueError, match="distinct"):
+            FlipOperator(np.zeros(4), ((mask, 1.0),))
+    with pytest.raises(ValueError, match="2\\^n"):
+        FlipOperator(np.zeros(3))
+    with pytest.raises(ValueError, match="dimension"):
+        FlipOperator(np.zeros(4)) + FlipOperator(np.zeros(8))
+    # zero terms are dropped and the rest sorted by mask
+    A = FlipOperator(np.zeros(4), ((3, 2.0), (1, -0.0), (2, 0.5)))
+    assert A.flips == ((2, 0.5), (3, 2.0)) and A.max_abs() == 2.0
+    assert not A.diagonal.flags.writeable
+
+
+@pytest.fixture
+def no_dense_tfim(monkeypatch):
+    """Make every dense TFIM build raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense H or O was formed")
+
+    monkeypatch.setattr(FlipOperator, "dense", refuse)
+    for module in (q, *vars(q).values()):
+        if hasattr(module, "build_tfim"):
+            monkeypatch.setattr(module, "build_tfim", refuse)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+@pytest.mark.parametrize("axis", ["temperature", "gamma"])
+def test_sweeps_form_no_dense_operator(no_dense_tfim, axis, theta):
+    raw = {"model": {"n_sites": 6, "gamma": 0.4, "theta": theta},
+           "sweep_axis": axis, "grid": [0.2, 0.5, 0.9]}
+    if axis == "gamma":
+        raw["fixed"] = {"beta": 2.0}
+    assert len(q.harness.run_sweep(q.harness.config_from_dict(raw))) == 3
+
+
+@pytest.mark.parametrize("theta", ["0", "0.1"])
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--beta", "2"],
+    ["spectrum", "--beta", "1"],
+    ["spectrum", "--beta", "1", "--kind", "dissipation"],
+    ["sld-check", "--beta", "1", "--panels", "64"],
+    ["locality", "--beta", "1"],
+], ids=["bounds", "spectrum", "dissipation", "sld-check", "locality"])
+def test_commands_form_no_dense_operator(no_dense_tfim, tmp_path, capsys, argv, theta):
+    out = ["--out", str(tmp_path)] if argv[0] in ("spectrum", "locality") else []
+    assert main([*argv, "--n-sites", "6", "--theta", theta, *out]) == 0
