@@ -37,6 +37,8 @@ CSV_HEADER = "axis,lb,qfi,ub1,ub2,alpha,phi,dtheta_min,d_o,d_o_bar,ms"
 
 SWEEP_AXES = ("temperature", "gamma")
 
+SPECTRUM_CHUNK = 1 << 16  # lines per write of spectrum_csv: a few MB each
+
 
 class ConfigError(ValueError):
     """Invalid sweep configuration (CLI exit code 2)."""
@@ -258,9 +260,14 @@ def emit_report(rows, config: SweepConfig, out_dir=None) -> dict:
 
 
 def spectrum_csv(spectrum, path) -> None:
-    lines = ["omega,weight"]
-    lines += [f"{_fmt(o)},{_fmt(w)}" for o, w in spectrum.rows()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """omega,weight lines at .12g, as ``_fmt`` prints them, written
+    SPECTRUM_CHUNK lines at a time with one %-format call each."""
+    with open(path, "w") as f:
+        f.write("omega,weight\n")
+        for i in range(0, len(spectrum), SPECTRUM_CHUNK):
+            chunk = np.column_stack((spectrum.omegas[i:i + SPECTRUM_CHUNK],
+                                     spectrum.weights[i:i + SPECTRUM_CHUNK]))
+            f.write("%.12g,%.12g\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The TFIM is defined once, as bit terms (``FlipOperator``: a diagonal plus
 coefficients of bit-flip masks), from which the symmetry blocks are read
-without a dense matrix; ``build_tfim`` writes the same terms densely.  Every
-other builder returns a plain ``numpy`` array in the computational (z)
-basis, float64 where real and complex otherwise.  Site 0 is the leftmost
-tensor factor, i.e. the most significant bit of the basis index.
+without a dense matrix; ``build_tfim`` writes the same terms densely and
+``FlipOperator.from_dense`` reads them back.  Every other builder returns a
+plain ``numpy`` array in the computational (z) basis, float64 where real
+and complex otherwise.  Site 0 is the leftmost tensor factor, i.e. the most
+significant bit of the basis index.
 """
 
 from __future__ import annotations
@@ -157,6 +158,27 @@ class FlipOperator:
         object.__setattr__(self, "diagonal", diagonal)
         object.__setattr__(self, "flips", tuple(sorted(
             (m, c) for m, c in flips.items() if c != 0.0)))
+
+    @classmethod
+    def from_dense(cls, M) -> FlipOperator | None:
+        """A dense matrix as bit terms, or None: a real 2^n x 2^n M is bit terms
+        (and symmetric) when each entry M[i, i xor m] off the diagonal equals
+        M[0, m], compared TILE rows at a time; a NaN there compares unequal.
+        A non-finite diagonal or coefficient raises as in the constructor."""
+        M = np.asarray(M)
+        d = M.shape[0] if M.ndim == 2 else 0
+        if M.shape != (d, d) or np.iscomplexobj(M) or not 2 <= d <= HARD_DIM_CAP or d & (d - 1):
+            return None
+        M = M.astype(float, copy=False)
+        t, idx = min(TILE, d), np.arange(d)
+        masks, k = idx[:t, None] ^ idx, idx[:t]
+        for i in range(0, d, t):
+            same = M[i:i + t] == M[0, idx ^ i][masks]
+            same[k, i + k] = True
+            if not same.all():
+                return None
+        m = np.flatnonzero(M[0, 1:]) + 1
+        return cls(M.diagonal(), tuple(zip(m.tolist(), M[0, m].tolist())))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -86,9 +86,18 @@ def test_matches_dense_sector_n10(theta):
 
 @pytest.mark.parametrize("model", ["n6_t0", "n8_doublets"])
 def test_complex_matches_dense_sector(model):
+    # a complex matrix is not bit terms: the TFIM cast to complex takes the
+    # one dense sector, and agrees with the real terms' blocks
     (n, gamma, theta), beta = MODELS[model]
-    H, O = q.build_tfim(q.ModelSpec(n, gamma, theta))
-    _assert_matches_dense_sector(H.astype(complex), O.astype(complex), beta)
+    H, O = q.tfim_operators(q.ModelSpec(n, gamma, theta))
+    Hc, Oc = H.dense().astype(complex), O.dense().astype(complex)
+    ens = gibbs_ensemble(eigendecompose(H), beta)
+    ref = gibbs_ensemble(eigendecompose(Hc), beta)
+    assert len(ens.eigs.sectors) > 1 and len(ref.eigs.sectors) == 1
+    assert ens.eigs.clusters == ref.eigs.clusters
+    assert_same_results(pipeline_results(ens, O), pipeline_results(ref, Oc))
+    assert math.isclose(q.thermal_average(ens, O), q.thermal_average(ref, Oc),
+                        rel_tol=REL, abs_tol=REL * O.max_abs())
 
 
 @pytest.mark.parametrize(
@@ -187,6 +196,42 @@ def _reference_tfim(spec):
     return H, O
 
 
+def _dense_symmetries(M):
+    """P and R of a dense M by scanning its elements, the reference the
+    terms' symmetries are tested against: (groups, rev), or None."""
+    d = len(M)
+    n = d.bit_length() - 1
+    if d < 4:
+        return None
+    idx = np.arange(d)
+    parity = np.zeros(d, dtype=np.intp)
+    rev = np.zeros(d, dtype=np.intp)
+    for k in range(n):
+        bit = (idx >> k) & 1
+        parity ^= bit
+        rev |= bit << (n - 1 - k)
+    even, odd = idx[parity == 0], idx[parity == 1]
+    has_p = not M[np.ix_(even, odd)].any()
+    has_r = np.array_equal(M[np.ix_(rev, rev)], M)
+    if not (has_p or has_r):
+        return None
+    return (even, odd) if has_p else (idx,), rev if has_r else None
+
+
+def _dense_gather(M, a, b, rev):
+    """The sector block of a dense M by fancy indexing, the reference of
+    ``_gather`` from terms."""
+    block = M[np.ix_(a.rows, b.rows)]
+    if rev is None:
+        return block
+    (np.add if b.sign > 0 else np.subtract)(block, M[np.ix_(a.rows, rev[b.rows])], out=block)
+    if a.sign > 0:
+        block *= np.where(a.rows == rev[a.rows], np.sqrt(0.5), 1.0)[:, None]
+    if b.sign > 0:
+        block *= np.where(b.rows == rev[b.rows], np.sqrt(0.5), 1.0)
+    return block
+
+
 def _same_bits(x, y):
     """Equal dtype, shape and bytes: signed zeros must match too."""
     x, y = np.asarray(x), np.asarray(y)
@@ -199,23 +244,25 @@ def _same_bits(x, y):
 def test_terms_match_dense(n, gamma, theta):
     # the terms written densely are the reference build; their symmetries,
     # every gathered sector block of H and O and the shifted sum H + s O are
-    # the dense ones bit for bit (gamma = 0 puts signed zeros on H's diagonal)
+    # those of a dense scan and gather bit for bit (gamma = 0 puts signed
+    # zeros on H's diagonal)
     spec = q.ModelSpec(n, gamma, theta)
     Hd, Od = _reference_tfim(spec)
     H, O = q.tfim_operators(spec)
     assert all(map(_same_bits, q.build_tfim(spec), (Hd, Od)))
 
-    want, got = _z2_symmetries(Hd), _z2_symmetries(H)
-    assert (want is None) == (got is None) == (n == 1)
-    groups, rev = want or ((np.arange(spec.dim),), None)
-    if got is not None:
-        assert len(got[0]) == len(groups) == (1 if theta else 2)
-        assert all(map(_same_bits, got[0], groups)) and _same_bits(got[1], rev)
+    want, (groups, rev) = _dense_symmetries(Hd), _z2_symmetries(H, spec.dim)
+    assert (want is None) == (n == 1)
+    if want is None:
+        assert len(groups) == 1 and rev is None
+    else:
+        assert len(groups) == len(want[0]) == (1 if theta else 2)
+        assert all(map(_same_bits, groups, want[0])) and _same_bits(rev, want[1])
     bases = list(_sector_bases(groups, rev))
     for a in bases:
         for b in bases:
             for dense, terms in ((Hd, H), (Od, O)):
-                assert _same_bits(_gather(terms, a, b, rev), _gather(dense, a, b, rev))
+                assert _same_bits(_gather(terms, a, b, rev), _dense_gather(dense, a, b, rev))
 
     for s in (1e-4, -1e-4, 5e-4, -0.0):
         assert _same_bits((H + s * O).dense(), Hd + s * Od)
@@ -224,7 +271,8 @@ def test_terms_match_dense(n, gamma, theta):
 
 @pytest.mark.parametrize("theta", [0.0, 0.1])
 def test_terms_eigensystem_matches_dense(theta):
-    # the same blocks give the same eigensystem and pair table, bit for bit
+    # the dense H and O are read as the same terms: the same eigensystem
+    # and pair table, bit for bit
     H, O = q.tfim_operators(q.ModelSpec(8, 0.3, theta))
     Hd, Od = H.dense(), O.dense()
     got, want = eigendecompose(H), eigendecompose(Hd)
@@ -234,6 +282,42 @@ def test_terms_eigensystem_matches_dense(theta):
     assert _same_bits(t_got.diag, t_want.diag)
     assert all(_same_bits(x[2], y[2]) for x, y in zip(t_got.blocks, t_want.blocks))
     assert _same_bits(to_eigenbasis(got, O), to_eigenbasis(want, Od))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05, math.pi / 2])
+@pytest.mark.parametrize("theta", [0.0, -0.0, 0.1])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_from_dense_reads_terms(n, gamma, theta):
+    # the terms written densely read back as the same terms: the diagonal's
+    # bytes (signed zeros too) and the flips
+    for A in q.tfim_operators(q.ModelSpec(n, gamma, theta)):
+        B = FlipOperator.from_dense(A.dense())
+        assert _same_bits(B.diagonal, A.diagonal) and B.flips == A.flips
+
+
+def _with(M, i, j, value):
+    M = M.copy()
+    M[i, j] = M[j, i] = value
+    return M
+
+
+def test_from_dense_refuses():
+    H, _ = q.build_tfim(q.ModelSpec(6, 0.9, 0.1))
+    for M in (
+        H.astype(complex),
+        np.eye(6),  # not 2^n states
+        np.zeros((4, 8)),
+        np.zeros(4),
+        _with(H, 0, 3, np.nextafter(H[0, 3], np.inf)),  # one entry of a bond
+        q.random_hermitian(16, 3),
+        q.random_hermitian(16, 3).real,  # real symmetric, not bit terms
+        pauli_string_matrix(PauliString({0: "X", 1: "Z"}), 4),  # a bit-dependent sign
+        _with(H, 0, 3, math.nan),
+        _with(H, 5, 6, math.nan),
+    ):
+        assert FlipOperator.from_dense(M) is None
+    with pytest.raises(ValueError, match="finite"):
+        FlipOperator.from_dense(_with(H, 5, 5, math.nan))
 
 
 def test_flip_operator_validation():

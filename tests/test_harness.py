@@ -7,9 +7,12 @@ import pytest
 
 import qfibounds as q
 from qfibounds.cli import main
+from qfibounds.fluctuation import LineSpectrum
 from qfibounds.harness import (
     CSV_HEADER,
+    SPECTRUM_CHUNK,
     ConfigError,
+    _fmt,
     SweepConfig,
     config_from_dict,
     emit_report,
@@ -211,6 +214,26 @@ class TestEmitReport:
         lines = path.read_text().splitlines()
         assert lines[0] == "omega,weight"
         assert len(lines) == 1 + len(s)
+
+    def test_spectrum_csv_bytes(self, tmp_path):
+        # the chunked writer prints what one _fmt line per row joined did,
+        # across a chunk boundary and for -0.0, NaN, +-inf and subnormals
+        rng = np.random.default_rng(7)
+        n = SPECTRUM_CHUNK + 1000
+        special = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf,
+                   5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1 / 3]
+        omegas = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        weights = rng.standard_normal(n)
+        for a in (omegas, weights):
+            a[rng.integers(0, n, 2000)] = rng.choice(special, 2000)
+            a[SPECTRUM_CHUNK - len(special):SPECTRUM_CHUNK + len(special)] = special * 2
+        s = LineSpectrum(omegas, weights, "autocorrelation")
+        path = tmp_path / "spec.csv"
+        spectrum_csv(s, path)
+        lines = ["omega,weight"] + [f"{_fmt(o)},{_fmt(w)}" for o, w in s.rows()]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        spectrum_csv(LineSpectrum(np.zeros(0), np.zeros(0), "autocorrelation"), path)
+        assert path.read_bytes() == b"omega,weight\n"
 
 
 class TestSelftest:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
 from qfibounds.gibbs import gibbs_ensemble
+from qfibounds.operators import FlipOperator
 from qfibounds.spectral import (
     _z2_symmetries,
     cluster_degeneracies,
@@ -28,6 +29,22 @@ class TestClusterDegeneracies:
         e = np.array([0.0, 0.5e-6, 1.0e-6, 1.5e-6, 1.0])
         c = cluster_degeneracies(e, 0.6e-6)
         assert c == ((0, 4), (4, 5))
+
+    @given(seed=st.integers(0, 10_000), size=st.integers(0, 60))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_loop(self, seed, size):
+        # sorted energies on a 1/16 grid, so that ties and gaps of exactly
+        # eps are exact in binary: a gap equal to eps joins
+        rng = np.random.default_rng(seed)
+        eps = 1.0 / 16
+        e = -1.0 + np.cumsum(rng.choice([0.0, eps, eps, 2 * eps, 0.5], size))
+        got = cluster_degeneracies(e, eps)
+        assert got == _loop_clusters(e, eps)
+        assert all(type(x) is int for c in got for x in c)
+
+    def test_nan_gaps_join(self):
+        e = np.array([0.0, 1.0, np.nan, 2.0, 3.0])
+        assert cluster_degeneracies(e, 0.5) == _loop_clusters(e, 0.5) == ((0, 1), (1, 4), (4, 5))
 
     def test_descending_rejected(self):
         with pytest.raises(ValueError):
@@ -60,6 +77,18 @@ class TestEigendecompose:
         recon = (v * eigs.energies) @ v.conj().T
         spread = max(float(eigs.energies[-1] - eigs.energies[0]), 1e-12)
         assert np.max(np.abs(recon - H)) < 1e-9 * max(1.0, spread)
+
+
+def _loop_clusters(energies, eps):
+    """The per-state loop ``cluster_degeneracies`` replaced, as reference."""
+    clusters, start = [], 0
+    for i in range(1, len(energies)):
+        if energies[i] - energies[i - 1] > eps:
+            clusters.append((start, i))
+            start = i
+    if len(energies) > 0:
+        clusters.append((start, len(energies)))
+    return tuple(clusters)
 
 
 def _degenerate_pair():
@@ -146,8 +175,12 @@ def _results(eigs, O, beta):
 
 def _assert_matches_dense(H, O, beta):
     """Energies, eigenvectors and the pipeline's chain, spectra and SLD of
-    ``eigendecompose`` against the dense reference, line by line."""
-    eigs, ref = eigendecompose(H), _dense_eigensystem(H)
+    ``eigendecompose`` (of H, a matrix or bit terms) against the dense
+    reference, line by line."""
+    eigs = eigendecompose(H)
+    if isinstance(H, FlipOperator):
+        H = H.dense()
+    ref = _dense_eigensystem(H)
     scale = max(1.0, float(ref.energies[-1] - ref.energies[0]))
     assert np.max(np.abs(eigs.energies - ref.energies)) <= 1e-12 * scale
     assert eigs.clusters == ref.clusters
@@ -171,12 +204,12 @@ class TestSectorEigendecompose:
     @pytest.mark.parametrize("theta", [0.0, 0.1])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_dense_eigh(self, n, theta):
-        H, O = q.build_tfim(q.ModelSpec(n, 0.9, theta))
-        symmetries = _z2_symmetries(H)
+        spec = q.ModelSpec(n, 0.9, theta)
+        H, O = q.build_tfim(spec)
+        groups, rev = _z2_symmetries(q.tfim_operators(spec)[0], spec.dim)
         if n == 1:
-            assert symmetries is None
+            assert len(groups) == 1 and rev is None
         else:
-            groups, rev = symmetries
             assert len(groups) == (2 if theta == 0.0 else 1) and rev is not None
         _assert_matches_dense(H, O, 1.5)
 
@@ -197,13 +230,15 @@ class TestSectorEigendecompose:
         assert [len(s.vectors) for s in sectors] == sizes
 
     def test_parity_only_after_reflection_broken(self):
-        # theta = 0 keeps P; moving H[0, 3] (an XX bond at the last two sites)
-        # by one ulp breaks R, since its mirror H[0, 48] stays
-        H, O = q.build_tfim(q.ModelSpec(6, 0.9, 0.0))
-        H = _one_ulp_off(H, 0, 3)
-        groups, rev = _z2_symmetries(H)
+        # theta = 0 keeps P; moving the coefficient of mask 3 (the XX bond at
+        # the last two sites) by one ulp breaks R, since its mirror mask 48
+        # stays
+        H, O = q.tfim_operators(q.ModelSpec(6, 0.9, 0.0))
+        H = FlipOperator(H.diagonal, tuple(
+            (m, np.nextafter(c, np.inf) if m == 3 else c) for m, c in H.flips))
+        groups, rev = _z2_symmetries(H, 64)
         assert len(groups) == 2 and rev is None
-        _assert_matches_dense(H, O, 1.5)
+        _assert_matches_dense(H, O.dense(), 1.5)
 
     @pytest.mark.parametrize(
         "make",
@@ -212,13 +247,20 @@ class TestSectorEigendecompose:
             lambda: q.random_hermitian(6, 4),
             # the field on the last site, whose mirror H[0, 32] stays
             lambda: _one_ulp_off(q.build_tfim(q.ModelSpec(6, 0.9, 0.1))[0], 0, 1),
+            # one entry of the XX bond at the last two sites: not bit terms,
+            # though the bond's mirror keeps P
+            lambda: _one_ulp_off(q.build_tfim(q.ModelSpec(6, 0.9, 0.0))[0], 0, 3),
         ],
-        ids=["random_hermitian", "dim6", "tfim_one_ulp"],
+        ids=["random_hermitian", "dim6", "tfim_one_ulp", "tfim_one_ulp_bond"],
     )
     def test_dense_fallback(self, make):
+        # a dense matrix that is not bit terms has no symmetry: one dense
+        # sector, the one dense eigh
         H = make()
-        assert _z2_symmetries(H) is None
+        assert FlipOperator.from_dense(H) is None
         eigs = eigendecompose(H)
+        groups, rev = eigs.symmetries
+        assert len(groups) == 1 and rev is None
         e, v = np.linalg.eigh(H)
         (sector,) = eigs.sectors
         assert np.array_equal(sector.basis.rows, np.arange(len(H)))
@@ -231,8 +273,9 @@ class TestSectorEigendecompose:
         # gamma = 0.05: each ferromagnetic doublet pairs an even- and an
         # odd-parity state inside eps_deg; O = sum X flips parity, so the
         # rotation mixes them
-        H, O = q.build_tfim(q.ModelSpec(n, 0.05))
-        (even, odd), _ = _z2_symmetries(H)
+        spec = q.ModelSpec(n, 0.05)
+        H, O = q.build_tfim(spec)
+        (even, odd), _ = _z2_symmetries(q.tfim_operators(spec)[0], spec.dim)
         eigs = eigendecompose(H)
 
         def odd_weight(vectors, a, b):

@@ -4,6 +4,7 @@ the library; a rename or deletion in ``src/`` must not leave one dangling."""
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -35,3 +36,20 @@ def test_workload_names_resolve():
             and node.value.id in modules}
     assert len(used) > 20
     assert _missing(sorted(used), lambda value: value is not None) == []
+
+
+def test_workload_warmups_run(tmp_path, monkeypatch):
+    # each workload's warmup input runs, passes its own check and fingerprints
+    # to bytes, so that an API or output drift fails here before it turns
+    # benchmark operations into failures
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for name, w in workloads.WORKLOADS.items():
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        out = w.run(w.warmup, out_dir)
+        assert w.check(w.warmup, out) == [], name
+        assert isinstance(w.fingerprint(out), bytes), name
