@@ -30,6 +30,7 @@ from .harness import (
     run_sweep,
     selftest,
     spectrum_csv,
+    write_csv,
 )
 
 
@@ -242,11 +243,8 @@ def _dispatch(args) -> int:
             raise ConfigError(str(exc)) from exc
         args.out.mkdir(parents=True, exist_ok=True)
         csv_path = args.out / "locality_profile.csv"
-        lines = ["r,norm"] + [
-            f"{int(r)},{n:.12g}"
-            for r, n in zip(profile.distances, profile.commutator_norms)
-        ]
-        csv_path.write_text("\n".join(lines) + "\n")
+        write_csv(csv_path, "r,norm", "%d,%.12g\n",
+                  (profile.distances, profile.commutator_norms))
         fit_path = args.out / "locality_fit.json"
         fit_path.write_text(
             json.dumps(

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TILE, FlipOperator, ModelSpec, tfim_operators
-from .spectral import EigenSystem, eigenbasis_blocks, eigendecompose
+from .operators import TILE, ModelSpec, tfim_operators
+from .spectral import EigenSystem, _operator, eigenbasis_blocks, eigendecompose
 
 _IMAG_TOL = 1e-10
 
@@ -85,13 +85,19 @@ def _real_or_raise(value: complex, scale: float, what: str) -> float:
 def thermal_average(ens: GibbsEnsemble, A) -> float:
     """<A> = sum_n p_n <n|A|n> of a Hermitian A (a matrix or a
     ``FlipOperator``) of the ensemble's dimension, from the diagonal of its
-    eigenbasis blocks alone."""
+    eigenbasis blocks alone.  Only complex blocks (a complex A or
+    eigensystem) give the sum an imaginary part, and only one above 1e-10
+    needs the scale max|A_ij| of its tolerance."""
     pairs, block = eigenbasis_blocks(ens.eigs, A)
     p = ens.populations
     val = sum(complex(np.dot(p[a.columns], block(a, a).diagonal()))
               for a, b in pairs if a is b)
-    scale = A.max_abs() if isinstance(A, FlipOperator) else float(np.max(np.abs(A)))
-    return _real_or_raise(val, scale or 1.0, "thermal average")
+    scale = 1.0
+    if not abs(val.imag) <= _IMAG_TOL:  # NaN reads the scale too
+        _, sub, d = _operator(A)
+        idx = np.arange(d)
+        scale = float(np.max(np.abs(sub(idx, idx))))
+    return _real_or_raise(val, scale, "thermal average")
 
 
 def _tanh_over_omega(omega: np.ndarray, beta: float) -> np.ndarray:

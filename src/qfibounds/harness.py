@@ -37,7 +37,7 @@ CSV_HEADER = "axis,lb,qfi,ub1,ub2,alpha,phi,dtheta_min,d_o,d_o_bar,ms"
 
 SWEEP_AXES = ("temperature", "gamma")
 
-SPECTRUM_CHUNK = 1 << 16  # lines per write of spectrum_csv: a few MB each
+CSV_CHUNK = 1 << 16  # rows per write of write_csv: a few MB each
 
 
 class ConfigError(ValueError):
@@ -209,8 +209,15 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     return [evaluate_point(config, x) for x in points]
 
 
-def _fmt(x: float) -> str:  # .12g prints NaN of either sign as "nan"
-    return format(float(x), ".12g")
+def write_csv(path, header: str, row_format: str, columns) -> None:
+    """``header``, then one row per index of the equal-length ``columns``,
+    printed by the %-format ``row_format`` (.12g prints NaN of either sign
+    as "nan"), CSV_CHUNK rows per write with one %-format call each."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for i in range(0, len(columns[0]), CSV_CHUNK):
+            chunk = np.column_stack([c[i:i + CSV_CHUNK] for c in columns])
+            f.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def emit_report(rows, config: SweepConfig, out_dir=None) -> dict:
@@ -222,28 +229,10 @@ def emit_report(rows, config: SweepConfig, out_dir=None) -> dict:
     """
     out = Path(out_dir if out_dir is not None else config.outputs)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [CSV_HEADER]
-    for row in rows:
-        r = row.report
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.axis),
-                    _fmt(r.lb),
-                    _fmt(r.qfi),
-                    _fmt(r.ub1),
-                    _fmt(r.ub2),
-                    _fmt(r.alpha),
-                    _fmt(r.phi),
-                    _fmt(r.dtheta_min),
-                    _fmt(r.d_o),
-                    _fmt(r.d_o_bar),
-                    "",
-                ]
-            )
-        )
+    columns = [[row.axis for row in rows]] + [  # the report fields the header names
+        [getattr(row.report, k) for row in rows] for k in CSV_HEADER.split(",")[1:-1]]
     csv_path = out / "sweep.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_csv(csv_path, CSV_HEADER, "%.12g," * 10 + "\n", columns)
 
     payload = {
         "tool": "qfibounds",
@@ -260,14 +249,8 @@ def emit_report(rows, config: SweepConfig, out_dir=None) -> dict:
 
 
 def spectrum_csv(spectrum, path) -> None:
-    """omega,weight lines at .12g, as ``_fmt`` prints them, written
-    SPECTRUM_CHUNK lines at a time with one %-format call each."""
-    with open(path, "w") as f:
-        f.write("omega,weight\n")
-        for i in range(0, len(spectrum), SPECTRUM_CHUNK):
-            chunk = np.column_stack((spectrum.omegas[i:i + SPECTRUM_CHUNK],
-                                     spectrum.weights[i:i + SPECTRUM_CHUNK]))
-            f.write("%.12g,%.12g\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+    """omega,weight lines at .12g (``write_csv``)."""
+    write_csv(path, "omega,weight", "%.12g,%.12g\n", (spectrum.omegas, spectrum.weights))
 
 
 # ---------------------------------------------------------------------------

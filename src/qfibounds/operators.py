@@ -215,10 +215,6 @@ class FlipOperator:
         return np.array_equal(self.diagonal[rev], sign * self.diagonal) and all(
             flips.get(int(rev[m])) == sign * c for m, c in self.flips)
 
-    def max_abs(self) -> float:
-        """max |A_ij| over the dense matrix."""
-        return max([float(np.max(np.abs(self.diagonal)))] + [abs(c) for _, c in self.flips])
-
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """A[np.ix_(rows, cols)] for distinct ``cols``, filled term by term
         through the position of each column: row s holds the diagonal at

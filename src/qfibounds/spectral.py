@@ -7,17 +7,17 @@ P = prod Z and the reflection R of the chain, and every block is
 diagonalized on its own, read from the terms with no d x d matrix.  Every
 operator enters through ``_operator``: a dense matrix is read as terms when
 it is one (``FlipOperator.from_dense``), and any other (complex, or real but
-not bit terms) is validated as Hermitian and is one dense sector.  The
+not bit terms) is validated as Hermitian and has no parity.  The
 eigensystem keeps the blocks: per sector its basis map into the
 symmetry-adapted basis, its block eigenvectors W and the positions of its
-states in the ascending order.  An operator with a definite parity under
-each of H's symmetries links only some sector pairs, and
+states in the ascending order.  Every operator links the sector pairs its
+parities allow, all of them under a symmetry it has no parity for, and
 ``eigenbasis_blocks`` transforms only those, W_a^H A_ab W_b, the one way into
 the eigenbasis (``to_eigenbasis`` assembles them densely).  Dense eigenvector
 columns (``EigenSystem.vectors``) are assembled on first use, for the callers
-whose output is a computational-basis matrix.  An H with neither symmetry is
-one sector with the identity map, and so is the reference every block path
-is tested against (``dense_eigensystem``).
+whose output is a computational-basis matrix; no transform reads them.  An H
+with neither symmetry is one sector with the identity map, and so is the
+reference every block path is tested against (``dense_eigensystem``).
 
 Eigenvalues that coincide within a tolerance are grouped into clusters, and
 every formula downstream reads each state's cluster-mean energy
@@ -82,7 +82,8 @@ class EigenSystem:
     """Sorted eigenvalues, the symmetry sectors holding the eigenvectors and
     the degeneracy clusters.  ``symmetries`` is H's (groups, rev) of
     ``_z2_symmetries``: one group of all indices and rev None for a single
-    sector with the identity map."""
+    sector with the identity map.  The transforms read the sectors; the
+    dense ``vectors`` serve only outputs in the computational basis."""
 
     energies: np.ndarray
     sectors: tuple
@@ -121,16 +122,12 @@ class EigenSystem:
         return (v * populations) @ v.conj().T
 
 
-def _identity_sector(vectors: np.ndarray) -> Sector:
-    idx = np.arange(len(vectors))
-    return Sector(SectorBasis(0, idx, 0, 1.0), vectors, idx)
-
-
 def dense_eigensystem(energies, vectors, clusters, eps_deg) -> EigenSystem:
     """The eigensystem of ascending ``energies`` and eigenvector columns
     ``vectors`` as one sector with the identity map."""
-    sector = _identity_sector(vectors)
-    return EigenSystem(energies, (sector,), clusters, eps_deg, ((sector.columns,), None))
+    idx = np.arange(len(vectors))
+    sector = Sector(SectorBasis(0, idx, 0, 1.0), vectors, idx)
+    return EigenSystem(energies, (sector,), clusters, eps_deg, ((idx,), None))
 
 
 def cluster_degeneracies(energies: np.ndarray, eps: float) -> tuple:
@@ -145,14 +142,16 @@ def cluster_degeneracies(energies: np.ndarray, eps: float) -> tuple:
 
 
 def _operator(A):
-    """(terms, A) of every operator: a ``FlipOperator`` is its own terms, a
-    dense matrix is read by ``FlipOperator.from_dense``, and one that is not
-    bit terms is validated by ``check_hermitian`` and has terms None.  A is
-    what the one dense sector reads: the terms, or the dense matrix itself."""
-    if isinstance(A, FlipOperator):
-        return A, A
-    terms = FlipOperator.from_dense(A)
-    return terms, check_hermitian(A) if terms is None else np.asarray(A, dtype=float)
+    """(terms, sub, d) of every operator on d states: a ``FlipOperator`` is
+    its own terms, a dense matrix is read by ``FlipOperator.from_dense``, and
+    one that is not bit terms is validated by ``check_hermitian`` and has
+    terms None.  sub(rows, cols) is A[np.ix_(rows, cols)], filled from the
+    terms (``FlipOperator.submatrix``) or indexed from the matrix."""
+    terms = A if isinstance(A, FlipOperator) else FlipOperator.from_dense(A)
+    if terms is not None:
+        return terms, terms.submatrix, terms.shape[0]
+    A = check_hermitian(A)
+    return None, lambda rows, cols: A[np.ix_(rows, cols)], A.shape[0]
 
 
 def _z2_symmetries(H: FlipOperator | None, d: int):
@@ -202,22 +201,29 @@ def _palindrome_weights(rows: np.ndarray, rev: np.ndarray) -> np.ndarray:
     return np.where(rows == rev[rows], np.sqrt(0.5), 1.0)
 
 
-def _gather(M, a: SectorBasis, b: SectorBasis, rev: np.ndarray | None):
-    """The block of the bit terms M between sectors a and b in their
-    symmetry-adapted bases; a dense M is the identity block of the one dense
-    sector, and is the block as it is.
+def _gather(sub, a: SectorBasis, b: SectorBasis, rev: np.ndarray | None, mirrored: bool):
+    """The block of M between sectors a and b in their symmetry-adapted
+    bases, from sub(rows, cols) = M[np.ix_(rows, cols)] (``_operator``).
 
-    For M with M[r, r] = sign_a sign_b M, the block is
-    (A + sign_b C)_kl w_k w_l with A = M[s_a, s_b], C = M[s_a, r(s_b)] and
-    w = 1 for a pair, 1/sqrt 2 for a palindrome (R-odd sectors hold pairs
-    only), A and C filled from the terms.  With ``rev`` None the bases are
-    the rows themselves and the block is A."""
-    if isinstance(M, np.ndarray):
-        return M
-    block = M.submatrix(a.rows, b.rows)
+    With w = 1 for a pair and 1/sqrt 2 for a palindrome (R-odd sectors hold
+    pairs only), A = M[s_a, s_b], C = M[s_a, r(s_b)], C' = M[r(s_a), s_b]
+    and D = M[r(s_a), r(s_b)], the block is
+    (A + sign_b C + sign_a C' + sign_a sign_b D)_kl w_k w_l / 2.  When M is
+    ``mirrored``, M[r, r] = sign_a sign_b M, the reflected rows repeat the
+    others and the block is (A + sign_b C)_kl w_k w_l.  With ``rev`` None the
+    bases are the rows themselves and the block is A."""
     if rev is None:
-        return block
-    (np.add if b.sign > 0 else np.subtract)(block, M.submatrix(a.rows, rev[b.rows]), out=block)
+        return sub(a.rows, b.rows)
+
+    def half(rows):  # M[rows, s_b] + sign_b M[rows, r(s_b)]
+        x = sub(rows, b.rows)
+        (np.add if b.sign > 0 else np.subtract)(x, sub(rows, rev[b.rows]), out=x)
+        return x
+
+    block = half(a.rows)
+    if not mirrored:
+        (np.add if a.sign > 0 else np.subtract)(block, half(rev[a.rows]), out=block)
+        block *= 0.5
     if a.sign > 0:
         block *= _palindrome_weights(a.rows, rev)[:, None]
     if b.sign > 0:
@@ -225,10 +231,11 @@ def _gather(M, a: SectorBasis, b: SectorBasis, rev: np.ndarray | None):
     return block
 
 
-def _sector_eigh(H, groups: tuple, rev: np.ndarray | None):
+def _sector_eigh(sub, groups: tuple, rev: np.ndarray | None):
     """Ascending energies, sorted stably across sectors, and the sectors
-    from one ``eigh`` per block of H (``_gather``)."""
-    parts = [(*np.linalg.eigh(_gather(H, b, b, rev)), b)
+    from one ``eigh`` per block of H, mirrored under its own R
+    (``_gather``)."""
+    parts = [(*np.linalg.eigh(_gather(sub, b, b, rev, True)), b)
              for b in _sector_bases(groups, rev) if len(b.rows)]
     energies = np.concatenate([p[0] for p in parts])
     order = np.argsort(energies, kind="stable")
@@ -251,11 +258,10 @@ def eigendecompose(H, eps_deg: float | None = None) -> EigenSystem:
     from the terms, and the energies are sorted stably across blocks;
     otherwise H is one block.  The eigensystem keeps the block eigenvectors.
     """
-    terms, H = _operator(H)
-    groups, rev = symmetries = _z2_symmetries(terms, H.shape[0])
+    terms, sub, d = _operator(H)
+    groups, rev = symmetries = _z2_symmetries(terms, d)
     try:
-        energies, sectors = _sector_eigh(
-            H if len(groups) == 1 and rev is None else terms, groups, rev)
+        energies, sectors = _sector_eigh(sub, groups, rev)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     eps = resolve_eps_deg(energies, eps_deg)
@@ -270,26 +276,23 @@ def eigendecompose(H, eps_deg: float | None = None) -> EigenSystem:
 
 def _linked_sectors(eigs: EigenSystem, A: FlipOperator | None):
     """The sector pairs (a, b), a before or at b, that the bit terms A can
-    link, and the reflection their gather uses.
+    link, and A's R parity.
 
     A links sectors of spin-parity classes g_a, g_b when g_a xor g_b is its
     P parity (0 when it links only equal parities, 1 when only opposite
     ones) and sectors of R signs s_a, s_b when s_a s_b is its R parity
     (A[r, r] = +-A), each read exactly from the terms as ``_z2_symmetries``
-    reads H's.  Without a definite parity under one of H's symmetries, or
-    without terms (A None), A takes the one dense sector of ``vectors``."""
+    reads H's.  A parity that is None, because A has none, H has no such
+    symmetry or there are no terms (A None), links every pair under it."""
     groups, rev = eigs.symmetries
-    flip = 0 if len(groups) == 1 else None if A is None else (
+    flip = None if A is None or len(groups) == 1 else (
         0 if not A.links_parity(1) else None if A.links_parity(0) else 1)
-    sign = 1 if rev is None else None if A is None else next(
+    sign = None if A is None or rev is None else next(
         (s for s in (1, -1) if A.mirrored(rev, s)), None)
-    if flip is None or sign is None:
-        dense = _identity_sector(eigs.vectors)
-        return [(dense, dense)], None
     sectors = eigs.sectors
     return [(a, b) for i, a in enumerate(sectors) for b in sectors[i:]
-            if a.basis.parity ^ b.basis.parity == flip
-            and a.basis.sign * b.basis.sign == sign], rev
+            if flip in (None, a.basis.parity ^ b.basis.parity)
+            and sign in (None, a.basis.sign * b.basis.sign)], sign
 
 
 def eigenbasis_blocks(eigs: EigenSystem, A):
@@ -299,14 +302,14 @@ def eigenbasis_blocks(eigs: EigenSystem, A):
     A's eigenbasis matrix elements between the states of sectors a and b.
     The elements between b and a are the conjugate transpose, and those of
     the pairs not listed are zero."""
-    terms, A = _operator(A)
-    if A.shape[0] != eigs.dim:
+    terms, sub, d = _operator(A)
+    if d != eigs.dim:
         raise ValueError("dimension mismatch")
-    pairs, rev = _linked_sectors(eigs, terms)
-    M = A if len(pairs[0][0].columns) == eigs.dim else terms
+    pairs, sign = _linked_sectors(eigs, terms)
+    rev, mirrored = eigs.symmetries[1], sign is not None
 
     def block(a: Sector, b: Sector) -> np.ndarray:
-        return a.vectors.conj().T @ _gather(M, a.basis, b.basis, rev) @ b.vectors
+        return a.vectors.conj().T @ _gather(sub, a.basis, b.basis, rev, mirrored) @ b.vectors
 
     return pairs, block
 
@@ -329,14 +332,15 @@ def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
 
 
 def to_eigenbasis(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:
-    """A_mn = <m|A|n> from A's linked blocks (``eigenbasis_blocks`` validates A), 0 elsewhere."""
+    """A_mn = <m|A|n> from A's linked blocks (``eigenbasis_blocks`` validates
+    A), 0 elsewhere, with the dtype of the blocks."""
     pairs, block = eigenbasis_blocks(eigs, A)
-    if len(pairs[0][0].columns) == eigs.dim:  # the one dense sector
-        return block(*pairs[0])
-    # linked blocks are read from real terms, so they have the vectors' dtype
-    out = np.zeros((eigs.dim,) * 2, dtype=eigs.sectors[0].vectors.dtype)
+    out = None
     for a, b in pairs:
-        out[np.ix_(a.columns, b.columns)] = x = block(a, b)
+        x = block(a, b)
+        if out is None:  # every block has the dtype of W^H A W
+            out = np.zeros((eigs.dim,) * 2, dtype=x.dtype)
+        out[np.ix_(a.columns, b.columns)] = x
         if a is not b:
             out[np.ix_(b.columns, a.columns)] = x.conj().T
     return out

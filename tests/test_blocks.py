@@ -18,7 +18,9 @@ from qfibounds.cli import main
 from qfibounds.gibbs import _pair_table, gibbs_ensemble
 from qfibounds.operators import FlipOperator, PauliString, pauli_string_matrix
 from qfibounds.spectral import (
+    EigenSystem,
     _gather,
+    _operator,
     _sector_bases,
     _z2_symmetries,
     dense_eigensystem,
@@ -97,7 +99,7 @@ def test_complex_matches_dense_sector(model):
     assert ens.eigs.clusters == ref.eigs.clusters
     assert_same_results(pipeline_results(ens, O), pipeline_results(ref, Oc))
     assert math.isclose(q.thermal_average(ens, O), q.thermal_average(ref, Oc),
-                        rel_tol=REL, abs_tol=REL * O.max_abs())
+                        rel_tol=REL, abs_tol=REL * float(np.max(np.abs(Oc))))
 
 
 @pytest.mark.parametrize(
@@ -108,7 +110,8 @@ def test_complex_matches_dense_sector(model):
         (0.0, "sum_z", 4, 4),
         (0.0, "ramp_x", 4, 2),
         (0.1, "ramp_x", 2, 1),  # R-odd: R+ <-> R-
-        (0.0, "z0", 4, 1),  # the one dense sector
+        (0.0, "z0", 4, 6),  # P-even, no R parity: every same-P pair
+        (0.1, "z0", 2, 3),  # no R parity: every pair
     ],
 )
 @pytest.mark.parametrize("n", [5, 6])
@@ -131,48 +134,67 @@ def test_linked_sector_pairs(n, theta, operator, sectors, blocks):
         assert close_arrays(block, want)
         inside[np.ix_(a.columns, b.columns)] = inside[np.ix_(b.columns, a.columns)] = True
     assert np.sum(o2[~inside]) <= 1e-26 * np.sum(o2)
-    if operator == "z0":
-        ((a, b, _),) = table.blocks
-        assert a is b and np.array_equal(a.columns, np.arange(len(H)))
+
+
+def _assert_assembled(eigs, A):
+    """to_eigenbasis(eigs, A) is V^H A V to 1e-12 max|A| and exactly 0
+    between the sector pairs A cannot link; the linked mask."""
+    got = to_eigenbasis(eigs, A)
+    v = eigs.vectors
+    want = v.conj().T @ A @ v
+    assert got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(A))
+    linked = np.zeros(got.shape, dtype=bool)
+    for a, b in eigenbasis_blocks(eigs, A)[0]:
+        linked[np.ix_(a.columns, b.columns)] = linked[np.ix_(b.columns, a.columns)] = True
+    assert np.all(got[~linked] == 0.0)
+    return linked
 
 
 @pytest.mark.parametrize("operator", sorted(OPERATORS))
 @pytest.mark.parametrize("theta", [0.0, 0.1])
 @pytest.mark.parametrize("n", [5, 6])
 def test_to_eigenbasis_assembles_linked_blocks(n, theta, operator):
-    # the dense eigenbasis matrix from the linked blocks: V^T A V to 1e-12,
-    # exactly 0 between the sectors A cannot link, and for an A without a
-    # definite parity the dense product itself
+    # the dense eigenbasis matrix from the linked blocks; only sigma^z_0 at
+    # theta != 0, with no parity under H's one symmetry R, links every pair
     H, _ = q.build_tfim(q.ModelSpec(n, 0.9, theta))
-    A = OPERATORS[operator](n)
-    eigs = eigendecompose(H)
-    got = to_eigenbasis(eigs, A)
-    v = eigs.vectors
-    want = v.conj().T @ A @ v
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(A))
-
-    linked = np.zeros(got.shape, dtype=bool)
-    for a, b in eigenbasis_blocks(eigs, A)[0]:
-        linked[np.ix_(a.columns, b.columns)] = linked[np.ix_(b.columns, a.columns)] = True
-    assert np.all(got[~linked] == 0.0)
-    if operator == "z0":
-        assert linked.all() and np.array_equal(got, want)
-    else:
-        assert not linked.all()
+    linked = _assert_assembled(eigendecompose(H), OPERATORS[operator](n))
+    assert linked.all() == (operator == "z0" and theta != 0)
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.1])
-def test_to_eigenbasis_dense_fallback_n8(theta):
-    # sigma^x_0, the operator locality dresses, has no R parity and takes the
-    # one dense sector: the result is the dense product itself
+@pytest.mark.parametrize("theta, pairs", [(0.0, 4), (0.1, 3)])
+def test_to_eigenbasis_x0_n8(theta, pairs):
+    # sigma^x_0, the operator locality dresses, has no R parity: at theta = 0
+    # it is P-odd and links the 4 pairs of opposite P, at theta != 0 all 3
     n = 8
     H, _ = q.build_tfim(q.ModelSpec(n, 0.4 * math.pi, theta))
     A = pauli_string_matrix(PauliString({0: "X"}), n)
     eigs = eigendecompose(H)
-    (a, b), = eigenbasis_blocks(eigs, A)[0]
-    assert a is b and np.array_equal(a.columns, np.arange(1 << n))
-    v = eigs.vectors
-    assert np.array_equal(to_eigenbasis(eigs, A), v.conj().T @ A @ v)
+    links = eigenbasis_blocks(eigs, A)[0]
+    assert len(links) == pairs
+    assert all(a.basis.parity != b.basis.parity for a, b in links) == (theta == 0)
+    assert _assert_assembled(eigs, A).all() == (theta != 0)
+
+
+NON_TERMS = {
+    "random": lambda n: q.random_hermitian(1 << n, 11),
+    "random_real": lambda n: q.random_hermitian(1 << n, 11).real,
+    "y0x2": lambda n: pauli_string_matrix(PauliString({0: "Y", 2: "X"}), n),
+}
+
+
+@pytest.mark.parametrize("operator", sorted(NON_TERMS))
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+@pytest.mark.parametrize("n", [5, 6])
+def test_to_eigenbasis_non_terms(n, theta, operator):
+    # a matrix that is not bit terms has no parity and links every pair of
+    # the symmetric H's sectors, gathered with the reflected rows too
+    H, _ = q.tfim_operators(q.ModelSpec(n, 0.9, theta))
+    A = NON_TERMS[operator](n)
+    assert FlipOperator.from_dense(A) is None
+    eigs = eigendecompose(H)
+    assert len(eigs.sectors) > 1
+    assert _assert_assembled(eigs, A).all()
 
 
 # -- the TFIM's bit terms against the dense matrices ----------------------------
@@ -218,18 +240,38 @@ def _dense_symmetries(M):
     return (even, odd) if has_p else (idx,), rev if has_r else None
 
 
-def _dense_gather(M, a, b, rev):
+def _dense_gather(M, a, b, rev, mirrored=True):
     """The sector block of a dense M by fancy indexing, the reference of
-    ``_gather`` from terms."""
-    block = M[np.ix_(a.rows, b.rows)]
+    ``_gather`` from terms: S_a^T M S_b (``_adapted_basis``) by its four
+    index blocks, A + sign_b C, and without a mirror plus
+    sign_a (C' + sign_b D), halved, in ``_gather``'s order of operations."""
+    def half(rows):
+        x = M[np.ix_(rows, b.rows)]
+        (np.add if b.sign > 0 else np.subtract)(x, M[np.ix_(rows, rev[b.rows])], out=x)
+        return x
+
     if rev is None:
-        return block
-    (np.add if b.sign > 0 else np.subtract)(block, M[np.ix_(a.rows, rev[b.rows])], out=block)
+        return M[np.ix_(a.rows, b.rows)]
+    block = half(a.rows)
+    if not mirrored:
+        (np.add if a.sign > 0 else np.subtract)(block, half(rev[a.rows]), out=block)
+        block *= 0.5
     if a.sign > 0:
         block *= np.where(a.rows == rev[a.rows], np.sqrt(0.5), 1.0)[:, None]
     if b.sign > 0:
         block *= np.where(b.rows == rev[b.rows], np.sqrt(0.5), 1.0)
     return block
+
+
+def _adapted_basis(a, rev, d):
+    """S_a, the d x len(rows) columns of sector a's symmetry-adapted basis:
+    (e_s + sign e_r(s)) / sqrt 2 for a pair, e_s for a palindrome."""
+    S = np.zeros((d, len(a.rows)))
+    k = np.arange(len(a.rows))
+    pair = a.rows != rev[a.rows]
+    S[a.rows, k] = np.where(pair, np.sqrt(0.5), 1.0)
+    S[rev[a.rows[pair]], k[pair]] = a.sign * np.sqrt(0.5)
+    return S
 
 
 def _same_bits(x, y):
@@ -262,11 +304,35 @@ def test_terms_match_dense(n, gamma, theta):
     for a in bases:
         for b in bases:
             for dense, terms in ((Hd, H), (Od, O)):
-                assert _same_bits(_gather(terms, a, b, rev), _dense_gather(dense, a, b, rev))
+                assert _same_bits(_gather(terms.submatrix, a, b, rev, True),
+                                  _dense_gather(dense, a, b, rev))
 
     for s in (1e-4, -1e-4, 5e-4, -0.0):
         assert _same_bits((H + s * O).dense(), Hd + s * Od)
         assert _same_bits((H + np.float64(s) * O).dense(), Hd + s * Od)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+@pytest.mark.parametrize("n", [5, 6])
+def test_unmirrored_gather_matches_dense(n, theta):
+    # without a definite R parity the reflected rows are gathered too: every
+    # sector block is the dense S_a^T M S_b, bit for bit by index blocks and
+    # to 1e-15 max|M| as the matrix product
+    H, O = q.tfim_operators(q.ModelSpec(n, 0.9, theta))
+    d = 1 << n
+    groups, rev = _z2_symmetries(H, d)
+    bases = [b for b in _sector_bases(groups, rev) if len(b.rows)]
+    x0, z0 = (pauli_string_matrix(PauliString({0: axis}), n) for axis in "XZ")
+    for M in (H.dense(), O.dense(), x0, z0, q.random_hermitian(d, 3),
+              q.random_hermitian(d, 3).real):
+        _, sub, _ = _operator(M)
+        for a in bases:
+            for b in bases:
+                got = _gather(sub, a, b, rev, False)
+                # + 0.0 clears the signed zeros of a Pauli string's kron
+                assert _same_bits(got, _dense_gather(M + 0.0, a, b, rev, False))
+                want = _adapted_basis(a, rev, d).T @ M @ _adapted_basis(b, rev, d)
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(M))
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.1])
@@ -336,7 +402,7 @@ def test_flip_operator_validation():
         FlipOperator(np.zeros(4)) + FlipOperator(np.zeros(8))
     # zero terms are dropped and the rest sorted by mask
     A = FlipOperator(np.zeros(4), ((3, 2.0), (1, -0.0), (2, 0.5)))
-    assert A.flips == ((2, 0.5), (3, 2.0)) and A.max_abs() == 2.0
+    assert A.flips == ((2, 0.5), (3, 2.0))
     assert not A.diagonal.flags.writeable
 
 
@@ -372,4 +438,41 @@ def test_sweeps_form_no_dense_operator(no_dense_tfim, axis, theta):
 ], ids=["bounds", "spectrum", "dissipation", "sld-check", "locality"])
 def test_commands_form_no_dense_operator(no_dense_tfim, tmp_path, capsys, argv, theta):
     out = ["--out", str(tmp_path)] if argv[0] in ("spectrum", "locality") else []
+    assert main([*argv, "--n-sites", "6", "--theta", theta, *out]) == 0
+
+
+@pytest.fixture
+def no_dense_vectors(monkeypatch):
+    """Make every read of the dense eigenvector columns raise."""
+    def refuse(self):
+        raise AssertionError("the dense eigenvector columns were read")
+
+    monkeypatch.setattr(EigenSystem, "vectors", property(refuse))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+def test_transforms_read_no_dense_vectors(no_dense_vectors, theta):
+    # every operator, with or without parities or bit terms, is transformed
+    # from the sector blocks
+    n = 6
+    H, _ = q.tfim_operators(q.ModelSpec(n, 0.4, theta))
+    ens = gibbs_ensemble(eigendecompose(H), 1.5)
+    for A in (pauli_string_matrix(PauliString({0: "X"}), n),
+              pauli_string_matrix(PauliString({0: "Z"}), n),
+              q.random_hermitian(1 << n, 5)):
+        assert to_eigenbasis(ens.eigs, A).shape == (1 << n,) * 2
+        assert math.isfinite(q.thermal_average(ens, A))
+        assert _pair_table(ens.eigs, A).blocks
+
+
+@pytest.mark.parametrize("theta", ["0", "0.1"])
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--beta", "2"],
+    ["spectrum", "--beta", "1"],
+    ["spectrum", "--beta", "1", "--kind", "dissipation"],
+    ["sweep-temperature", "--points", "3"],
+    ["sweep-gamma", "--points", "3"],
+], ids=["bounds", "spectrum", "dissipation", "sweep-temperature", "sweep-gamma"])
+def test_commands_read_no_dense_vectors(no_dense_vectors, tmp_path, capsys, argv, theta):
+    out = [] if argv[0] == "bounds" else ["--out", str(tmp_path)]
     assert main([*argv, "--n-sites", "6", "--theta", theta, *out]) == 0

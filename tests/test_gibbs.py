@@ -16,6 +16,7 @@ from qfibounds.gibbs import (
 from qfibounds.qfi import _chain_report
 from qfibounds.spectral import (
     cluster_degeneracies,
+    dense_eigensystem,
     eigendecompose,
     rotate_within_clusters,
     to_eigenbasis,
@@ -75,6 +76,27 @@ class TestThermalAverage:
     def test_identity_averages_to_one(self, tfim3):
         _, _, ens = tfim3
         assert rel_close(q.thermal_average(ens, np.eye(8)), 1.0)
+
+    @pytest.mark.parametrize("complex_h", [False, True])
+    def test_imaginary_roundoff_weighed_against_max_entry(self, complex_h):
+        # 1e9 times a complex A leaves ~1e-8 of roundoff in the imaginary
+        # part, above 1e-10: it passes against 1e-10 max|A_ij|
+        H, _ = q.tfim_operators(q.ModelSpec(6, 0.9, 0.1))
+        ens = q.prepared_gibbs(q.random_hermitian(64, 2) if complex_h else H, None, 1.0)
+        A = 1e9 * q.random_hermitian(64, 1)
+        want = float(np.trace(ens.density_matrix() @ A).real)
+        assert rel_close(q.thermal_average(ens, A), want)
+
+    def test_nan_imaginary_part_raises(self):
+        # a NaN reaches the scale and fails against it, for terms and matrix
+        H, O = q.tfim_operators(q.ModelSpec(3, 0.9))
+        eigs = eigendecompose(H)
+        v = eigs.vectors.astype(complex)
+        v[0, 0] = math.nan
+        ens = gibbs_ensemble(dense_eigensystem(eigs.energies, v, eigs.clusters, eigs.eps_deg), 1.0)
+        for A in (O, O.dense()):
+            with pytest.raises(ValueError, match="imaginary"):
+                q.thermal_average(ens, A)
 
     def test_variance_matches_definition(self, tfim3):
         _, O, ens = tfim3

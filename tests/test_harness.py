@@ -9,11 +9,11 @@ import qfibounds as q
 from qfibounds.cli import main
 from qfibounds.fluctuation import LineSpectrum
 from qfibounds.harness import (
+    CSV_CHUNK,
     CSV_HEADER,
-    SPECTRUM_CHUNK,
     ConfigError,
-    _fmt,
     SweepConfig,
+    SweepRow,
     config_from_dict,
     emit_report,
     evaluate_point,
@@ -22,6 +22,16 @@ from qfibounds.harness import (
     selftest,
     spectrum_csv,
 )
+
+
+def _fmt(x: float) -> str:
+    """One CSV field as the per-field writer printed it, the reference of
+    the chunked %-format writer."""
+    return format(float(x), ".12g")
+
+
+SPECIAL = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf,
+           5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1 / 3]
 
 SMALL = {
     "model": {"n_sites": 3, "gamma": 0.4, "theta": 0.05},
@@ -194,6 +204,22 @@ class TestEmitReport:
             tmp_path / "b" / "sweep.csv"
         ).read_bytes()
 
+    def test_csv_bytes(self, tmp_path):
+        # the chunked writer prints what the per-field join did: ten .12g
+        # fields and the empty ms column, for -0.0, NaN, +-inf and subnormals
+        rng = np.random.default_rng(5)
+        cfg = config_from_dict({**SMALL, "outputs": str(tmp_path)})
+        values = rng.standard_normal((len(SPECIAL) + 3, 10))
+        values[:len(SPECIAL)] = np.array(SPECIAL)[:, None]
+        values[-1] = SPECIAL[:10]
+        rows = [SweepRow(v[0], q.BoundsReport(*v[1:5], 1.0, *v[5:]), 1.0)
+                for v in values.tolist()]
+        emit_report(rows, cfg)
+        want = [CSV_HEADER] + [",".join([*map(_fmt, v), ""]) for v in values]
+        assert (tmp_path / "sweep.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+        emit_report([], cfg)
+        assert (tmp_path / "sweep.csv").read_bytes() == (CSV_HEADER + "\n").encode()
+
     def test_json_mirror(self, tmp_path):
         cfg, rows, paths = self._run(tmp_path)
         payload = json.loads((tmp_path / "sweep.json").read_text())
@@ -219,14 +245,12 @@ class TestEmitReport:
         # the chunked writer prints what one _fmt line per row joined did,
         # across a chunk boundary and for -0.0, NaN, +-inf and subnormals
         rng = np.random.default_rng(7)
-        n = SPECTRUM_CHUNK + 1000
-        special = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf,
-                   5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1 / 3]
+        n = CSV_CHUNK + 1000
         omegas = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         weights = rng.standard_normal(n)
         for a in (omegas, weights):
-            a[rng.integers(0, n, 2000)] = rng.choice(special, 2000)
-            a[SPECTRUM_CHUNK - len(special):SPECTRUM_CHUNK + len(special)] = special * 2
+            a[rng.integers(0, n, 2000)] = rng.choice(SPECIAL, 2000)
+            a[CSV_CHUNK - len(SPECIAL):CSV_CHUNK + len(SPECIAL)] = SPECIAL * 2
         s = LineSpectrum(omegas, weights, "autocorrelation")
         path = tmp_path / "spec.csv"
         spectrum_csv(s, path)
@@ -245,6 +269,16 @@ class TestSelftest:
 
 
 class TestCli:
+    def test_locality_profile_bytes(self, tmp_path, capsys):
+        # the chunked writer prints what the f-string line per distance did
+        assert main(["locality", "--n-sites", "6", "--beta", "1", "--out", str(tmp_path)]) == 0
+        H, _ = q.tfim_operators(q.ModelSpec(6, 0.35 * math.pi))
+        a_loc = q.pauli_string_matrix(q.PauliString({0: "X"}), 6)
+        profile = q.commutator_decay_profile(q.eigendecompose(H), a_loc, q.DressSpec(math.pi))
+        lines = ["r,norm"] + [f"{int(r)},{n:.12g}"
+                              for r, n in zip(profile.distances, profile.commutator_norms)]
+        assert (tmp_path / "locality_profile.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_bounds_exit_zero(self, capsys):
         rc = main(["bounds", "--n-sites", "2", "--gamma", "0.5", "--beta", "1.0"])
         assert rc == 0
