@@ -7,6 +7,8 @@ operator onto growing leading regions.
 import argparse
 import math
 
+import numpy as np
+
 import qfibounds as q
 from qfibounds.locality import (
     DressSpec,
@@ -14,7 +16,7 @@ from qfibounds.locality import (
     dressed_operator,
     local_approximation,
 )
-from qfibounds.operators import PauliString, pauli_string_matrix
+from qfibounds.operators import FlipOperator
 from qfibounds.spectral import eigendecompose
 
 
@@ -30,7 +32,8 @@ def main() -> None:
     mu = args.mu if args.mu is not None else math.pi / args.beta
     H, _ = q.tfim_operators(q.ModelSpec(args.n_sites, args.gamma))
     eigs = eigendecompose(H)
-    a_loc = pauli_string_matrix(PauliString({0: "X"}), args.n_sites)
+    d = 1 << args.n_sites
+    a_loc = FlipOperator(np.zeros(d), ((d >> 1, 1.0),))  # sigma^x_0, site 0 the top bit
 
     profile = commutator_decay_profile(eigs, a_loc, DressSpec(mu=mu), args.probe)
     print(f"mu = {mu:.4f}, probe = sigma^{args.probe.lower()}")

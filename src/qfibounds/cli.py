@@ -14,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import ModelSpec, tfim_operators
+from .operators import FlipOperator, ModelSpec, tfim_operators
 from .gibbs import prepared_gibbs
 from .qfi import bounds_chain, check_bounds_report, uncertainty_report
 from .fluctuation import autocorrelation_spectrum, dissipation_spectrum
-from .sld import TimeKernelSpec, kernel_g_integral, lyapunov_residual, sld_matrix
+from .sld import TimeKernelSpec, kernel_g_integral, lyapunov_residual, sld_matrix, sld_time_domain
 from .locality import DressSpec, commutator_decay_profile
+from .spectral import eigendecompose
 from .harness import (
     ConfigError,
     SweepConfig,
@@ -211,8 +212,6 @@ def _dispatch(args) -> int:
         tks = _spec(TimeKernelSpec, args.beta, args.horizon_betas * args.beta, args.panels)
         model, O, ens = _prepared(args)
         res = sld_matrix(ens, O)
-        from .sld import sld_time_domain
-
         L_time = sld_time_domain(ens, O, tks)
         l_norm = float(np.max(np.abs(res.L))) or 1.0
         summary = {
@@ -228,15 +227,12 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "locality":
-        from .operators import PauliString, pauli_string_matrix
-        from .spectral import eigendecompose
-
         model = _model(args)
         mu = args.mu if args.mu is not None else math.pi / args.beta
         spec = _spec(DressSpec, mu)
         H, _ = tfim_operators(model)
         eigs = eigendecompose(H)
-        a_loc = pauli_string_matrix(PauliString({0: "X"}), model.n_sites)
+        a_loc = FlipOperator(np.zeros(model.dim), ((model.dim >> 1, 1.0),))  # sigma^x_0
         try:  # the filter overflows, or too few norms stay above 1e-12 to fit
             profile = commutator_decay_profile(eigs, a_loc, spec, probe_kind=args.probe)
         except ValueError as exc:

@@ -84,14 +84,13 @@ def _real_or_raise(value: complex, scale: float, what: str) -> float:
 
 def thermal_average(ens: GibbsEnsemble, A) -> float:
     """<A> = sum_n p_n <n|A|n> of a Hermitian A (a matrix or a
-    ``FlipOperator``) of the ensemble's dimension, from the diagonal of its
-    eigenbasis blocks alone.  Only complex blocks (a complex A or
+    ``FlipOperator``) of the ensemble's dimension, from the diagonals of its
+    a = b eigenbasis blocks.  Only complex blocks (a complex A or
     eigensystem) give the sum an imaginary part, and only one above 1e-10
     needs the scale max|A_ij| of its tolerance."""
-    pairs, block = eigenbasis_blocks(ens.eigs, A)
     p = ens.populations
-    val = sum(complex(np.dot(p[a.columns], block(a, a).diagonal()))
-              for a, b in pairs if a is b)
+    val = sum(complex(np.dot(p[a.columns], x.diagonal()))
+              for a, b, x in eigenbasis_blocks(ens.eigs, A) if a is b)
     scale = 1.0
     if not abs(val.imag) <= _IMAG_TOL:  # NaN reads the scale too
         _, sub, d = _operator(A)
@@ -184,11 +183,9 @@ def _pair_table(eigs: EigenSystem, O: np.ndarray) -> _PairTable:
     """Validate O, transform the sector blocks it links to the eigenbasis
     (``eigenbasis_blocks``) and keep their diagonal and |O_mn|^2.  Each
     eigenbasis block is dropped once its |O_mn|^2 exists."""
-    pairs, block = eigenbasis_blocks(eigs, O)
     diag = np.zeros(eigs.dim)
     blocks = []
-    for a, b in pairs:
-        ob = block(a, b)
+    for a, b, ob in eigenbasis_blocks(eigs, O):
         o2 = np.abs(ob)
         if a is b:
             diag[a.columns] = ob.diagonal().real

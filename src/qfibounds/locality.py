@@ -11,7 +11,7 @@ from itertools import chain, product
 import numpy as np
 
 from .operators import _hermitian_deviation
-from .spectral import EigenSystem, from_eigenbasis, to_eigenbasis
+from .spectral import EigenSystem, eigenbasis_blocks, filter_blocks, from_eigenbasis
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,21 @@ def _is_hermitian(a: np.ndarray) -> bool:
 
 
 def dressed_operator(eigs: EigenSystem, A_loc: np.ndarray, spec: DressSpec) -> np.ndarray:
-    """Time average of A(t) against e^{-mu |t|}, in closed form: the filter
-    is a Lorentzian 2 mu / (mu^2 + (E_m - E_n)^2) acting elementwise in the
-    eigenbasis."""
-    Ae = to_eigenbasis(eigs, A_loc)
-    dE = np.subtract.outer(eigs.energies, eigs.energies)
+    """Time average of A(t) against e^{-mu |t|}, in closed form: a Lorentzian
+    2 mu / (mu^2 + (E_m - E_n)^2) filtering A's linked eigenbasis blocks
+    (``filter_blocks``).  Its peak 2 / mu at omega = 0 is checked first, as A
+    need not link an a = b block (sigma^x_0 at theta = 0 does not), then the blocks."""
+    mu = np.float64(spec.mu)
+
+    def lorentzian(ea, eb):
+        return 2.0 * mu / (mu**2 + np.subtract.outer(ea, eb) ** 2)
+
+    blocks = eigenbasis_blocks(eigs, A_loc)  # validates A
     with np.errstate(all="ignore"):  # a non-finite filter is reported below
-        out = 2.0 * spec.mu / (np.float64(spec.mu) ** 2 + dE**2) * Ae
-    if not np.all(np.isfinite(out)):
+        finite = np.isfinite(lorentzian(0.0, 0.0))
+        out = list(filter_blocks(blocks, eigs.energies, lorentzian)) if finite else []
+    if not (finite and all(np.all(np.isfinite(x)) for _, _, x in out)):
         raise ValueError(f"dressed operator is not finite at mu={spec.mu:g}")
-    out = (out + out.conj().T) / 2.0
     return from_eigenbasis(eigs, out)
 
 

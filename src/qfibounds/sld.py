@@ -1,6 +1,8 @@
 """Symmetric logarithmic derivative of a Gibbs state: exact energy-domain
 construction, the time-domain integral representation with its log-tanh
-kernel, and the optimal estimator built from it."""
+kernel, and the optimal estimator built from it.  Both filter O - <O>'s
+linked eigenbasis blocks (``filter_blocks``) and take them back block by
+block (``from_eigenbasis``), with no d x d eigenbasis or kernel matrix."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from .operators import ModelSpec, tfim_operators
 from .gibbs import GibbsEnsemble, KernelKind, _shifted_gibbs
-from .spectral import from_eigenbasis, to_eigenbasis
+from .spectral import eigenbasis_blocks, filter_blocks, from_eigenbasis
 
 
 @dataclass(frozen=True)
@@ -46,32 +48,31 @@ def energy_kernel(omega: np.ndarray, beta: float) -> np.ndarray:
     return -(4.0 / beta) * KernelKind.SUSCEPTIBILITY.evaluate(omega, beta)
 
 
-def _centered_eigenbasis(ens: GibbsEnsemble, O: np.ndarray) -> np.ndarray:
-    """O - <O> in the ensemble's eigenbasis, for a Hermitian O of its dimension."""
-    Oe = to_eigenbasis(ens.eigs, O)
-    return Oe - float(np.dot(ens.populations, Oe.diagonal().real)) * np.eye(ens.dim)
+def _centered_blocks(ens: GibbsEnsemble, O) -> list:
+    """O - <O> on O's linked eigenbasis blocks: <O> comes off the diagonals of
+    the a = b blocks, which O links all or none of (and then <O> = 0)."""
+    blocks = list(eigenbasis_blocks(ens.eigs, O))
+    diagonals = [(a.columns, x) for a, b, x in blocks if a is b]
+    mean = sum(float(np.dot(ens.populations[c], x.diagonal().real)) for c, x in diagonals)
+    for _, x in diagonals:
+        np.fill_diagonal(x, x.diagonal() - mean)
+    return blocks
 
 
 def sld_matrix(ens: GibbsEnsemble, O: np.ndarray) -> SldResult:
     """L_mn = f(E_m - E_n) (O - <O>)_mn in the eigenbasis, with E the
     cluster-mean levels: every same-cluster pair takes the degenerate limit
-    f(0) = -beta whatever its residual numerical splitting.
-    """
+    f(0) = -beta whatever its residual numerical splitting.  Tr rho L^2 =
+    sum_mn p_n |L_mn|^2 is summed per block, an a < b one for both orders."""
     if not ens.beta > 0:
         raise ValueError("the SLD construction requires beta > 0")
-    Obar = _centered_eigenbasis(ens, O)
-
-    e = ens.eigs.levels
-    f = energy_kernel(e[:, None] - e[None, :], ens.beta)
-
-    L_eig = f * Obar
-    L_eig = (L_eig + L_eig.conj().T) / 2.0
+    blocks = list(filter_blocks(_centered_blocks(ens, O), ens.eigs.levels,
+                                lambda ea, eb: energy_kernel(np.subtract.outer(ea, eb), ens.beta)))
     p = ens.populations
-    tr_l = float(np.dot(p, L_eig.diagonal().real))
-    tr_l2 = float(np.dot(p, np.sum(np.abs(L_eig) ** 2, axis=0)))
-    return SldResult(
-        L=from_eigenbasis(ens.eigs, L_eig), trace_rho_L=tr_l, trace_rho_L2=tr_l2
-    )
+    tr_l = sum(float(np.dot(p[a.columns], x.diagonal().real)) for a, b, x in blocks if a is b)
+    tr_l2 = sum(float(np.sum(np.abs(x) ** 2 * (p[b.columns] + (a is not b) * p[a.columns, None])))
+                for a, b, x in blocks)
+    return SldResult(from_eigenbasis(ens.eigs, blocks), tr_l, tr_l2)
 
 
 def lyapunov_residual(
@@ -159,16 +160,14 @@ def kernel_g_integral(beta: float, horizon: float | None = None) -> float:
     return 2.0 * float(np.sum(q))
 
 
-def _cosine_kernel(energies: np.ndarray, t: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """K_mn = 2 sum_k q_k cos((E_m - E_n) t_k) = 2 [(C q) C^T + (S q) S^T]_mn
-    with C, S = cos, sin of E (x) t: two GEMMs per block of 256 nodes, and no
-    d^2 x nodes table.  Shifting E to its midpoint halves the largest phase."""
-    e = energies - (energies.max() + energies.min()) / 2.0
-    out = np.zeros((len(e), len(e)))
+def _cosine_kernel(ea: np.ndarray, eb: np.ndarray, t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """K_mn = 2 sum_k q_k cos((a_m - b_n) t_k) = 2 [(C_a q) C_b^T + (S_a q) S_b^T]_mn
+    with C, S = cos, sin of e (x) t: two GEMMs per 256 nodes, and no nodes table."""
+    out = np.zeros((len(ea), len(eb)))
     for k in range(0, len(t), 256):
-        et = np.outer(e, t[k:k + 256])
-        c, s, qk = np.cos(et), np.sin(et), q[k:k + 256]
-        out += (c * qk) @ c.T + (s * qk) @ s.T
+        tk, qk = t[k:k + 256], q[k:k + 256]
+        xa, xb = np.outer(ea, tk), np.outer(eb, tk)
+        out += (np.cos(xa) * qk) @ np.cos(xb).T + (np.sin(xa) * qk) @ np.sin(xb).T
     return 2.0 * out
 
 
@@ -179,17 +178,17 @@ def sld_time_domain(
 
     Over symmetric t, integral g(t) e^{i dE t} dt = 2 integral g cos(dE t); the
     eigenbasis phases factor per energy (``_cosine_kernel``), so each
-    quadrature node costs O(d) trigonometry and a rank-2 GEMM update.  Phases
-    run at the cluster-mean levels, as in ``sld_matrix``.
+    quadrature node costs O(d) trigonometry and rank-2 GEMM updates.  Phases
+    run at the cluster-mean levels, as in ``sld_matrix``, shifted to their
+    midpoint, which halves the largest phase.
     """
     if abs(spec.beta - ens.beta) > 1e-12 * max(1.0, ens.beta):
         raise ValueError("TimeKernelSpec.beta disagrees with the ensemble")
-    Obar = _centered_eigenbasis(ens, O)
-
     t, q = _kernel_nodes(ens.beta, spec.horizon, spec.panels)
-    L_eig = _cosine_kernel(ens.eigs.levels, t, q) * Obar
-    L_eig = (L_eig + L_eig.conj().T) / 2.0
-    return from_eigenbasis(ens.eigs, L_eig)
+    e = ens.eigs.levels
+    e = e - (e.max() + e.min()) / 2.0
+    return from_eigenbasis(ens.eigs, filter_blocks(
+        _centered_blocks(ens, O), e, lambda ea, eb: _cosine_kernel(ea, eb, t, q)))
 
 
 def optimal_estimator(ens: GibbsEnsemble, O: np.ndarray, theta: float) -> np.ndarray:

@@ -4,20 +4,15 @@ handling.
 A Hamiltonian on 2^n basis states is split into the blocks of whichever
 exact Z2 symmetries its ``FlipOperator`` bit terms have, the spin parity
 P = prod Z and the reflection R of the chain, and every block is
-diagonalized on its own, read from the terms with no d x d matrix.  Every
-operator enters through ``_operator``: a dense matrix is read as terms when
-it is one (``FlipOperator.from_dense``), and any other (complex, or real but
-not bit terms) is validated as Hermitian and has no parity.  The
-eigensystem keeps the blocks: per sector its basis map into the
-symmetry-adapted basis, its block eigenvectors W and the positions of its
-states in the ascending order.  Every operator links the sector pairs its
-parities allow, all of them under a symmetry it has no parity for, and
-``eigenbasis_blocks`` transforms only those, W_a^H A_ab W_b, the one way into
-the eigenbasis (``to_eigenbasis`` assembles them densely).  Dense eigenvector
-columns (``EigenSystem.vectors``) are assembled on first use, for the callers
-whose output is a computational-basis matrix; no transform reads them.  An H
-with neither symmetry is one sector with the identity map, and so is the
-reference every block path is tested against (``dense_eigensystem``).
+diagonalized on its own; the eigensystem keeps per sector its adapted basis
+S, eigenvectors W and states' positions in the ascending order.  An operator
+(``_operator``: bit terms, or a Hermitian matrix with no parity) links the
+sector pairs its parities allow, and its blocks go into the eigenbasis as
+W_a^H A_ab W_b (``eigenbasis_blocks``), through elementwise filters
+(``filter_blocks``) and back as S_a W_a X_ab W_b^H S_b^T (``from_eigenbasis``)
+with no d x d eigenbasis matrix; ``to_eigenbasis`` is their dense view.  An
+H with neither symmetry is one sector with the identity map, the reference
+every block path is tested against.
 
 Eigenvalues that coincide within a tolerance are grouped into clusters, and
 every formula downstream reads each state's cluster-mean energy
@@ -82,8 +77,8 @@ class EigenSystem:
     """Sorted eigenvalues, the symmetry sectors holding the eigenvectors and
     the degeneracy clusters.  ``symmetries`` is H's (groups, rev) of
     ``_z2_symmetries``: one group of all indices and rev None for a single
-    sector with the identity map.  The transforms read the sectors; the
-    dense ``vectors`` serve only outputs in the computational basis."""
+    sector with the identity map.  The transforms read the sectors both
+    ways; the dense ``vectors`` serve only the oracles and the reference gauge."""
 
     energies: np.ndarray
     sectors: tuple
@@ -105,16 +100,12 @@ class EigenSystem:
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
-        """Dense eigenvector columns in the computational basis, assembled
-        from the sector blocks on first use and kept."""
+        """Dense eigenvector columns in the computational basis, S W per
+        sector (``_unfolding``), assembled on first use and kept."""
         out = np.zeros((self.dim, self.dim), dtype=self.sectors[0].vectors.dtype)
         for sector in self.sectors:
-            (_, s, m, sign), w, cols = sector.basis, sector.vectors, sector.columns
-            if m:
-                w = w.copy()
-                w[:m] *= np.sqrt(0.5)
-                out[np.ix_(self.symmetries[1][s[:m]], cols)] = sign * w[:m]
-            out[np.ix_(s, cols)] = w
+            rows, k, u = _unfolding(sector.basis, self.symmetries[1])
+            out[np.ix_(rows, sector.columns)] = u[:, None] * sector.vectors[k]
         return out
 
     def density_matrix(self, populations: np.ndarray) -> np.ndarray:
@@ -151,7 +142,9 @@ def _operator(A):
     if terms is not None:
         return terms, terms.submatrix, terms.shape[0]
     A = check_hermitian(A)
-    return None, lambda rows, cols: A[np.ix_(rows, cols)], A.shape[0]
+    idx = np.arange(len(A))  # all of A in order (one sector) is A, which is only read
+    return None, lambda rows, cols: (A if np.array_equal(rows, idx) and np.array_equal(cols, idx)
+                                     else A[np.ix_(rows, cols)]), len(A)
 
 
 def _z2_symmetries(H: FlipOperator | None, d: int):
@@ -199,6 +192,17 @@ def _sector_bases(groups: tuple, rev: np.ndarray | None):
 
 def _palindrome_weights(rows: np.ndarray, rev: np.ndarray) -> np.ndarray:
     return np.where(rows == rev[rows], np.sqrt(0.5), 1.0)
+
+
+def _unfolding(basis: SectorBasis, rev: np.ndarray | None):
+    """(rows, k, u): the nonzeros S[rows_i, k_i] = u_i of an adapted basis S
+    in the computational basis, the unfolding that ``_gather`` folds."""
+    s, m, h = basis.rows, basis.m, np.sqrt(0.5)
+    k = np.arange(len(s))
+    if not m:
+        return s, k, np.ones(len(s))
+    u = np.concatenate([np.full(m, h), np.ones(len(s) - m), np.full(m, basis.sign * h)])
+    return np.concatenate([s, rev[s[:m]]]), np.concatenate([k, k[:m]]), u
 
 
 def _gather(sub, a: SectorBasis, b: SectorBasis, rev: np.ndarray | None, mirrored: bool):
@@ -296,22 +300,26 @@ def _linked_sectors(eigs: EigenSystem, A: FlipOperator | None):
 
 
 def eigenbasis_blocks(eigs: EigenSystem, A):
-    """Read ``A`` (a matrix or a ``FlipOperator``, ``_operator``) as Hermitian
-    of the eigensystem's dimension; the sector pairs (a, b) it links
-    (``_linked_sectors``) and ``block(a, b)``, which gives W_a^H A_ab W_b,
-    A's eigenbasis matrix elements between the states of sectors a and b.
-    The elements between b and a are the conjugate transpose, and those of
-    the pairs not listed are zero."""
+    """A's eigenbasis blocks (a, b, W_a^H A_ab W_b) for the sector pairs a <= b
+    it links (``_linked_sectors``); (b, a) is the conjugate transpose, and the
+    pairs not listed are zero.  A (``_operator``) is validated at the call as
+    Hermitian of the eigensystem's dimension; the blocks come lazily."""
     terms, sub, d = _operator(A)
     if d != eigs.dim:
         raise ValueError("dimension mismatch")
     pairs, sign = _linked_sectors(eigs, terms)
     rev, mirrored = eigs.symmetries[1], sign is not None
+    return ((a, b, a.vectors.conj().T @ _gather(sub, a.basis, b.basis, rev, mirrored) @ b.vectors)
+            for a, b in pairs)
 
-    def block(a: Sector, b: Sector) -> np.ndarray:
-        return a.vectors.conj().T @ _gather(sub, a.basis, b.basis, rev, mirrored) @ b.vectors
 
-    return pairs, block
+def filter_blocks(blocks, e: np.ndarray, kernel):
+    """kernel(e_a, e_b) X_ab per block (a, b, X_ab), e_a the values e at
+    sector a's states, lazily: a filter even in e_m - e_n, elementwise in the
+    eigenbasis, with the a = b blocks made Hermitian, (Y + Y^H) / 2."""
+    for a, b, x in blocks:
+        y = kernel(e[a.columns], e[b.columns]) * x
+        yield a, b, (y + y.conj().T) / 2.0 if a is b else y
 
 
 def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
@@ -332,12 +340,10 @@ def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:
 
 
 def to_eigenbasis(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:
-    """A_mn = <m|A|n> from A's linked blocks (``eigenbasis_blocks`` validates
-    A), 0 elsewhere, with the dtype of the blocks."""
-    pairs, block = eigenbasis_blocks(eigs, A)
+    """A_mn = <m|A|n>, the dense view of A's linked blocks (``eigenbasis_blocks``
+    validates A), 0 elsewhere, with the dtype of the blocks."""
     out = None
-    for a, b in pairs:
-        x = block(a, b)
+    for a, b, x in eigenbasis_blocks(eigs, A):
         if out is None:  # every block has the dtype of W^H A W
             out = np.zeros((eigs.dim,) * 2, dtype=x.dtype)
         out[np.ix_(a.columns, b.columns)] = x
@@ -346,6 +352,19 @@ def to_eigenbasis(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def from_eigenbasis(eigs: EigenSystem, A_eig: np.ndarray) -> np.ndarray:
-    v = eigs.vectors
-    return v @ A_eig @ v.conj().T
+def from_eigenbasis(eigs: EigenSystem, blocks) -> np.ndarray:
+    """The d x d matrix of eigenbasis blocks (a, b, X_ab), the inverse of
+    ``eigenbasis_blocks``: S_a W_a X_ab W_b^H S_b^T (``_unfolding``) added in,
+    and for a != b its conjugate transpose; R-even and R-odd share rows."""
+    rev, out = eigs.symmetries[1], None
+    for a, b, x in blocks:
+        (ra, ka, ua), (rb, kb, ub) = _unfolding(a.basis, rev), _unfolding(b.basis, rev)
+        y = (a.vectors @ x @ b.vectors.conj().T)[np.ix_(ka, kb)]
+        y *= ua[:, None]
+        y *= ub
+        if out is None:
+            out = np.zeros((eigs.dim,) * 2, dtype=y.dtype)
+        out[np.ix_(ra, rb)] += y
+        if a is not b:
+            out[np.ix_(rb, ra)] += y.conj().T
+    return out

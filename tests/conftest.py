@@ -43,6 +43,13 @@ def pipeline_results(ens, O):
     }
 
 
+def dense_from_eigenbasis(eigs, X):
+    """V X V^H with the dense eigenvector columns: the reference for the
+    block route out of the eigenbasis (``spectral.from_eigenbasis``)."""
+    v = eigs.vectors
+    return v @ X @ v.conj().T
+
+
 def close_arrays(a, b, rel=REL):
     scale = max(float(np.max(np.abs(b), initial=0.0)), 1e-300)
     return a.shape == b.shape and float(np.max(np.abs(a - b), initial=0.0)) <= rel * scale

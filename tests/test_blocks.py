@@ -16,7 +16,16 @@ import pytest
 import qfibounds as q
 from qfibounds.cli import main
 from qfibounds.gibbs import _pair_table, gibbs_ensemble
+from qfibounds.locality import DressSpec, dressed_operator
 from qfibounds.operators import FlipOperator, PauliString, pauli_string_matrix
+from qfibounds.sld import (
+    TimeKernelSpec,
+    _cosine_kernel,
+    _kernel_nodes,
+    energy_kernel,
+    sld_matrix,
+    sld_time_domain,
+)
 from qfibounds.spectral import (
     EigenSystem,
     _gather,
@@ -29,7 +38,13 @@ from qfibounds.spectral import (
     to_eigenbasis,
 )
 
-from conftest import REL, assert_same_results, close_arrays, pipeline_results
+from conftest import (
+    REL,
+    assert_same_results,
+    close_arrays,
+    dense_from_eigenbasis,
+    pipeline_results,
+)
 
 
 def _site_sum(n, axis, coefficient):
@@ -145,7 +160,7 @@ def _assert_assembled(eigs, A):
     assert got.dtype == want.dtype
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(A))
     linked = np.zeros(got.shape, dtype=bool)
-    for a, b in eigenbasis_blocks(eigs, A)[0]:
+    for a, b, _ in eigenbasis_blocks(eigs, A):
         linked[np.ix_(a.columns, b.columns)] = linked[np.ix_(b.columns, a.columns)] = True
     assert np.all(got[~linked] == 0.0)
     return linked
@@ -170,7 +185,7 @@ def test_to_eigenbasis_x0_n8(theta, pairs):
     H, _ = q.build_tfim(q.ModelSpec(n, 0.4 * math.pi, theta))
     A = pauli_string_matrix(PauliString({0: "X"}), n)
     eigs = eigendecompose(H)
-    links = eigenbasis_blocks(eigs, A)[0]
+    links = [(a, b) for a, b, _ in eigenbasis_blocks(eigs, A)]
     assert len(links) == pairs
     assert all(a.basis.parity != b.basis.parity for a, b in links) == (theta == 0)
     assert _assert_assembled(eigs, A).all() == (theta != 0)
@@ -195,6 +210,60 @@ def test_to_eigenbasis_non_terms(n, theta, operator):
     eigs = eigendecompose(H)
     assert len(eigs.sectors) > 1
     assert _assert_assembled(eigs, A).all()
+
+
+# -- the filters on the blocks against the dense route ---------------------------
+
+ROUTE_OPERATORS = {
+    "O": lambda n: q.tfim_operators(q.ModelSpec(n, 0.0))[1],
+    "x0": lambda n: pauli_string_matrix(PauliString({0: "X"}), n),
+    "z0": lambda n: pauli_string_matrix(PauliString({0: "Z"}), n),
+    "random": lambda n: q.random_hermitian(1 << n, 13),
+}
+
+
+def _dense_filters(ens, A, spec, mu):
+    """L, the time-domain L and the dressed A by the dense route: the d x d
+    eigenbasis matrix, filtered elementwise, made Hermitian and taken back
+    as V X V^H; with Tr rho L and Tr rho L^2."""
+    eigs, p = ens.eigs, ens.populations
+    Ae = to_eigenbasis(eigs, A)
+    Abar = Ae - float(np.dot(p, Ae.diagonal().real)) * np.eye(ens.dim)
+    e, E = eigs.levels, eigs.energies
+    shifted = e - (e.max() + e.min()) / 2.0
+    t, qk = _kernel_nodes(ens.beta, spec.horizon, spec.panels)
+
+    def hermitian(x):
+        return (x + x.conj().T) / 2.0
+
+    L = hermitian(energy_kernel(np.subtract.outer(e, e), ens.beta) * Abar)
+    L_time = hermitian(_cosine_kernel(shifted, shifted, t, qk) * Abar)
+    dressed = hermitian(2.0 * mu / (mu**2 + np.subtract.outer(E, E) ** 2) * Ae)
+    traces = (float(np.dot(p, L.diagonal().real)),
+              float(np.dot(p, np.sum(np.abs(L) ** 2, axis=0))))
+    return (*(dense_from_eigenbasis(eigs, x) for x in (L, L_time, dressed)), traces)
+
+
+@pytest.mark.parametrize("operator", sorted(ROUTE_OPERATORS))
+@pytest.mark.parametrize("n, gamma, theta", [
+    (6, 0.9, 0.0), (7, 0.9, 0.1), (8, 0.05, 0.0), (9, 0.4 * math.pi, 0.1),
+    (10, 0.3, 0.0), (10, 0.3, 0.1),
+])
+def test_filters_match_dense_route(n, gamma, theta, operator):
+    # the SLD, the time-domain SLD and the dressed operator from the linked
+    # blocks against the dense d x d route; gamma = 0.05 has doublets
+    # straddling the P sectors
+    H, _ = q.tfim_operators(q.ModelSpec(n, gamma, theta))
+    ens = gibbs_ensemble(eigendecompose(H), 1.3)
+    A = ROUTE_OPERATORS[operator](n)
+    spec, mu = TimeKernelSpec(ens.beta, 12 * ens.beta, 32), 2.0
+    L, L_time, dressed, (tr_l, tr_l2) = _dense_filters(ens, A, spec, mu)
+    res = sld_matrix(ens, A)
+    for got, want in ((res.L, L), (sld_time_domain(ens, A, spec), L_time),
+                      (dressed_operator(ens.eigs, A, DressSpec(mu)), dressed)):
+        assert close_arrays(got, want, rel=1e-14)
+    assert math.isclose(res.trace_rho_L2, tr_l2, rel_tol=1e-12)
+    assert abs(res.trace_rho_L - tr_l) <= 1e-12 * tr_l2
 
 
 # -- the TFIM's bit terms against the dense matrices ----------------------------
@@ -453,16 +522,20 @@ def no_dense_vectors(monkeypatch):
 @pytest.mark.parametrize("theta", [0.0, 0.1])
 def test_transforms_read_no_dense_vectors(no_dense_vectors, theta):
     # every operator, with or without parities or bit terms, is transformed
-    # from the sector blocks
+    # from the sector blocks, and the SLD, the time-domain SLD and the
+    # dressed operator come back out of them
     n = 6
-    H, _ = q.tfim_operators(q.ModelSpec(n, 0.4, theta))
+    H, O = q.tfim_operators(q.ModelSpec(n, 0.4, theta))
     ens = gibbs_ensemble(eigendecompose(H), 1.5)
-    for A in (pauli_string_matrix(PauliString({0: "X"}), n),
+    for A in (O, pauli_string_matrix(PauliString({0: "X"}), n),
               pauli_string_matrix(PauliString({0: "Z"}), n),
               q.random_hermitian(1 << n, 5)):
         assert to_eigenbasis(ens.eigs, A).shape == (1 << n,) * 2
         assert math.isfinite(q.thermal_average(ens, A))
         assert _pair_table(ens.eigs, A).blocks
+        assert sld_matrix(ens, A).L.shape == (1 << n,) * 2
+        assert sld_time_domain(ens, A, TimeKernelSpec(1.5, 18.0, 16)).shape == (1 << n,) * 2
+        assert dressed_operator(ens.eigs, A, DressSpec(1.0)).shape == (1 << n,) * 2
 
 
 @pytest.mark.parametrize("theta", ["0", "0.1"])
@@ -472,7 +545,8 @@ def test_transforms_read_no_dense_vectors(no_dense_vectors, theta):
     ["spectrum", "--beta", "1", "--kind", "dissipation"],
     ["sweep-temperature", "--points", "3"],
     ["sweep-gamma", "--points", "3"],
-], ids=["bounds", "spectrum", "dissipation", "sweep-temperature", "sweep-gamma"])
+    ["locality", "--beta", "1"],
+], ids=["bounds", "spectrum", "dissipation", "sweep-temperature", "sweep-gamma", "locality"])
 def test_commands_read_no_dense_vectors(no_dense_vectors, tmp_path, capsys, argv, theta):
     out = [] if argv[0] == "bounds" else ["--out", str(tmp_path)]
     assert main([*argv, "--n-sites", "6", "--theta", theta, *out]) == 0

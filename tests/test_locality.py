@@ -23,7 +23,9 @@ from qfibounds.operators import (
     random_hermitian,
 )
 from qfibounds.sld import _cosine_kernel, _gauss_panels
-from qfibounds.spectral import eigendecompose, from_eigenbasis, to_eigenbasis
+from qfibounds.spectral import eigendecompose, to_eigenbasis
+
+from conftest import dense_from_eigenbasis
 
 
 @pytest.fixture(scope="module")
@@ -200,8 +202,9 @@ class TestDressedOperator:
         _, eigs, a_loc = chain8
         mu, horizon, panels = 2.0, 16.0, 256
         t, w = _gauss_panels(0.0, horizon, panels)
-        quad = _cosine_kernel(eigs.energies, t, w * np.exp(-mu * t)) * to_eigenbasis(eigs, a_loc)
-        ref = from_eigenbasis(eigs, (quad + quad.conj().T) / 2.0)
+        e = eigs.energies
+        quad = _cosine_kernel(e, e, t, w * np.exp(-mu * t)) * to_eigenbasis(eigs, a_loc)
+        ref = dense_from_eigenbasis(eigs, (quad + quad.conj().T) / 2.0)
         closed = dressed_operator(eigs, a_loc, DressSpec(mu=mu))
         assert np.max(np.abs(closed - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -18,9 +18,9 @@ from qfibounds.sld import (
     sld_matrix,
     sld_time_domain,
 )
-from qfibounds.spectral import from_eigenbasis, to_eigenbasis
+from qfibounds.spectral import to_eigenbasis
 
-from conftest import random_instance, rel_close
+from conftest import dense_from_eigenbasis, random_instance, rel_close
 
 
 class TestEnergyKernel:
@@ -198,14 +198,14 @@ def _table_sld_time_domain(ens, O, spec):
     Obar = Oe - float(np.dot(ens.populations, Oe.diagonal().real)) * np.eye(ens.dim)
     t, qk = _kernel_nodes(ens.beta, spec.horizon, spec.panels)
     L = _cosine_table(ens.eigs.levels, t, qk) * Obar
-    return from_eigenbasis(ens.eigs, (L + L.conj().T) / 2.0)
+    return dense_from_eigenbasis(ens.eigs, (L + L.conj().T) / 2.0)
 
 
 def _table_dressed_operator(eigs, A, mu, horizon, panels):
     """The time integral of A(t) against e^{-mu |t|} over |t| <= horizon."""
     t, w = _gauss_panels(0.0, horizon, panels)
     out = _cosine_table(eigs.energies, t, w * np.exp(-mu * t)) * to_eigenbasis(eigs, A)
-    return from_eigenbasis(eigs, (out + out.conj().T) / 2.0)
+    return dense_from_eigenbasis(eigs, (out + out.conj().T) / 2.0)
 
 
 def _kernel_case(kind):

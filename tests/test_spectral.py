@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
 from qfibounds.gibbs import gibbs_ensemble
-from qfibounds.operators import FlipOperator
+from qfibounds.operators import FlipOperator, PauliString, pauli_string_matrix
 from qfibounds.spectral import (
     _z2_symmetries,
     cluster_degeneracies,
     dense_eigensystem,
+    eigenbasis_blocks,
     eigendecompose,
     from_eigenbasis,
     resolve_eps_deg,
@@ -152,8 +155,41 @@ class TestBasisTransforms:
         H = q.random_hermitian(8, 21)
         A = q.random_hermitian(8, 22)
         eigs = eigendecompose(H)
-        back = from_eigenbasis(eigs, to_eigenbasis(eigs, A))
+        back = from_eigenbasis(eigs, eigenbasis_blocks(eigs, A))
         assert np.max(np.abs(back - A)) < 1e-12
+
+    @pytest.mark.parametrize("operator", ["O", "x0", "z0", "random"])
+    @pytest.mark.parametrize("n, gamma, theta", [
+        (6, 0.9, 0.0), (7, 0.9, 0.1), (8, 0.05, 0.0), (10, 0.3, 0.0), (10, 0.3, 0.1),
+    ])
+    def test_round_trip_sectors(self, n, gamma, theta, operator):
+        # the same on the TFIM's symmetry sectors, whatever pairs the operator
+        # links; gamma = 0.05 has doublets straddling the P sectors
+        H, O = q.tfim_operators(q.ModelSpec(n, gamma, theta))
+        A = {"O": O.dense(), "random": q.random_hermitian(1 << n, 22),
+             "x0": pauli_string_matrix(PauliString({0: "X"}), n),
+             "z0": pauli_string_matrix(PauliString({0: "Z"}), n)}[operator]
+        eigs = eigendecompose(H)
+        assert len(eigs.sectors) > 1
+        back = from_eigenbasis(eigs, eigenbasis_blocks(eigs, A))
+        assert np.max(np.abs(back - A)) <= 1e-12 * np.max(np.abs(A))
+
+    def test_eigendecompose_reads_matrix_in_place(self):
+        # a matrix that is not bit terms is one sector, handed to eigh as it
+        # is: no copy of it beside the eigenvectors (16 MB at d = 1024), and
+        # the caller's matrix is left as it was
+        A = q.random_hermitian(1024, 4)
+        before = A.copy()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            eigs = eigendecompose(A)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(eigs.sectors) == 1
+        assert peak <= 20 * 2**20
+        assert np.array_equal(A, before)
 
     def test_dimension_mismatch(self):
         eigs = eigendecompose(q.random_hermitian(4, 1))
