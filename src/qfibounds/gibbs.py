@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import TILE, ModelSpec, tfim_operators
-from .spectral import EigenSystem, _operator, eigenbasis_blocks, eigendecompose
+from .spectral import EigenSystem, _operator, eigenbasis_blocks, eigendecompose, from_eigenbasis
 
 _IMAG_TOL = 1e-10
 
@@ -41,7 +41,9 @@ class GibbsEnsemble:
         return self.eigs.dim
 
     def density_matrix(self) -> np.ndarray:
-        return self.eigs.density_matrix(self.populations)
+        """rho = sum_n p_n |n><n|, each sector's diag(p) out of the eigenbasis."""
+        p = self.populations
+        return from_eigenbasis(self.eigs, ((s, s, np.diag(p[s.columns])) for s in self.eigs.sectors))
 
 
 def gibbs_ensemble(eigs: EigenSystem, beta: float) -> GibbsEnsemble:

@@ -10,7 +10,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .operators import _hermitian_deviation
+from .operators import _hermitian_deviation, check_hermitian
 from .spectral import EigenSystem, eigenbasis_blocks, filter_blocks, from_eigenbasis
 
 
@@ -105,8 +105,7 @@ def commutator_decay_profile(
     # Hermitian by construction: dressed_operator symmetrizes in the eigenbasis
     dressed = dressed_operator(eigs, A_loc, spec)
     distances = np.arange(n_sites)
-    norms = np.array([_pauli_commutator_norm(dressed, j, probe_kind, True)
-                      for j in range(n_sites)])
+    norms = np.array([_pauli_commutator_norm(dressed, j, probe_kind) for j in range(n_sites)])
 
     usable = (distances >= 2) & (norms > 1e-12)
     if usable.sum() < 4:
@@ -128,24 +127,18 @@ def commutator_decay_profile(
     )
 
 
-def _pauli_commutator_norm(a: np.ndarray, site: int, axis: str, hermitian: bool):
-    """||[a, sigma]|| for sigma = sigma_site^axis, which is Hermitian and
-    unitary: [a, sigma] = (a - sigma a sigma) sigma only couples sigma's +1
-    and -1 eigenspaces, so the norm is 2 max(||P+ a P-||, ||P- a P+||), one
-    term if a is Hermitian.  Built from the site blocks a_st (s, t the site's
-    bits) in the eigenbasis (|0> +- c|1>)/sqrt2, c = 1 (X) or i (Y)."""
+def _pauli_commutator_norm(a: np.ndarray, site: int, axis: str):
+    """||[a, sigma]|| of a Hermitian a for sigma = sigma_site^axis, which is
+    Hermitian and unitary: [a, sigma] = (a - sigma a sigma) sigma only couples
+    sigma's +1 and -1 eigenspaces, so the norm is 2 ||P+ a P-||.  Built from
+    the site blocks a_st (s, t the site's bits) in the eigenbasis
+    (|0> +- c|1>)/sqrt2, c = 1 (X) or i (Y)."""
     half, lo = a.shape[0] // 2, 1 << site
     b = a.reshape(lo, 2, half // lo, lo, 2, half // lo)
     a00, a01, a10, a11 = (b[:, s, :, :, t, :] for s in (0, 1) for t in (0, 1))
-    if axis == "Z":
-        couplings = [a01] if hermitian else [a01, a10]
-    else:
-        c = 1.0 if axis == "X" else 1j
-        diag = a00 - a11
-        couplings = [(diag - c * a01 + c.conjugate() * a10) / 2.0]
-        if not hermitian:
-            couplings.append((diag + c * a01 - c.conjugate() * a10) / 2.0)
-    return 2.0 * max(_gram_norm(m.reshape(half, half)) for m in couplings)
+    c = 1.0 if axis == "X" else 1j
+    m = a01 if axis == "Z" else (a00 - a11 - c * a01 + c.conjugate() * a10) / 2.0
+    return 2.0 * _gram_norm(m.reshape(half, half))
 
 
 def _gram_norm(m: np.ndarray) -> float:
@@ -161,22 +154,20 @@ def _gram_norm(m: np.ndarray) -> float:
     return math.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0))
 
 
-def _unitary_commutator_norm(a: np.ndarray, u: np.ndarray, hermitian: bool):
-    """||[a, I (x) u]|| = ||a - (I (x) u) a (I (x) u)^dag|| for a unitary u on
-    the trailing factor; the difference is Hermitian when a is."""
+def _unitary_commutator_norm(a: np.ndarray, u: np.ndarray):
+    """||[a, I (x) u]|| = ||a - (I (x) u) a (I (x) u)^dag|| of a Hermitian a
+    for a unitary u on the trailing factor; the difference is Hermitian."""
     dc = u.shape[0]
     dk = a.shape[0] // dc
     a4 = a.reshape(dk, dc, dk, dc)
     diff = np.einsum("ac,icjd,bd->iajb", u, a4, u.conj(), optimize=True)
     np.subtract(a4, diff, out=diff)
-    return _norm(diff.reshape(a.shape), hermitian)
+    return _hermitian_norm(diff.reshape(a.shape))
 
 
-def _norm(a: np.ndarray, hermitian: bool) -> float:
-    if hermitian:
-        w = np.linalg.eigvalsh(a)
-        return float(max(-w[0], w[-1]))
-    return spectral_norm(a)
+def _hermitian_norm(a: np.ndarray) -> float:
+    w = np.linalg.eigvalsh(a)
+    return float(max(-w[0], w[-1]))
 
 
 def local_approximation(
@@ -190,10 +181,11 @@ def local_approximation(
     A' is the normalized partial trace over the complement; err is the
     spectral norm of A - A' (x) I.  eps_hat is the largest sampled
     ||[A, I (x) B]|| over every single-site Pauli B on the complement, then
-    ``n_random_probes`` seeded Haar-ish unitaries (all of norm 1).  A real A
-    stays real, Hermiticity is decided once and no probe matrix is built.
+    ``n_random_probes`` seeded Haar-ish unitaries (all of norm 1).  A must be
+    Hermitian (``check_hermitian``, ValueError otherwise), a real A stays real
+    and no probe matrix is built.
     """
-    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
+    A = check_hermitian(A)
     d = A.shape[0]
     n_sites = int(round(math.log2(d)))
     if 1 << n_sites != d:
@@ -203,21 +195,20 @@ def local_approximation(
     dk = 1 << region
     dc = d // dk
 
-    hermitian = _is_hermitian(A)
     a_prime = np.einsum("ajbj->ab", A.reshape(dk, dc, dk, dc)) / dc
     rest = A.copy()  # A - A' (x) I; einsum's diagonal is a writable view
     np.einsum("ajbj->jab", rest.reshape(dk, dc, dk, dc))[...] -= a_prime
-    err = _norm(rest, hermitian)
+    err = _hermitian_norm(rest)
 
     def probe_norms():
         for site, axis in product(range(region, n_sites), "XYZ"):
-            yield f"pauli:{axis}{site}", _pauli_commutator_norm(A, site, axis, hermitian)
+            yield f"pauli:{axis}{site}", _pauli_commutator_norm(A, site, axis)
         rng = np.random.default_rng(probe_seed)
         for k in range(n_random_probes):
             g = rng.standard_normal((dc, dc)) + 1j * rng.standard_normal((dc, dc))
             q, r = np.linalg.qr(g)
             q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-            yield f"random:{k}", _unitary_commutator_norm(A, q, hermitian)
+            yield f"random:{k}", _unitary_commutator_norm(A, q)
 
     # the first largest norm wins; "" with 0.0 if none is positive
     max_probe, eps_hat = max(chain([("", 0.0)], probe_norms()), key=lambda p: p[1])

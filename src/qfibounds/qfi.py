@@ -134,17 +134,22 @@ def uncertainty_report(rep: BoundsReport) -> dict:
 
 
 def _sqrt_fidelity(a: GibbsEnsemble, b: GibbsEnsemble) -> float:
-    """sqrt(Fid) = Tr |sqrt(rho_a) sqrt(rho_b)| from thermal populations.
-
-    Populations are known to full relative precision, so the singular values
-    of diag(sqrt(p)) U diag(sqrt(q)) carry only O(machine eps) absolute
-    error.  Going through dense density matrices instead (eigh + clip + sqrt)
-    amplifies eigenvalue roundoff by 1/sqrt(w) near the kernel and ruins the
-    1 - sqrt(Fid) ~ F delta^2 / 8 cancellation the oracle relies on.
-    """
-    u = a.eigs.vectors.conj().T @ b.eigs.vectors
-    m = np.sqrt(a.populations)[:, None] * u * np.sqrt(b.populations)[None, :]
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    """sqrt(Fid) = Tr |sqrt(rho_a) sqrt(rho_b)|, the singular values of
+    diag(sqrt(p)) U diag(sqrt(q)) summed over the sectors: U = W_a^H W_b is
+    zero between them.  The populations carry full relative precision, so
+    the sum's error is O(machine eps) absolute; dense density matrices
+    (eigh + clip + sqrt) would amplify eigenvalue roundoff by 1/sqrt(w) near
+    the kernel and ruin the 1 - sqrt(Fid) ~ F delta^2 / 8 cancellation.  a
+    and b must share their symmetries, hence their sector bases, as the
+    states of H -/+ (delta/2) O do unless a shift cancels the only
+    symmetry-breaking term exactly (ValueError)."""
+    (ga, ra), (gb, rb) = a.eigs.symmetries, b.eigs.symmetries
+    if len(ga) != len(gb) or (ra is None) != (rb is None):
+        raise ValueError("the two states have different symmetry sectors")
+    pa, pb = np.sqrt(a.populations), np.sqrt(b.populations)
+    blocks = (pa[x.columns, None] * (x.vectors.conj().T @ y.vectors) * pb[y.columns]
+              for x, y in zip(a.eigs.sectors, b.eigs.sectors))
+    return sum(float(np.sum(np.linalg.svd(m, compute_uv=False))) for m in blocks)
 
 
 def qfi_fidelity_oracle(model: ModelSpec, beta: float, delta: float) -> float:
@@ -159,7 +164,8 @@ def qfi_fidelity_oracle_generic(
 ) -> float:
     """Same oracle for an arbitrary pair with H(theta) = H + theta O: the
     Bures QFI between the Gibbs states of H -/+ (delta/2) O (centered, so
-    the finite-difference bias is O(delta^2))."""
+    the finite-difference bias is O(delta^2)).  ValueError if the two shifted
+    states differ in symmetry (``_sqrt_fidelity``)."""
     if not (1e-4 <= delta <= 1e-2):
         raise ValueError(f"delta must lie in [1e-4, 1e-2], got {delta}")
     if not beta > 0:

@@ -85,9 +85,14 @@ def lyapunov_residual(
     H, O = tfim_operators(model)
     states = _shifted_gibbs(H, O, ens.beta, (delta, -delta))
     plus, minus = (e.density_matrix() for e in states)
-    drho = (plus - minus) / (2.0 * delta)
+    plus -= minus
+    plus /= 2.0 * delta  # d(rho)/dtheta
     rho = ens.density_matrix()
-    return float(np.max(np.abs((rho @ L + L @ rho) / 2.0 - drho)))
+    x = rho @ L
+    x += L @ rho
+    x *= 0.5
+    x -= plus
+    return float(np.max(np.abs(x, out=x)))
 
 
 def kernel_g(t, beta: float):

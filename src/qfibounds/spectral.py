@@ -77,8 +77,8 @@ class EigenSystem:
     """Sorted eigenvalues, the symmetry sectors holding the eigenvectors and
     the degeneracy clusters.  ``symmetries`` is H's (groups, rev) of
     ``_z2_symmetries``: one group of all indices and rev None for a single
-    sector with the identity map.  The transforms read the sectors both
-    ways; the dense ``vectors`` serve only the oracles and the reference gauge."""
+    sector with the identity map.  Every transform and oracle reads the
+    sectors; the dense ``vectors`` serve only the reference gauge."""
 
     energies: np.ndarray
     sectors: tuple
@@ -107,10 +107,6 @@ class EigenSystem:
             rows, k, u = _unfolding(sector.basis, self.symmetries[1])
             out[np.ix_(rows, sector.columns)] = u[:, None] * sector.vectors[k]
         return out
-
-    def density_matrix(self, populations: np.ndarray) -> np.ndarray:
-        v = self.vectors
-        return (v * populations) @ v.conj().T
 
 
 def dense_eigensystem(energies, vectors, clusters, eps_deg) -> EigenSystem:

@@ -50,6 +50,21 @@ def dense_from_eigenbasis(eigs, X):
     return v @ X @ v.conj().T
 
 
+def dense_density_matrix(ens):
+    """(V p) V^H with the dense eigenvector columns: the reference for the
+    density matrix out of the sector blocks (``GibbsEnsemble.density_matrix``)."""
+    v = ens.eigs.vectors
+    return (v * ens.populations) @ v.conj().T
+
+
+def dense_sqrt_fidelity(a, b):
+    """sqrt(Fid) from the dense overlap U = V_a^H V_b: the reference for the
+    sector-by-sector sum of ``qfi._sqrt_fidelity``."""
+    u = a.eigs.vectors.conj().T @ b.eigs.vectors
+    m = np.sqrt(a.populations)[:, None] * u * np.sqrt(b.populations)[None, :]
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
 def close_arrays(a, b, rel=REL):
     scale = max(float(np.max(np.abs(b), initial=0.0)), 1e-300)
     return a.shape == b.shape and float(np.max(np.abs(a - b), initial=0.0)) <= rel * scale

@@ -15,14 +15,16 @@ import pytest
 
 import qfibounds as q
 from qfibounds.cli import main
-from qfibounds.gibbs import _pair_table, gibbs_ensemble
+from qfibounds.gibbs import _pair_table, _shifted_gibbs, gibbs_ensemble
 from qfibounds.locality import DressSpec, dressed_operator
 from qfibounds.operators import FlipOperator, PauliString, pauli_string_matrix
+from qfibounds.qfi import _sqrt_fidelity, qfi_fidelity_oracle_generic
 from qfibounds.sld import (
     TimeKernelSpec,
     _cosine_kernel,
     _kernel_nodes,
     energy_kernel,
+    lyapunov_residual,
     sld_matrix,
     sld_time_domain,
 )
@@ -42,7 +44,9 @@ from conftest import (
     REL,
     assert_same_results,
     close_arrays,
+    dense_density_matrix,
     dense_from_eigenbasis,
+    dense_sqrt_fidelity,
     pipeline_results,
 )
 
@@ -264,6 +268,46 @@ def test_filters_match_dense_route(n, gamma, theta, operator):
         assert close_arrays(got, want, rel=1e-14)
     assert math.isclose(res.trace_rho_L2, tr_l2, rel_tol=1e-12)
     assert abs(res.trace_rho_L - tr_l) <= 1e-12 * tr_l2
+
+
+# -- the theta +- delta oracles against the dense overlap and density matrices --
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+@pytest.mark.parametrize("gamma", [0.05, 0.3 * math.pi])
+@pytest.mark.parametrize("n", range(4, 11))
+def test_oracles_match_dense(n, gamma, theta):
+    # sqrt(Fid) summed per sector and rho out of the sector blocks, for the
+    # fidelity oracle's pair of states at theta -/+ delta/2; gamma = 0.05 has
+    # doublets straddling the P sectors
+    H, O = q.tfim_operators(q.ModelSpec(n, gamma, theta))
+    a, b = _shifted_gibbs(H, O, 1.5, (-5e-4, 5e-4))
+    assert abs(_sqrt_fidelity(a, b) - dense_sqrt_fidelity(a, b)) <= 1e-14
+    for ens in (a, b):
+        assert close_arrays(ens.density_matrix(), dense_density_matrix(ens), rel=1e-14)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+@pytest.mark.parametrize("gamma", [0.05, 0.3 * math.pi])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_lyapunov_residual_matches_dense(n, gamma, theta):
+    model, beta, delta = q.ModelSpec(n, gamma, theta), 1.5, 1e-4
+    H, O = q.tfim_operators(model)
+    ens = gibbs_ensemble(eigendecompose(H), beta)
+    L = sld_matrix(ens, O).L
+    plus, minus = (dense_density_matrix(e) for e in _shifted_gibbs(H, O, beta, (delta, -delta)))
+    rho = dense_density_matrix(ens)
+    want = float(np.max(np.abs((rho @ L + L @ rho) / 2.0 - (plus - minus) / (2.0 * delta))))
+    assert abs(lyapunov_residual(ens, L, model, delta) - want) <= 1e-12
+
+
+def test_fidelity_refuses_mismatched_symmetries():
+    # X_0's coefficient cancels exactly at -delta/2, so that state has P and
+    # R and the one at +delta/2 has neither: their sectors differ
+    z0, z1, x0 = (pauli_string_matrix(PauliString({j: axis}), 2)
+                  for j, axis in ((0, "Z"), (1, "Z"), (0, "X")))
+    with pytest.raises(ValueError, match="different symmetry sectors"):
+        qfi_fidelity_oracle_generic(z0 + z1 + 5e-4 * x0, x0, 1.0, 1e-3)
 
 
 # -- the TFIM's bit terms against the dense matrices ----------------------------
@@ -546,7 +590,28 @@ def test_transforms_read_no_dense_vectors(no_dense_vectors, theta):
     ["sweep-temperature", "--points", "3"],
     ["sweep-gamma", "--points", "3"],
     ["locality", "--beta", "1"],
-], ids=["bounds", "spectrum", "dissipation", "sweep-temperature", "sweep-gamma", "locality"])
+    ["sld-check", "--beta", "1", "--panels", "64"],
+], ids=["bounds", "spectrum", "dissipation", "sweep-temperature", "sweep-gamma", "locality",
+        "sld-check"])
 def test_commands_read_no_dense_vectors(no_dense_vectors, tmp_path, capsys, argv, theta):
-    out = [] if argv[0] == "bounds" else ["--out", str(tmp_path)]
+    out = [] if argv[0] in ("bounds", "sld-check") else ["--out", str(tmp_path)]
     assert main([*argv, "--n-sites", "6", "--theta", theta, *out]) == 0
+
+
+def test_selftest_reads_no_dense_vectors(no_dense_vectors, capsys):
+    assert main(["selftest"]) == 0
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+def test_oracles_read_no_dense_vectors(no_dense_vectors, theta):
+    # both theta +- delta oracles, the finite-difference susceptibility and
+    # rho run on the sector blocks
+    model = q.ModelSpec(6, 0.4, theta)
+    H, O = q.tfim_operators(model)
+    ens = gibbs_ensemble(eigendecompose(H), 1.5)
+    assert ens.density_matrix().shape == (64, 64)
+    assert math.isfinite(lyapunov_residual(ens, sld_matrix(ens, O).L, model, 1e-4))
+    assert math.isfinite(q.qfi_fidelity_oracle(model, 1.5, 1e-3))
+    assert math.isfinite(qfi_fidelity_oracle_generic(
+        q.random_hermitian(16, 3), q.random_hermitian(16, 4), 1.5, 1e-3))
+    assert math.isfinite(q.susceptibility_fd(model, 1.5, 1e-4))

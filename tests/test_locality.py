@@ -119,34 +119,47 @@ def _nearly_hermitian(n):
 KINDS = ("real-symmetric", "complex-hermitian", "non-hermitian")
 
 
+def _assert_refused(a, n_random_probes):
+    """The probe norms take a Hermitian A only: local_approximation refuses
+    any other A, at every region, before a probe is formed."""
+    for region in range(1, int(math.log2(len(a))) + 1):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            local_approximation(a, region, n_random_probes=n_random_probes)
+
+
 class TestConjugationNorms:
     """Probe norms from the probe's structure against the dense reference,
     to 1e-12 max(1, ||A||) absolute: a decay profile's tail norms are
-    ~1e-10, where a relative error means nothing."""
+    ~1e-10, where a relative error means nothing.  The norms take a
+    Hermitian A only; a non-Hermitian one is refused (``_assert_refused``)."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", range(1, 7))
     def test_pauli_matches_dense(self, n, kind):
         a = _operator(kind, n)
+        if kind == "non-hermitian":
+            _assert_refused(a, n_random_probes=0)
+            return
         tol = 1e-12 * max(1.0, spectral_norm(a))
-        hermitian_flags = (False,) if kind == "non-hermitian" else (True, False)
         for site in range(n):
             for axis in ("X", "Y", "Z"):
                 ref = commutator_norm(a, pauli_string_matrix(PauliString({site: axis}), n))
-                for hermitian in hermitian_flags:
-                    got = _pauli_commutator_norm(a, site, axis, hermitian)
-                    assert abs(got - ref) <= tol, (site, axis, hermitian)
+                got = _pauli_commutator_norm(a, site, axis)
+                assert abs(got - ref) <= tol, (site, axis)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", range(1, 7))
     def test_unitary_matches_dense(self, n, kind):
         a = _operator(kind, n)
+        if kind == "non-hermitian":
+            _assert_refused(a, n_random_probes=3)
+            return
         tol = 1e-12 * max(1.0, spectral_norm(a))
         rng = np.random.default_rng(7 + n)
         for region in range(1, n + 1):
             u = _haar_unitary(1 << (n - region), rng)
             ref = commutator_norm(a, np.kron(np.eye(1 << region), u))
-            got = _unitary_commutator_norm(a, u, kind != "non-hermitian")
+            got = _unitary_commutator_norm(a, u)
             assert abs(got - ref) <= tol, region
 
     def test_dressed_tail_matches_dense(self, chain8):
@@ -160,9 +173,8 @@ class TestConjugationNorms:
             for axis in ("X", "Y", "Z"):
                 ref = commutator_norm(a, pauli_string_matrix(PauliString({site: axis}), n))
                 refs.append(ref)
-                for hermitian in (True, False):
-                    got = _pauli_commutator_norm(a, site, axis, hermitian)
-                    assert abs(got - ref) <= tol, (site, axis, hermitian)
+                got = _pauli_commutator_norm(a, site, axis)
+                assert abs(got - ref) <= tol, (site, axis)
         assert min(refs) < 1e-12  # the tail is reached
 
     @pytest.mark.parametrize("axis", ["X", "Z"])
@@ -170,19 +182,18 @@ class TestConjugationNorms:
         n = 4
         for site in range(n):
             a = pauli_string_matrix(PauliString({site: axis}), n)
-            for hermitian in (True, False):
-                assert _pauli_commutator_norm(a, site, axis, hermitian) == 0.0, site
+            assert _pauli_commutator_norm(a, site, axis) == 0.0, site
 
-    @pytest.mark.parametrize("hermitian", [True, False])
-    def test_nan_raises(self, hermitian):
+    @pytest.mark.parametrize("is_complex", [True, False])
+    def test_nan_raises(self, is_complex):
         # a[0, d-1] links all-0 bits to all-1 bits, so every probe's coupling reads it
         n = 4
-        a = _operator("real-symmetric", n)
+        a = _operator("complex-hermitian" if is_complex else "real-symmetric", n)
         a[0, -1] = math.nan
         for site in range(n):
             for axis in ("X", "Y", "Z"):
                 with pytest.raises(np.linalg.LinAlgError):
-                    _pauli_commutator_norm(a, site, axis, hermitian)
+                    _pauli_commutator_norm(a, site, axis)
 
     def test_gram_overflow_raises(self):
         # ||m||_F^2 overflows: eigvalsh of diag(inf, 1) returns NaN without
@@ -191,7 +202,7 @@ class TestConjugationNorms:
         a[0, 2] = a[2, 0] = 1e160
         a[1, 3] = a[3, 1] = 1.0
         with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError):
-            _pauli_commutator_norm(a, 0, "Z", True)
+            _pauli_commutator_norm(a, 0, "Z")
 
 
 class TestDressedOperator:
@@ -307,6 +318,9 @@ class TestLocalApproximation:
             a = dressed_operator(eigendecompose(H), a_loc, DressSpec(mu=math.pi))
         else:
             a = _operator(kind, n)
+        if kind == "non-hermitian":
+            _assert_refused(a, n_random_probes=5)
+            return
         tol = 1e-12 * max(1.0, spectral_norm(a))
         for k in (2, 3, 4, 5):
             got = local_approximation(a, k, n_random_probes=5, probe_seed=11)
@@ -320,15 +334,9 @@ class TestLocalApproximation:
             ), k
             assert np.max(np.abs(got.a_prime - ref.a_prime)) <= tol, k
 
-    def test_slightly_non_hermitian_matches_svd(self):
-        a = _nearly_hermitian(5)
-        tol = 1e-12 * max(1.0, spectral_norm(a))
-        svd = lambda x, b: spectral_norm(x @ b - b @ x)  # noqa: E731
-        for k in (2, 3):
-            got = local_approximation(a, k, n_random_probes=3, probe_seed=5)
-            ref, _ = _dense_local_approximation(a, k, 3, 5, commutator=svd)
-            assert abs(got.err - ref.err) <= tol, k
-            assert abs(got.eps_hat - ref.eps_hat) <= tol, k
+    def test_slightly_non_hermitian_is_refused(self):
+        # off by 1e-7: check_hermitian's rule, as every other entry point applies it
+        _assert_refused(_nearly_hermitian(5), n_random_probes=3)
 
     @pytest.mark.parametrize("region", [1, 2, 3])
     def test_nan_raises(self, region):
@@ -345,10 +353,9 @@ class TestLocalApproximation:
             local_approximation(a, 4)
 
 
-def _dense_local_approximation(A, region, n_random_probes, probe_seed,
-                               commutator=commutator_norm):
+def _dense_local_approximation(A, region, n_random_probes, probe_seed):
     """The kron-based implementation the conjugation norms replaced: every
-    probe is embedded as a dense I (x) B and goes through ``commutator``.
+    probe is embedded as a dense I (x) B and goes through ``commutator_norm``.
     Also returns every probe's norm by label."""
     A = np.asarray(A, dtype=complex)
     d = A.shape[0]
@@ -368,7 +375,7 @@ def _dense_local_approximation(A, region, n_random_probes, probe_seed,
     norms = {}
     eps_hat, max_probe = 0.0, ""
     for label, b in probes:
-        val = norms[label] = commutator(A, np.kron(np.eye(dk), b)) / spectral_norm(b)
+        val = norms[label] = commutator_norm(A, np.kron(np.eye(dk), b)) / spectral_norm(b)
         if val > eps_hat:
             eps_hat, max_probe = val, label
     ref = LocalApproximation(a_prime=a_prime, err=err, eps_hat=eps_hat, max_probe=max_probe)
