@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -127,30 +127,38 @@ def commutator_decay_profile(
     )
 
 
-def _pauli_commutator_norm(a: np.ndarray, site: int, axis: str):
+def _pauli_commutator_norm(a: np.ndarray, site: int, axis: str, floor: float = 0.0):
     """||[a, sigma]|| of a Hermitian a for sigma = sigma_site^axis, which is
     Hermitian and unitary: [a, sigma] = (a - sigma a sigma) sigma only couples
     sigma's +1 and -1 eigenspaces, so the norm is 2 ||P+ a P-||.  Built from
     the site blocks a_st (s, t the site's bits) in the eigenbasis
-    (|0> +- c|1>)/sqrt2, c = 1 (X) or i (Y)."""
+    (|0> +- c|1>)/sqrt2, c = 1 (X) or i (Y); a bound below floor may stand in."""
     half, lo = a.shape[0] // 2, 1 << site
     b = a.reshape(lo, 2, half // lo, lo, 2, half // lo)
     a00, a01, a10, a11 = (b[:, s, :, :, t, :] for s in (0, 1) for t in (0, 1))
     c = 1.0 if axis == "X" else 1j
     m = a01 if axis == "Z" else (a00 - a11 - c * a01 + c.conjugate() * a10) / 2.0
-    return 2.0 * _gram_norm(m.reshape(half, half))
+    return 2.0 * _gram_norm(m.reshape(half, half), floor / 2.0)
 
 
-def _gram_norm(m: np.ndarray) -> float:
+def _gram_norm(m: np.ndarray, floor: float = 0.0) -> float:
     """||m|| = sqrt(lambda_max(m m^H)), a GEMM and an ``eigvalsh`` at about a
     third of an SVD's cost.  The top eigenvalue of a positive semidefinite
     Gram matrix keeps its relative accuracy, so tiny norms do too.
     ``eigvalsh`` may return finite values or NaN for a matrix holding NaN or
     inf, so an m that is not finite, or whose ||m||_F^2 overflows (||m||
-    above about 1e154), raises."""
+    above about 1e154), raises.  Given a floor, lambda_max of the Hermitian h
+    that ``eigvalsh`` reads from g's lower triangle is at most max_i sum_j
+    |h_ij| (Gershgorin); times 1 + 1e-8 for the backward error of ``eigvalsh``
+    and the sums' rounding (about n eps each), a bound below floor is returned."""
     g = m @ m.conj().T
     if not np.isfinite(np.trace(g)):
         raise np.linalg.LinAlgError("probe coupling is not finite or its Gram matrix overflows")
+    if floor > 0.0:
+        h = np.abs(np.tril(g))
+        bound = math.sqrt(np.max(h.sum(axis=0) + h.sum(axis=1) - h.diagonal()) * (1.0 + 1e-8))
+        if bound < floor:
+            return bound
     return math.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0))
 
 
@@ -181,10 +189,14 @@ def local_approximation(
     A' is the normalized partial trace over the complement; err is the
     spectral norm of A - A' (x) I.  eps_hat is the largest sampled
     ||[A, I (x) B]|| over every single-site Pauli B on the complement, then
-    ``n_random_probes`` seeded Haar-ish unitaries (all of norm 1).  A must be
-    Hermitian (``check_hermitian``, ValueError otherwise), a real A stays real
-    and no probe matrix is built.
+    ``n_random_probes`` seeded Haar-ish unitaries (all of norm 1); the first
+    largest wins, so a Pauli probe bounded strictly below the running maximum
+    skips its ``eigvalsh`` (``_gram_norm``) and every field stays bitwise.
+    A must be Hermitian (``check_hermitian``, ValueError otherwise), a real A
+    stays real and no probe matrix is built.
     """
+    if isinstance(n_random_probes, bool) or n_random_probes < 0:
+        raise ValueError(f"n_random_probes must be a non-negative integer, got {n_random_probes!r}")
     A = check_hermitian(A)
     d = A.shape[0]
     n_sites = int(round(math.log2(d)))
@@ -200,9 +212,9 @@ def local_approximation(
     np.einsum("ajbj->jab", rest.reshape(dk, dc, dk, dc))[...] -= a_prime
     err = _hermitian_norm(rest)
 
-    def probe_norms():
+    def probe_norms():  # read lazily: eps_hat is the running maximum below
         for site, axis in product(range(region, n_sites), "XYZ"):
-            yield f"pauli:{axis}{site}", _pauli_commutator_norm(A, site, axis)
+            yield f"pauli:{axis}{site}", _pauli_commutator_norm(A, site, axis, eps_hat)
         rng = np.random.default_rng(probe_seed)
         for k in range(n_random_probes):
             g = rng.standard_normal((dc, dc)) + 1j * rng.standard_normal((dc, dc))
@@ -210,6 +222,8 @@ def local_approximation(
             q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
             yield f"random:{k}", _unitary_commutator_norm(A, q)
 
-    # the first largest norm wins; "" with 0.0 if none is positive
-    max_probe, eps_hat = max(chain([("", 0.0)], probe_norms()), key=lambda p: p[1])
+    max_probe, eps_hat = "", 0.0  # if no norm is positive
+    for probe, norm in probe_norms():
+        if norm > eps_hat:
+            max_probe, eps_hat = probe, norm
     return LocalApproximation(a_prime=a_prime, err=err, eps_hat=eps_hat, max_probe=max_probe)

@@ -79,7 +79,8 @@ def lyapunov_residual(
     ens: GibbsEnsemble, L: np.ndarray, model: ModelSpec, delta: float
 ) -> float:
     """Max-norm defect of (rho L + L rho)/2 against a finite-difference
-    d(rho)/dtheta built from full rediagonalizations at theta +/- delta."""
+    d(rho)/dtheta built from full rediagonalizations at theta +/- delta.  rho's
+    last ulp over 2 delta is several 1e-12: no gate below ~1e-11 is meaningful."""
     if not (1e-6 <= delta <= 1e-3):
         raise ValueError(f"delta must lie in [1e-6, 1e-3], got {delta}")
     H, O = tfim_operators(model)

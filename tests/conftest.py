@@ -1,10 +1,18 @@
 import math
+from itertools import chain, product
 
 import numpy as np
 import pytest
 
 import qfibounds as q
 from qfibounds.fluctuation import FREQ_MERGE_TOL
+from qfibounds.locality import (
+    LocalApproximation,
+    _hermitian_norm,
+    _pauli_commutator_norm,
+    _unitary_commutator_norm,
+)
+from qfibounds.operators import check_hermitian
 
 
 @pytest.fixture
@@ -63,6 +71,66 @@ def dense_sqrt_fidelity(a, b):
     u = a.eigs.vectors.conj().T @ b.eigs.vectors
     m = np.sqrt(a.populations)[:, None] * u * np.sqrt(b.populations)[None, :]
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
+def unpruned_local_approximation(
+    A: np.ndarray,
+    region: int,
+    n_random_probes: int = 100,
+    probe_seed: int = 2024,
+) -> LocalApproximation:
+    """``local_approximation`` as it was before the Pauli probes were
+    bounded first: every probe's norm is computed, each through its full
+    ``eigvalsh``.  The reference the pruned loop must match bit for bit."""
+    A = check_hermitian(A)
+    d = A.shape[0]
+    n_sites = int(round(math.log2(d)))
+    if 1 << n_sites != d:
+        raise ValueError("operator dimension is not a power of two")
+    if not (1 <= region <= n_sites):
+        raise ValueError(f"region must be in [1, {n_sites}]")
+    dk = 1 << region
+    dc = d // dk
+
+    a_prime = np.einsum("ajbj->ab", A.reshape(dk, dc, dk, dc)) / dc
+    rest = A.copy()  # A - A' (x) I; einsum's diagonal is a writable view
+    np.einsum("ajbj->jab", rest.reshape(dk, dc, dk, dc))[...] -= a_prime
+    err = _hermitian_norm(rest)
+
+    def probe_norms():
+        for site, axis in product(range(region, n_sites), "XYZ"):
+            yield f"pauli:{axis}{site}", _pauli_commutator_norm(A, site, axis)
+        rng = np.random.default_rng(probe_seed)
+        for k in range(n_random_probes):
+            g = rng.standard_normal((dc, dc)) + 1j * rng.standard_normal((dc, dc))
+            q, r = np.linalg.qr(g)
+            q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            yield f"random:{k}", _unitary_commutator_norm(A, q)
+
+    # the first largest norm wins; "" with 0.0 if none is positive
+    max_probe, eps_hat = max(chain([("", 0.0)], probe_norms()), key=lambda p: p[1])
+    return LocalApproximation(a_prime=a_prime, err=err, eps_hat=eps_hat, max_probe=max_probe)
+
+
+def free_fermion_energies(n, gamma):
+    """All 2^n energies of the theta = 0 chain
+    H = sin(gamma) sum sigma^z - cos(gamma) sum sigma^x sigma^x (open), in
+    ascending order, and its n single-particle energies eps_k >= 0.
+
+    Under Jordan-Wigner with Majoranas a_2i, a_2i+1, sigma^z_i = -i a_2i a_2i+1
+    and sigma^x_i sigma^x_i+1 = -i a_2i+1 a_2i+2, so H = (i/4) a^T M a with M
+    real antisymmetric.  The n largest eigenvalues of iM are the eps_k, and
+    the energies are sum_k eps_k (n_k - 1/2) over the occupations n_k.
+    """
+    m = np.zeros((2 * n, 2 * n))
+    i = np.arange(n)
+    m[2 * i, 2 * i + 1] = -2.0 * math.sin(gamma)
+    m[2 * i[:-1] + 1, 2 * i[:-1] + 2] = 2.0 * math.cos(gamma)
+    eps = np.linalg.eigvalsh(1j * (m - m.T))[n:]
+    energies = np.zeros(1)
+    for e in eps:
+        energies = np.concatenate([energies - e / 2.0, energies + e / 2.0])
+    return np.sort(energies), eps
 
 
 def close_arrays(a, b, rel=REL):

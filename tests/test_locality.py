@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
 from qfibounds.locality import (
@@ -25,7 +26,7 @@ from qfibounds.operators import (
 from qfibounds.sld import _cosine_kernel, _gauss_panels
 from qfibounds.spectral import eigendecompose, to_eigenbasis
 
-from conftest import dense_from_eigenbasis
+from conftest import dense_from_eigenbasis, unpruned_local_approximation
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +352,121 @@ class TestLocalApproximation:
             local_approximation(a, 0)
         with pytest.raises(ValueError):
             local_approximation(a, 4)
+
+    @pytest.mark.parametrize("count", [-3, -1, True, False])
+    def test_probe_count_validation(self, count):
+        # range() would run -3 as zero probes and True as one
+        a = pauli_string_matrix(PauliString({0: "X"}), 3)
+        with pytest.raises(ValueError, match="n_random_probes"):
+            local_approximation(a, 2, n_random_probes=count)
+        assert local_approximation(a, 2, n_random_probes=0).eps_hat == 0.0
+
+
+def _bound_cases(n):
+    """The dressed sigma^x_0 at theta in {0, 0.1} and mu in {pi, 0.3}, a
+    random Hermitian A and the zero matrix on n sites."""
+    a_loc = pauli_string_matrix(PauliString({0: "X"}), n)
+    for theta in (0.0, 0.1):
+        eigs = eigendecompose(q.build_tfim(q.ModelSpec(n, 0.4 * math.pi, theta))[0])
+        for mu in (math.pi, 0.3):
+            yield f"dressed-{theta}-{mu:.3g}", dressed_operator(eigs, a_loc, DressSpec(mu=mu))
+    yield "random-hermitian", random_hermitian(1 << n, seed=40 + n)
+    yield "zero", np.zeros((1 << n, 1 << n))
+
+
+def _assert_bitwise(got, ref, case):
+    assert got.err == ref.err, case
+    assert got.eps_hat == ref.eps_hat, case
+    assert got.max_probe == ref.max_probe, case
+    assert got.a_prime.dtype == ref.a_prime.dtype, case
+    assert got.a_prime.tobytes() == ref.a_prime.tobytes(), case
+
+
+class _EigvalshSpy:
+    """Counts the ``eigvalsh`` calls on matrices of one size."""
+
+    def __init__(self, size):
+        self.size, self.calls, self.inner = size, 0, np.linalg.eigvalsh
+
+    def __call__(self, a, *args, **kwargs):
+        self.calls += a.shape[0] == self.size
+        return self.inner(a, *args, **kwargs)
+
+
+class TestProbeBound:
+    """A Pauli probe bounded below the running maximum skips its
+    ``eigvalsh``; every field stays bitwise the unpruned loop's."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bitwise_unpruned(self, n):
+        for name, a in _bound_cases(n):
+            for region in range(1, n + 1):
+                for probes in (0, 3) if n < 7 else (0,):  # random probes are slow from n = 7
+                    case = (name, region, probes)
+                    got = local_approximation(a, region, n_random_probes=probes, probe_seed=17)
+                    ref = unpruned_local_approximation(a, region, probes, 17)
+                    _assert_bitwise(got, ref, case)
+
+    def test_bitwise_unpruned_n10(self):
+        n = 10
+        eigs = eigendecompose(q.build_tfim(q.ModelSpec(n, 0.4 * math.pi, 0.1))[0])
+        a = dressed_operator(eigs, pauli_string_matrix(PauliString({0: "X"}), n), DressSpec(mu=0.3))
+        # a random probe here is a 1024^2 complex eigvalsh; the smaller n cover them
+        got = local_approximation(a, 8, n_random_probes=0)
+        _assert_bitwise(got, unpruned_local_approximation(a, 8, 0), "n10")
+
+    def _assert_bound_covers(self, a):
+        n = int(math.log2(a.shape[0]))
+        for site in range(n):
+            for axis in ("X", "Y", "Z"):
+                norm = _pauli_commutator_norm(a, site, axis)
+                assert _pauli_commutator_norm(a, site, axis, math.inf) >= norm, (site, axis)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_bound_covers_dressed_tails(self, n):
+        # the far-site norms of the dressed operator fall to ~1e-15
+        for _, a in _bound_cases(n):
+            self._assert_bound_covers(a)
+        self._assert_bound_covers(_operator("complex-hermitian", n))  # complex Y couplings
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        kind=st.sampled_from(["real-symmetric", "complex-hermitian", "pauli"]),
+        seed=st.integers(0, 2**16),
+        exponent=st.integers(-100, 100),
+    )
+    def test_bound_covers_norm(self, n, kind, seed, exponent):
+        rng = np.random.default_rng(seed)
+        if kind == "pauli":  # a Gram matrix that is a multiple of the identity
+            axes = rng.choice(list("IXYZ"), n)
+            a = pauli_string_matrix(PauliString({j: str(x) for j, x in enumerate(axes) if x != "I"}), n)
+        elif kind == "real-symmetric":
+            g = rng.standard_normal((1 << n, 1 << n))
+            a = (g + g.T) / 2.0
+        else:
+            a = random_hermitian(1 << n, seed)
+        self._assert_bound_covers(a * 10.0**exponent)
+
+    def test_far_probes_skip_eigvalsh(self, chain8, monkeypatch):
+        # region 2 of the dressed sigma^x_0 on 8 sites: 18 Pauli probes, each
+        # Gram matrix 128 x 128; err's and the random probes' are 256 x 256
+        n, eigs, a_loc = chain8
+        a = dressed_operator(eigs, a_loc, DressSpec(mu=math.pi))
+        ref = unpruned_local_approximation(a, 2, 2, 5)
+        spy = _EigvalshSpy(1 << (n - 1))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        got = local_approximation(a, 2, n_random_probes=2, probe_seed=5)
+        assert spy.calls < 9
+        _assert_bitwise(got, ref, "chain8")
+
+    def test_profile_computes_every_norm(self, chain8, monkeypatch):
+        # the decay profile needs every norm: nothing is skipped there
+        n, eigs, a_loc = chain8
+        spy = _EigvalshSpy(1 << (n - 1))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        commutator_decay_profile(eigs, a_loc, DressSpec(mu=math.pi), probe_kind="Z")
+        assert spy.calls == n
 
 
 def _dense_local_approximation(A, region, n_random_probes, probe_seed):

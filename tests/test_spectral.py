@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
-from qfibounds.gibbs import gibbs_ensemble
+from qfibounds.gibbs import gibbs_ensemble, thermal_average
 from qfibounds.operators import FlipOperator, PauliString, pauli_string_matrix
 from qfibounds.spectral import (
     _z2_symmetries,
@@ -19,7 +19,7 @@ from qfibounds.spectral import (
     to_eigenbasis,
 )
 
-from conftest import assert_same_results, pipeline_results, rel_close
+from conftest import assert_same_results, free_fermion_energies, pipeline_results, rel_close
 
 
 class TestClusterDegeneracies:
@@ -326,3 +326,29 @@ class TestSectorEigendecompose:
                                rtol=0.0, atol=1e-12)
             assert np.allclose(odd_weight(rotated.vectors, a, b), 0.5, rtol=0.0, atol=1e-9)
         _assert_matches_dense(H, O, 3.0)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.1, 0.05])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_free_fermion_oracle(n, gamma):
+    """The theta = 0 chain against its Jordan-Wigner closed form: every
+    energy to 1e-12 max(1, range); log Z and <H> at three beta; and the
+    cluster count.  At gamma = 0.05 the zero mode eps_0 falls below eps_deg
+    from n = 6 on (3e-8 there, 5e-16 at n = 12), and each ferromagnetic
+    doublet becomes one cluster."""
+    H, _ = q.tfim_operators(q.ModelSpec(n, gamma))
+    eigs = eigendecompose(H)
+    energies, eps = free_fermion_energies(n, gamma)
+    width = max(1.0, float(energies[-1] - energies[0]))
+    assert np.max(np.abs(eigs.energies - energies)) <= 1e-12 * width
+    for beta in (0.1, 1.0, 10.0):
+        ens = gibbs_ensemble(eigs, beta)
+        x = beta * eps / 2.0
+        log_z = float(np.sum(np.logaddexp(x, -x)))  # sum_k log(2 cosh(beta eps_k / 2))
+        mean_h = -float(np.sum(eps / 2.0 * np.tanh(x)))
+        assert abs(ens.log_z - log_z) <= 1e-12 * max(1.0, beta * width), beta
+        assert abs(thermal_average(ens, H) - mean_h) <= 1e-12 * width, beta
+    doublets = gamma == 0.05 and n >= 6
+    assert (eps[0] < eigs.eps_deg) == doublets
+    assert len(eigs.clusters) == len(cluster_degeneracies(energies, eigs.eps_deg))
+    assert len(eigs.clusters) == 2 ** (n - 1 if doublets else n)
