@@ -22,6 +22,7 @@ from .sld import TimeKernelSpec, kernel_g_integral, lyapunov_residual, sld_matri
 from .locality import DressSpec, commutator_decay_profile
 from .spectral import eigendecompose
 from .harness import (
+    BETA_MAX,
     ConfigError,
     SweepConfig,
     checked_number,
@@ -172,7 +173,7 @@ def _dispatch(args) -> int:
     if getattr(args, "eps_deg", None) is not None:
         checked_number(args.eps_deg, "eps_deg", positive=True)
     if getattr(args, "beta", None) is not None:
-        checked_number(args.beta, "beta", positive=cmd in ("sld-check", "locality"))
+        checked_number(args.beta, "beta", positive=cmd in ("sld-check", "locality"), most=BETA_MAX)
     if cmd == "sld-check" and not (1e-6 <= args.fd_delta <= 1e-3):
         raise ConfigError(f"fd_delta must lie in [1e-6, 1e-3], got {args.fd_delta}")
     if cmd == "locality" and args.n_sites < 6:

@@ -2,15 +2,14 @@
 generalized fluctuation-dissipation relation with its zero-frequency
 correction, and kernel moments that reproduce the QFI and both bounds.
 
-Both spectra emit the lines of the same pair table (``gibbs._pair_table``),
-block by block in row-major pair order, an a < b block once in each order,
-at the differences of its cluster-mean levels: the autocorrelation spectrum
-one per pair, the same-cluster pairs merging into its omega = 0 line, and
-the dissipation spectrum one per distinct-cluster pair.  Pairs of symmetry
-sectors that O cannot link have O_mn = 0 and emit no line.  The table's
-kernel moments are F, beta chi and Var, so the ``moment``s of the
-autocorrelation spectrum reproduce those scalars line for line.  ``moment``
-takes a ``KernelKind``.
+Both spectra read one set of lines (``_pair_lines``), each with the
+autocorrelation weight pi (p_m + p_n)|O_mn|^2: the autocorrelation spectrum
+all of them, its same-cluster pairs merging into the omega = 0 line, and the
+dissipation spectrum those at omega != 0 times tanh(beta omega / 2), which is
+p_m - p_n = (p_m + p_n) tanh(beta omega / 2) at the cluster-mean levels
+without the difference's cancellation.  The ``moment``s of the
+autocorrelation spectrum reproduce F, beta chi and Var line for line;
+``moment`` takes a ``KernelKind``.
 """
 
 from __future__ import annotations
@@ -71,50 +70,43 @@ def _aggregate(omegas, weights, kind: str) -> LineSpectrum:
     return LineSpectrum(out_o, out_w, kind)
 
 
-def _pair_lines(ens: GibbsEnsemble, O: np.ndarray, weight):
-    """Unaggregated (omegas, weights) of every pair the pair table holds: the
-    line omega = E_n - E_m of the levels with weight(p_m, p_n, |O_mn|^2),
-    block by block in row-major order, an a < b block's pairs then again in
-    the reverse order (n, m); and the table."""
+def _pair_lines(ens: GibbsEnsemble, O: np.ndarray):
+    """Unaggregated autocorrelation lines (omegas, weights): the line
+    omega = E_n - E_m of the cluster-mean levels with weight
+    pi (p_m + p_n) |O_mn|^2 for every pair of the pair table
+    (``gibbs._pair_table``), block by block in row-major order, an a < b
+    block's pairs then again in the reverse order (n, m) at -omega; then
+    2 pi sum_n p_n (O_nn - <O>)^2 at omega = 0.  The same-cluster pairs sit
+    at omega = 0 too, and with it make the basis-independent zero-frequency
+    weight.  Pairs of sectors that O cannot link emit no line."""
     t = _pair_table(ens.eigs, O)
     e, p = t.levels, ens.populations
     omegas, weights = [], []
     for a, b, o2 in t.blocks:
-        gaps = np.subtract.outer(e[a.columns], e[b.columns])
-        pa, pb = p[a.columns][:, None], p[b.columns][None, :]
-        omegas.append(-gaps.ravel())
-        weights.append(weight(pa, pb, o2).ravel())
-        if a is not b:
-            omegas.append(gaps.ravel())
-            weights.append(weight(pb, pa, o2).ravel())
-    return np.concatenate(omegas), np.concatenate(weights), t
-
-
-def _autocorrelation_lines(ens: GibbsEnsemble, O: np.ndarray):
-    """Unaggregated (omegas, weights): the line omega = E_n - E_m of the
-    levels with weight pi (p_m + p_n) |O_mn|^2 for every pair of the table
-    (``_pair_lines``), then 2 pi sum_n p_n (O_nn - <O>)^2 at omega = 0.  The
-    same-cluster pairs sit at omega = 0 too, and with it make the
-    basis-independent zero-frequency weight."""
-    omegas, weights, t = _pair_lines(
-        ens, O, lambda pm, pn, o2: math.pi * ((pm + pn) * o2))
-    classical = 2.0 * math.pi * _classical(ens.populations, t.diag)
-    return np.append(omegas, 0.0), np.append(weights, classical)
+        omega = -np.subtract.outer(e[a.columns], e[b.columns]).ravel()
+        w = (math.pi * ((p[a.columns][:, None] + p[b.columns][None, :]) * o2)).ravel()
+        omegas += [omega] if a is b else [omega, -omega]
+        weights += [w] if a is b else [w, w]
+    omegas.append(np.zeros(1))
+    weights.append([2.0 * math.pi * _classical(p, t.diag)])
+    return np.concatenate(omegas), np.concatenate(weights)
 
 
 def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
-    """Symmetrized fluctuation spectrum S(omega) (``_autocorrelation_lines``).
+    """Symmetrized fluctuation spectrum S(omega) (``_pair_lines``).
     Sum rule: total weight = 2 pi Var(O)."""
-    return _aggregate(*_autocorrelation_lines(ens, O), AUTOCORRELATION)
+    return _aggregate(*_pair_lines(ens, O), AUTOCORRELATION)
 
 
 def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
-    """Im chi(omega): odd line spectrum with weights pi (p_m - p_n) |O_mn|^2
-    and no zero-frequency weight."""
-    omegas, weights, _ = _pair_lines(
-        ens, O, lambda pm, pn, o2: math.pi * (pm - pn) * o2)
+    """Im chi(omega): odd line spectrum, the autocorrelation lines at
+    omega != 0 times tanh(beta omega / 2), which is pi (p_m - p_n) |O_mn|^2
+    without its cancellation; no zero-frequency weight."""
+    omegas, weights = _pair_lines(ens, O)
     distinct = omegas != 0.0
-    return _aggregate(omegas[distinct], weights[distinct], DISSIPATION)
+    omegas, weights = omegas[distinct], weights[distinct]
+    weights *= np.tanh(ens.beta * omegas / 2.0)
+    return _aggregate(omegas, weights, DISSIPATION)
 
 
 def generalized_fdt(
@@ -126,7 +118,7 @@ def generalized_fdt(
         raise ValueError("expected a dissipation spectrum")
     if not ens.beta > 0:
         raise ValueError("generalized FDT needs beta > 0")
-    lines, weights = _autocorrelation_lines(ens, O)
+    lines, weights = _pair_lines(ens, O)
     zero = lines == 0.0
 
     # Guard against a spectrum from a different ensemble: every line must sit

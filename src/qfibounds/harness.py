@@ -39,6 +39,11 @@ SWEEP_AXES = ("temperature", "gamma")
 
 CSV_CHUNK = 1 << 16  # rows per write of write_csv: a few MB each
 
+# The largest beta taken (--beta, a config's fixed beta, 1 / a temperature):
+# UB1 <= UB2 = beta^2 Var <= beta^2 N^2, so UB1^2 <= 3.9e4 beta^4 is finite up
+# to 1e75 at N <= 14; in the ordered phase F ~ beta^2 overflows near 1e77.
+BETA_MAX = 1e75
+
 
 class ConfigError(ValueError):
     """Invalid sweep configuration (CLI exit code 2)."""
@@ -62,8 +67,8 @@ class SweepConfig:
         diffs = np.diff(grid)
         if grid.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("grid must be strictly monotone")
-        if self.sweep_axis == "temperature" and np.any(grid <= 0):
-            raise ConfigError("temperatures must be positive")
+        if self.sweep_axis == "temperature" and np.any(grid < 1.0 / BETA_MAX):
+            raise ConfigError(f"temperatures must be >= {1.0 / BETA_MAX:g} (beta <= {BETA_MAX:g})")
         if self.sweep_axis == "gamma" and self.fixed_beta is None:
             raise ConfigError("gamma sweeps need a fixed beta (or temperature)")
 
@@ -71,15 +76,16 @@ class SweepConfig:
         return {**asdict(self), "grid": list(self.grid)}
 
 
-def checked_number(value, what: str, positive: bool = False) -> float:
-    """``value`` as a finite float >= 0 (> 0 if ``positive``), else
-    ConfigError.  Numeric strings pass: YAML 1.1 reads ``1e-8`` as one."""
+def checked_number(value, what: str, positive: bool = False, most: float = math.inf) -> float:
+    """``value`` as a finite float >= 0 (> 0 if ``positive``) and <= ``most``,
+    else ConfigError.  Numeric strings pass: YAML 1.1 reads ``1e-8`` as one.
+    Booleans are refused: YAML reads ``yes`` and ``true`` as one."""
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
-    if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
-        bound = "> 0" if positive else ">= 0"
+    if not (math.isfinite(x) and (x > 0 if positive else x >= 0) and x <= most):
+        bound = ("> 0" if positive else ">= 0") + (f", <= {most:g}" if most < math.inf else "")
         raise ConfigError(f"{what} must be a finite number {bound}, got {value!r}")
     return x
 
@@ -139,9 +145,10 @@ def config_from_dict(raw: dict) -> SweepConfig:
     if not isinstance(fixed, dict):
         raise ConfigError("fixed must be a mapping")
     if fixed.get("beta") is not None:
-        fixed_beta = checked_number(fixed["beta"], "fixed beta")
+        fixed_beta = checked_number(fixed["beta"], "fixed beta", most=BETA_MAX)
     elif "temperature" in fixed:
-        fixed_beta = 1.0 / checked_number(fixed["temperature"], "fixed temperature", True)
+        t = checked_number(fixed["temperature"], "fixed temperature", True)
+        fixed_beta = checked_number(1.0 / t, "1 / fixed temperature", most=BETA_MAX)
     else:
         fixed_beta = None
     eps_deg = raw.get("eps_deg")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import qfibounds as q
-from qfibounds.fluctuation import FREQ_MERGE_TOL
+from qfibounds.fluctuation import DISSIPATION, FREQ_MERGE_TOL, _aggregate
+from qfibounds.gibbs import _pair_table
 from qfibounds.locality import (
     LocalApproximation,
     _hermitian_norm,
@@ -71,6 +72,32 @@ def dense_sqrt_fidelity(a, b):
     u = a.eigs.vectors.conj().T @ b.eigs.vectors
     m = np.sqrt(a.populations)[:, None] * u * np.sqrt(b.populations)[None, :]
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
+def expm1_dissipation(ens, O):
+    """Im chi from the population differences written as
+    p_m - p_n = p_n expm1(beta (E_n - E_m)) = -p_m expm1(beta (E_m - E_n)),
+    whichever has the larger population and so |expm1| < 1: each factor is
+    then accurate to an ulp at every beta, and a population's own rounding
+    (about beta |E| ulp at large beta) is not multiplied by exp(beta |omega|).
+    The reference for ``dissipation_spectrum``'s tanh form: one line per
+    ordered pair of the pair table at omega = E_n - E_m != 0 of the
+    cluster-mean levels, with weight pi (p_m - p_n) |O_mn|^2, merged by
+    ``_aggregate`` like the spectrum."""
+    t = _pair_table(ens.eigs, O)
+    e, p = t.levels, ens.populations
+    omegas, weights = [], []
+    for a, b, o2 in t.blocks:
+        for rows, cols, x in ((a, b, o2), (b, a, o2.T))[: 1 if a is b else 2]:
+            m, n = np.meshgrid(rows.columns, cols.columns, indexing="ij")
+            omega = e[n] - e[m]
+            omegas.append(omega.ravel())
+            larger = np.where(omega <= 0.0, p[n], -p[m])
+            diff = larger * np.expm1(-ens.beta * np.abs(omega))
+            weights.append((math.pi * diff * x).ravel())
+    omegas, weights = np.concatenate(omegas), np.concatenate(weights)
+    distinct = omegas != 0.0
+    return _aggregate(omegas[distinct], weights[distinct], DISSIPATION)
 
 
 def unpruned_local_approximation(

@@ -19,7 +19,7 @@ from qfibounds.fluctuation import (
     moment,
 )
 
-from conftest import random_instance, rel_close
+from conftest import expm1_dissipation, random_instance, rel_close
 
 
 class TestAggregate:
@@ -108,6 +108,39 @@ class TestDissipationSpectrum:
         H = np.diag([1.0, -1.0]).astype(complex)
         s = dissipation_spectrum(q.prepared_gibbs(H, H, 1.0), H)
         assert float(np.max(np.abs(s.weights), initial=0.0)) < 1e-14
+
+
+class TestHighTemperatureWeights:
+    """The dissipation weights pi (p_m + p_n) tanh(beta omega / 2) |O_mn|^2
+    keep full precision at every beta; pi (p_m - p_n) |O_mn|^2 lost digits
+    to the difference's cancellation as beta -> 0 (up to 1.9e-8 relative at
+    beta = 1e-6 and 2.1e-6 at beta = 1e-8 on this grid)."""
+
+    GRID = [pytest.param(n, theta, beta, id=f"n{n}-t{theta}-b{beta:g}")
+            for n in (6, 8) for theta in (0.0, 0.1) for beta in (1e-8, 1e-6, 1e-3, 1.0, 20.0)]
+
+    @staticmethod
+    def _ensemble(n, theta, beta):
+        H, O = q.tfim_operators(q.ModelSpec(n, 0.9, theta))
+        return q.prepared_gibbs(H, O, beta), O
+
+    @pytest.mark.parametrize("n, theta, beta", GRID)
+    def test_matches_expm1_reference(self, n, theta, beta):
+        ens, O = self._ensemble(n, theta, beta)
+        got, ref = dissipation_spectrum(ens, O), expm1_dissipation(ens, O)
+        assert len(got) == len(ref)
+        assert np.max(np.abs(got.omegas - ref.omegas)) <= 1e-12
+        big = np.abs(ref.weights) > 1e-12 * np.max(np.abs(ref.weights))
+        assert np.all(np.abs(got.weights - ref.weights)[big] <= 1e-14 * np.abs(ref.weights[big]))
+
+    @pytest.mark.parametrize("n, theta, beta", GRID)
+    def test_fdt_line_by_line(self, n, theta, beta):
+        ens, O = self._ensemble(n, theta, beta)
+        recon = generalized_fdt(dissipation_spectrum(ens, O), ens, O)
+        direct = autocorrelation_spectrum(ens, O)
+        assert len(recon) == len(direct)
+        assert np.max(np.abs(recon.omegas - direct.omegas)) <= 1e-12
+        assert np.all(np.abs(recon.weights - direct.weights) <= 1e-12 * direct.weights)
 
 
 class TestDissipationRoute:

@@ -201,8 +201,8 @@ def _reference_pair_sums(table, p, beta):
     block's pairs in row-major order and an a < b block's again in the
     reverse order (n, m), at the differences of the cluster-mean levels (0
     for a same-cluster pair), and both spectra's unaggregated lines in that
-    order: every pair for the autocorrelation, those at omega != 0 for the
-    dissipation."""
+    order: every pair for the autocorrelation, those at omega != 0 times
+    tanh(beta omega / 2) for the dissipation."""
     ms, ns, o2s = [], [], []
     for a, b, o2 in table.blocks:
         m, n = np.meshgrid(a.columns, b.columns, indexing="ij")
@@ -222,7 +222,7 @@ def _reference_pair_sums(table, p, beta):
     auto = (np.concatenate([-dE, [0.0]]),
             np.concatenate([math.pi * w, [2.0 * math.pi * classical]]))
     nz = dE != 0.0
-    diss = (-dE[nz], (math.pi * (p[m] - p[n]) * o2)[nz])
+    diss = (-dE[nz], (np.tanh(beta * -dE / 2.0) * (math.pi * w))[nz])
     return sums, auto, diss
 
 

@@ -399,6 +399,24 @@ class TestCli:
                          None, id="locality-mu-flat-profile"),
             pytest.param(["locality", "--n-sites", "6", "--gamma", "1.2", "--mu", "1e200"],
                          None, id="locality-mu-square-overflow"),
+            # beta above 1e75 overflowed in the bounds chain (ub1^2 at N = 6,
+            # gamma = 0.05, beta = 1e80; the kernel moments' beta^2 at 1e200)
+            pytest.param(["bounds", "--n-sites", "6", "--gamma", "0.05", "--beta", "1e80"],
+                         None, id="beta-over-cap-chain"),
+            pytest.param(["bounds", "--beta", "1e200"], None, id="beta-over-cap-moments"),
+            pytest.param(["sweep-gamma", "--n-sites", "2", "--beta", "1e200"], None,
+                         id="sweep-gamma-beta-over-cap"),
+            pytest.param(["sweep-temperature", "--n-sites", "2", "--start", "1e-200",
+                          "--stop", "1", "--points", "3"], None,
+                         id="temperature-grid-under-cap"),
+            pytest.param(["sweep-gamma"], "fixed: {beta: 1.0e+200}",
+                         id="config-fixed-beta-over-cap"),
+            pytest.param(["sweep-gamma"], "fixed: {temperature: 1.0e-80}",
+                         id="config-fixed-temperature-under-cap"),
+            # YAML reads yes and true as booleans, which are not numbers
+            pytest.param(["sweep-gamma"], "fixed: {beta: yes}", id="config-fixed-beta-bool"),
+            pytest.param(["sweep-gamma"], "fixed: {beta: 1.0}\neps_deg: true",
+                         id="config-eps-deg-bool"),
         ],
     )
     def test_bad_input_exit_two(self, tmp_path, capsys, argv, config):
@@ -417,6 +435,10 @@ class TestCli:
         # the CLI refuses n_sites < 6 up front, so a decay fit that fails is
         # never the chain length's fault
         assert "chain too short" not in err[0]
+
+    def test_beta_at_cap_runs(self, capsys):
+        assert main(["bounds", "--n-sites", "6", "--gamma", "0.05", "--beta", "1e75"]) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["ub1"])
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--beta", "1", "--out", "x"],

@@ -1,12 +1,17 @@
 """Smoke runs of the example scripts on tiny inputs, each in a fresh
-interpreter, so that an API change they depend on fails here."""
+interpreter, and of the README's examples, so that an API change they
+depend on fails here."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from qfibounds.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +52,20 @@ def test_locality_script_runs(tmp_path):
     assert "fitted decay rate" in proc.stdout
     assert proc.stdout.count("k = ") == 4  # leading regions k = 2..5
     assert list(tmp_path.iterdir()) == []  # it prints and writes nothing
+
+
+def _readme_block(heading, lang):
+    text = (ROOT / "README.md").read_text()
+    return re.search(rf"^## {heading}\n\n```{lang}\n(.*?)^```", text, re.S | re.M).group(1)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # the quick-start block, then each CLI line through the entry point's
+    # main, in a scratch directory; configs/ is read from the repository root
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_readme_block("Library quick start", "python"), "README.md", "exec"), {})
+    lines = _readme_block("CLI", "sh").splitlines()
+    assert len(lines) == 7 and all(line.startswith("qfibounds ") for line in lines)
+    for line in lines:
+        argv = [str(ROOT / a) if a.startswith("configs/") else a for a in shlex.split(line)[1:]]
+        assert main(argv) == 0, line
