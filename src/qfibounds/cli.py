@@ -225,6 +225,10 @@ def _dispatch(args) -> int:
             "kernel_integral_expected": -args.beta,
         }
         print(json.dumps(summary, indent=2, sort_keys=True))
+        if not summary["time_domain_rel_deviation"] <= 1e-5:  # criterion 5's bound; NaN fails
+            print("invariant failure: the time-domain SLD deviates from L by more than 1e-5 "
+                  "of max|L|; raise --panels or lower --horizon-betas", file=sys.stderr)
+            return 1
         return 0
 
     if cmd == "locality":

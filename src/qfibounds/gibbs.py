@@ -43,7 +43,7 @@ class GibbsEnsemble:
     def density_matrix(self) -> np.ndarray:
         """rho = sum_n p_n |n><n|, each sector's diag(p) out of the eigenbasis."""
         p = self.populations
-        return from_eigenbasis(self.eigs, ((s, s, np.diag(p[s.columns])) for s in self.eigs.sectors))
+        return from_eigenbasis(self.eigs, ((s, s, p[s.columns]) for s in self.eigs.sectors))
 
 
 def gibbs_ensemble(eigs: EigenSystem, beta: float) -> GibbsEnsemble:

@@ -101,12 +101,14 @@ class EigenSystem:
     @functools.cached_property
     def vectors(self) -> np.ndarray:
         """Dense eigenvector columns in the computational basis, S W per
-        sector (``_unfolding``), assembled on first use and kept."""
+        sector, assembled on first use and kept: each sector's rows go into
+        its runs (``_runs``), then one gather puts them in row order."""
+        pos, parts = _runs(self)
         out = np.zeros((self.dim, self.dim), dtype=self.sectors[0].vectors.dtype)
         for sector in self.sectors:
-            rows, k, u = _unfolding(sector.basis, self.symmetries[1])
-            out[np.ix_(rows, sector.columns)] = u[:, None] * sector.vectors[k]
-        return out
+            for rows, k, sign in parts[sector.basis.parity, sector.basis.sign]:
+                out[rows, sector.columns] = (sign * _weights(sector.basis))[k, None] * sector.vectors[k]
+        return out[pos]
 
 
 def dense_eigensystem(energies, vectors, clusters, eps_deg) -> EigenSystem:
@@ -190,15 +192,27 @@ def _palindrome_weights(rows: np.ndarray, rev: np.ndarray) -> np.ndarray:
     return np.where(rows == rev[rows], np.sqrt(0.5), 1.0)
 
 
-def _unfolding(basis: SectorBasis, rev: np.ndarray | None):
-    """(rows, k, u): the nonzeros S[rows_i, k_i] = u_i of an adapted basis S
-    in the computational basis, the unfolding that ``_gather`` folds."""
-    s, m, h = basis.rows, basis.m, np.sqrt(0.5)
-    k = np.arange(len(s))
-    if not m:
-        return s, k, np.ones(len(s))
-    u = np.concatenate([np.full(m, h), np.ones(len(s) - m), np.full(m, basis.sign * h)])
-    return np.concatenate([s, rev[s[:m]]]), np.concatenate([k, k[:m]]), u
+def _weights(basis: SectorBasis) -> np.ndarray:
+    """S's nonzero in each column: 1/sqrt 2 for a pair, else 1."""
+    return np.where(np.arange(len(basis.rows)) < basis.m, np.sqrt(0.5), 1.0)
+
+
+def _runs(eigs: EigenSystem):
+    """(pos, parts): a row order in which each sector unfolds (S, the reverse
+    of ``_gather``) onto at most two runs.  A parity group's run is its
+    R-even (or only) sector's rows s, then r(s[:m]): R-even spans it, R-odd
+    (rows s[:m]) takes its head and tail.  pos[i] is row i's place;
+    parts[parity, sign] lists (run slice, block-row slice, sign) per run."""
+    rev, order, parts, start = eigs.symmetries[1], [], {}, 0
+    for sector in eigs.sectors:  # a group's R-even sector comes before its R-odd one
+        g, s, m, sign = sector.basis
+        if sign > 0:
+            head, tail = start, start + len(s)
+            order += [s, rev[s[:m]]] if m else [s]
+            start = tail + m
+        parts[g, sign] = [(slice(head, head + len(s)), slice(None), 1.0)] + (
+            [(slice(tail, tail + m), slice(0, m), sign)] if m else [])
+    return np.argsort(np.concatenate(order)), parts
 
 
 def _gather(sub, a: SectorBasis, b: SectorBasis, rev: np.ndarray | None, mirrored: bool):
@@ -350,17 +364,21 @@ def to_eigenbasis(eigs: EigenSystem, A: np.ndarray) -> np.ndarray:
 
 def from_eigenbasis(eigs: EigenSystem, blocks) -> np.ndarray:
     """The d x d matrix of eigenbasis blocks (a, b, X_ab), the inverse of
-    ``eigenbasis_blocks``: S_a W_a X_ab W_b^H S_b^T (``_unfolding``) added in,
-    and for a != b its conjugate transpose; R-even and R-odd share rows."""
-    rev, out = eigs.symmetries[1], None
+    ``eigenbasis_blocks``: S_a W_a X_ab W_b^H S_b^T, and for a != b its
+    conjugate transpose, added by slices in run order (``_runs``), then
+    gathered into row order once.  A 1-D X_ab is a diagonal block.  No
+    blocks give the float zero matrix."""
+    pos, parts = _runs(eigs)
+    out = None
     for a, b, x in blocks:
-        (ra, ka, ua), (rb, kb, ub) = _unfolding(a.basis, rev), _unfolding(b.basis, rev)
-        y = (a.vectors @ x @ b.vectors.conj().T)[np.ix_(ka, kb)]
-        y *= ua[:, None]
-        y *= ub
+        y = (a.vectors * x if x.ndim == 1 else a.vectors @ x) @ b.vectors.conj().T
+        y *= _weights(a.basis)[:, None]
+        y *= _weights(b.basis)
         if out is None:
             out = np.zeros((eigs.dim,) * 2, dtype=y.dtype)
-        out[np.ix_(ra, rb)] += y
-        if a is not b:
-            out[np.ix_(rb, ra)] += y.conj().T
-    return out
+        for s, t, z in [(a, b, y)] + ([(b, a, y.conj().T)] if a is not b else []):
+            for rows, ks, rs in parts[s.basis.parity, s.basis.sign]:
+                for cols, kt, rt in parts[t.basis.parity, t.basis.sign]:  # R signs: add or subtract
+                    view = out[rows, cols]
+                    (np.add if rs * rt > 0 else np.subtract)(view, z[ks, kt], out=view)
+    return np.zeros((eigs.dim,) * 2) if out is None else out[np.ix_(pos, pos)]

@@ -59,6 +59,46 @@ def dense_from_eigenbasis(eigs, X):
     return v @ X @ v.conj().T
 
 
+def _unfolding(basis, rev):
+    """(rows, k, u): the nonzeros S[rows_i, k_i] = u_i of an adapted basis S
+    in the computational basis."""
+    s, m, h = basis.rows, basis.m, np.sqrt(0.5)
+    k = np.arange(len(s))
+    if not m:
+        return s, k, np.ones(len(s))
+    u = np.concatenate([np.full(m, h), np.ones(len(s) - m), np.full(m, basis.sign * h)])
+    return np.concatenate([s, rev[s[:m]]]), np.concatenate([k, k[:m]]), u
+
+
+def scatter_from_eigenbasis(eigs, blocks):
+    """``spectral.from_eigenbasis`` as it was before the runs: each block's
+    unfolded S_a W_a X_ab W_b^H S_b^T gathered and scattered with ``np.ix_``,
+    a diagonal block as a dense matrix.  The reference the run-order route
+    must match byte for byte; it returns None for no blocks."""
+    rev, out = eigs.symmetries[1], None
+    for a, b, x in blocks:
+        (ra, ka, ua), (rb, kb, ub) = _unfolding(a.basis, rev), _unfolding(b.basis, rev)
+        y = (a.vectors @ (np.diag(x) if x.ndim == 1 else x) @ b.vectors.conj().T)[np.ix_(ka, kb)]
+        y *= ua[:, None]
+        y *= ub
+        if out is None:
+            out = np.zeros((eigs.dim,) * 2, dtype=y.dtype)
+        out[np.ix_(ra, rb)] += y
+        if a is not b:
+            out[np.ix_(rb, ra)] += y.conj().T
+    return out
+
+
+def scatter_vectors(eigs):
+    """``EigenSystem.vectors`` as it was before the runs: S W per sector
+    scattered with ``np.ix_``."""
+    out = np.zeros((eigs.dim, eigs.dim), dtype=eigs.sectors[0].vectors.dtype)
+    for sector in eigs.sectors:
+        rows, k, u = _unfolding(sector.basis, eigs.symmetries[1])
+        out[np.ix_(rows, sector.columns)] = u[:, None] * sector.vectors[k]
+    return out
+
+
 def dense_density_matrix(ens):
     """(V p) V^H with the dense eigenvector columns: the reference for the
     density matrix out of the sector blocks (``GibbsEnsemble.density_matrix``)."""

@@ -37,6 +37,7 @@ from qfibounds.spectral import (
     dense_eigensystem,
     eigenbasis_blocks,
     eigendecompose,
+    from_eigenbasis,
     to_eigenbasis,
 )
 
@@ -48,6 +49,8 @@ from conftest import (
     dense_from_eigenbasis,
     dense_sqrt_fidelity,
     pipeline_results,
+    scatter_from_eigenbasis,
+    scatter_vectors,
 )
 
 
@@ -268,6 +271,72 @@ def test_filters_match_dense_route(n, gamma, theta, operator):
         assert close_arrays(got, want, rel=1e-14)
     assert math.isclose(res.trace_rho_L2, tr_l2, rel_tol=1e-12)
     assert abs(res.trace_rho_L - tr_l) <= 1e-12 * tr_l2
+
+
+# -- the route out by runs against the np.ix_ scatter it replaced -----------------
+
+
+@pytest.fixture
+def checked_route_out(monkeypatch):
+    """Check every call of ``from_eigenbasis`` in the library against
+    ``scatter_from_eigenbasis``, byte for byte; the calls' block counts."""
+    calls = []
+
+    def checked(eigs, blocks):
+        blocks = list(blocks)
+        got = from_eigenbasis(eigs, blocks)
+        assert _same_bits(got, scatter_from_eigenbasis(eigs, blocks))
+        calls.append(len(blocks))
+        return got
+
+    for module in (q, *vars(q).values()):
+        if hasattr(module, "from_eigenbasis"):
+            monkeypatch.setattr(module, "from_eigenbasis", checked)
+    return calls
+
+
+def _route_out(ens, O, A):
+    """The SLD, the time-domain SLD, rho (diagonal blocks) and A dressed, each
+    through the checked route out, and the dense eigenvector columns."""
+    sld_matrix(ens, O)
+    sld_time_domain(ens, O, TimeKernelSpec(ens.beta, 8.0 * ens.beta, 32))
+    ens.density_matrix()
+    dressed_operator(ens.eigs, A, DressSpec(math.pi / ens.beta))
+    assert _same_bits(ens.eigs.vectors, scatter_vectors(ens.eigs))
+
+
+@pytest.mark.parametrize("operator", ["x0", "random"])
+@pytest.mark.parametrize("n, gamma, theta", [
+    *((n, 0.35 * math.pi, theta) for n in (2, 3, 4, 5, 8, 9, 10) for theta in (0.0, 0.1)),
+    (5, 0.05, 0.1), (8, 0.05, 0.0),
+])
+def test_route_out_matches_scatter(checked_route_out, n, gamma, theta, operator):
+    # sigma^x_0 has no R parity and at theta = 0 links only a != b blocks; a
+    # random complex A links every pair; gamma = 0.05 has doublets
+    # straddling the P sectors
+    H, O = q.tfim_operators(q.ModelSpec(n, gamma, theta))
+    d = 1 << n
+    A = FlipOperator(np.zeros(d), ((d >> 1, 1.0),)) if operator == "x0" else q.random_hermitian(d, 7)
+    _route_out(gibbs_ensemble(eigendecompose(H), 1.5), O, A)
+    assert len(checked_route_out) == 4
+
+
+@pytest.mark.parametrize("case", ["complex_h", "no_symmetry"])
+def test_route_out_matches_scatter_one_sector(checked_route_out, case):
+    if case == "complex_h":  # not bit terms: one sector with complex vectors
+        H, O = q.tfim_operators(q.ModelSpec(5, 0.9, 0.1))
+        H = H.dense().astype(complex)
+    else:
+        H, O = q.random_hermitian(64, 5), q.random_hermitian(64, 6).real
+    ens = gibbs_ensemble(eigendecompose(H), 1.5)
+    assert len(ens.eigs.sectors) == 1
+    _route_out(ens, O, q.random_hermitian(len(H), 7))
+    assert len(checked_route_out) == 4
+
+
+def test_route_out_of_no_blocks():
+    eigs = eigendecompose(q.tfim_operators(q.ModelSpec(4, 0.9, 0.1))[0])
+    assert _same_bits(from_eigenbasis(eigs, []), np.zeros((16, 16)))
 
 
 # -- the theta +- delta oracles against the dense overlap and density matrices --

@@ -461,6 +461,20 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["time_domain_rel_deviation"] < 1e-5
 
+    @pytest.mark.parametrize("beta, code", [("100", 0), ("1000", 1)])
+    def test_sld_check_exit_code_follows_time_domain_deviation(self, capsys, beta, code):
+        # 2048 panels over a 12 beta horizon follow N=4, gamma=0.8 at beta=100
+        # (2.8e-11) but not at beta=1000 (1.2e-2); the JSON is printed either way
+        assert main(["sld-check", "--n-sites", "4", "--gamma", "0.8", "--beta", beta]) == code
+        captured = capsys.readouterr()
+        assert (json.loads(captured.out)["time_domain_rel_deviation"] <= 1e-5) == (code == 0)
+        err = captured.err.splitlines()
+        if code == 0:
+            assert err == []
+        else:
+            assert len(err) == 1 and err[0].startswith("invariant failure:"), err
+            assert "--panels" in err[0] and "--horizon-betas" in err[0]
+
     def test_axis_mismatch_exit_two(self, tmp_path):
         import yaml
 
