@@ -44,6 +44,10 @@ CSV_CHUNK = 1 << 16  # rows per write of write_csv: a few MB each
 # to 1e75 at N <= 14; in the ordered phase F ~ beta^2 overflows near 1e77.
 BETA_MAX = 1e75
 
+# The most points a sweep grid takes: building one costs ~50 B a point, and
+# running one a diagonalization each.
+GRID_POINTS_MAX = 100_000
+
 
 class ConfigError(ValueError):
     """Invalid sweep configuration (CLI exit code 2)."""
@@ -98,6 +102,8 @@ def _checked_int(value, what: str) -> int:  # a bool or a fraction is refused, n
 
 def _resolve_grid(raw) -> tuple:
     if isinstance(raw, (list, tuple)):
+        if len(raw) > GRID_POINTS_MAX:
+            raise ConfigError(f"grid has {len(raw)} points, above the cap of {GRID_POINTS_MAX}")
         return tuple(float(x) for x in raw)
     if isinstance(raw, dict):
         try:
@@ -106,8 +112,8 @@ def _resolve_grid(raw) -> tuple:
         except KeyError as exc:
             raise ConfigError(f"grid dict missing key {exc}") from exc
         spacing = raw.get("spacing", "linear")
-        if points < 1:
-            raise ConfigError("grid points must be >= 1")
+        if not 1 <= points <= GRID_POINTS_MAX:
+            raise ConfigError(f"grid points must lie in [1, {GRID_POINTS_MAX}], got {points}")
         if spacing == "log":
             if start <= 0 or stop <= 0:
                 raise ConfigError("log spacing needs positive endpoints")

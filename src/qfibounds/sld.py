@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ModelSpec, tfim_operators
+from .operators import ModelSpec, check_hermitian, tfim_operators
 from .gibbs import GibbsEnsemble, KernelKind, _shifted_gibbs
 from .spectral import eigenbasis_blocks, filter_blocks, from_eigenbasis
+
+PANELS_MAX = 1 << 20  # 8.4e6 nodes: the node tables peak at 336 MB
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,8 @@ class TimeKernelSpec:
             raise ValueError("beta must be positive")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if self.panels < 16:
-            raise ValueError("panels must be >= 16")
+        if not 16 <= self.panels <= PANELS_MAX:
+            raise ValueError(f"panels must lie in [16, {PANELS_MAX}], got {self.panels}")
 
 
 def energy_kernel(omega: np.ndarray, beta: float) -> np.ndarray:
@@ -83,16 +85,15 @@ def lyapunov_residual(
     last ulp over 2 delta is several 1e-12: no gate below ~1e-11 is meaningful."""
     if not (1e-6 <= delta <= 1e-3):
         raise ValueError(f"delta must lie in [1e-6, 1e-3], got {delta}")
+    L = check_hermitian(L)
     H, O = tfim_operators(model)
-    states = _shifted_gibbs(H, O, ens.beta, (delta, -delta))
-    plus, minus = (e.density_matrix() for e in states)
-    plus -= minus
-    plus /= 2.0 * delta  # d(rho)/dtheta
-    rho = ens.density_matrix()
-    x = rho @ L
-    x += L @ rho
+    shifted = (e.density_matrix() for e in _shifted_gibbs(H, O, ens.beta, (delta, -delta)))
+    drho = np.subtract(*shifted)
+    drho /= 2.0 * delta
+    x = ens.density_matrix() @ L
+    x += x.conj().T  # L rho = (rho L)^H, as rho and L are Hermitian
     x *= 0.5
-    x -= plus
+    x -= drho
     return float(np.max(np.abs(x, out=x)))
 
 

@@ -11,6 +11,7 @@ from qfibounds.fluctuation import LineSpectrum
 from qfibounds.harness import (
     CSV_CHUNK,
     CSV_HEADER,
+    GRID_POINTS_MAX,
     ConfigError,
     SweepConfig,
     SweepRow,
@@ -84,6 +85,20 @@ class TestSweepConfig:
     def test_grid_mapping_linear_default(self):
         raw = {**SMALL, "grid": {"start": 1.0, "stop": 2.0, "points": 3}}
         assert config_from_dict(raw).grid == (1.0, 1.5, 2.0)
+
+    @pytest.mark.parametrize("form", ["list", "mapping"])
+    def test_grid_points_capped(self, form):
+        # a grid costs ~50 B a point to build: refuse one above the cap before
+        # it is built, in either form; the cap itself is taken
+        def grid(points):
+            if form == "list":
+                return np.linspace(1.0, 2.0, points).tolist()
+            return {"start": 1.0, "stop": 2.0, "points": points}
+
+        cfg = config_from_dict({**SMALL, "grid": grid(GRID_POINTS_MAX)})
+        assert len(cfg.grid) == GRID_POINTS_MAX
+        with pytest.raises(ConfigError, match=str(GRID_POINTS_MAX + 1)):
+            config_from_dict({**SMALL, "grid": grid(GRID_POINTS_MAX + 1)})
 
     def test_grid_mapping_missing_key(self):
         with pytest.raises(ConfigError):
@@ -411,6 +426,12 @@ class TestCli:
                          id="temperature-grid-under-cap"),
             pytest.param(["sweep-gamma"], "fixed: {beta: 1.0e+200}",
                          id="config-fixed-beta-over-cap"),
+            # 3e8 points would take ~14 GB to build: refused, not OOM-killed
+            pytest.param(["sweep-temperature", "--n-sites", "2", "--points", "300000000"], None,
+                         id="temperature-grid-points-over-cap"),
+            pytest.param(["sweep-gamma"],
+                         "fixed: {beta: 1.0}\ngrid: {start: 0.1, stop: 1.0, points: 300000000}",
+                         id="config-grid-points-over-cap"),
             pytest.param(["sweep-gamma"], "fixed: {temperature: 1.0e-80}",
                          id="config-fixed-temperature-under-cap"),
             # YAML reads yes and true as booleans, which are not numbers
@@ -456,16 +477,40 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sld_check_default_panels_n8(self, tmp_path, capsys):
-        # 2048 panels (16384 nodes): a d^2 x nodes cosine table would be 8 GiB here
+        # 2048 panels (16384 nodes): a d^2 x nodes cosine table would be 8 GiB here.
+        # At beta=1 the count from the spectrum is below the floor of 2048
         assert main(["sld-check", "--n-sites", "8", "--beta", "1.0"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["time_domain_rel_deviation"] < 1e-5
+        out = capsys.readouterr().out
+        assert json.loads(out)["time_domain_rel_deviation"] < 1e-5
+        assert main(["sld-check", "--n-sites", "8", "--beta", "1.0", "--panels", "2048"]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("argv", [
+        ["--n-sites", "8", "--beta", "300"],
+        ["--n-sites", "4", "--gamma", "0.8", "--beta", "1000"],
+    ], ids=["n8-beta300", "n4-gamma0.8-beta1000"])
+    def test_sld_check_default_panels_follow_the_spectrum(self, capsys, argv):
+        # 2048 panels left 6.5e-6 and 1.2e-2 here; the default count grows
+        # with beta (E_max - E_min) x horizon-betas
+        assert main(["sld-check", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["time_domain_rel_deviation"] <= 1e-7
+
+    @pytest.mark.parametrize("argv, count", [
+        (["--panels", "1048577"], "1048577"),
+        (["--beta", "1e75"], "2.243e+76"),
+    ], ids=["given", "derived"])
+    def test_sld_check_panels_over_cap_name_the_count(self, capsys, argv, count):
+        assert main(["sld-check", "--n-sites", "4", "--beta", "1", *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert count in err[0] and "1048576" in err[0]
 
     @pytest.mark.parametrize("beta, code", [("100", 0), ("1000", 1)])
     def test_sld_check_exit_code_follows_time_domain_deviation(self, capsys, beta, code):
         # 2048 panels over a 12 beta horizon follow N=4, gamma=0.8 at beta=100
         # (2.8e-11) but not at beta=1000 (1.2e-2); the JSON is printed either way
-        assert main(["sld-check", "--n-sites", "4", "--gamma", "0.8", "--beta", beta]) == code
+        assert main(["sld-check", "--n-sites", "4", "--gamma", "0.8", "--beta", beta,
+                     "--panels", "2048"]) == code
         captured = capsys.readouterr()
         assert (json.loads(captured.out)["time_domain_rel_deviation"] <= 1e-5) == (code == 0)
         err = captured.err.splitlines()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,31 @@ class TestLyapunovResidual:
         L = sld_matrix(ens, O).L
         with pytest.raises(ValueError):
             lyapunov_residual(ens, L, model, 1e-2)
+
+    def test_non_hermitian_L_rejected(self, tfim3):
+        # L rho is read as (rho L)^H, which holds for a Hermitian L only
+        model, O, ens = tfim3
+        L = sld_matrix(ens, O).L
+        L[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            lyapunov_residual(ens, L, model, 1e-4)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.1])
+    def test_peak_memory_n10(self, theta):
+        # one d^3 product, rho L, and each d x d array let go once read keep
+        # the peak at 3.8 d^2 doubles; forming L rho apart took 5.0
+        model = q.ModelSpec(10, 0.35 * math.pi, theta)
+        H, O = q.tfim_operators(model)
+        ens = q.prepared_gibbs(H, O, 1.0)
+        L = sld_matrix(ens, O).L
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lyapunov_residual(ens, L, model, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * L.size * 8
 
 
 class TestTimeKernel:
