@@ -5,6 +5,7 @@ probes, and the finite-support approximation with its sampled commutator bound."
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -147,10 +148,17 @@ def _gram_norm(m: np.ndarray, floor: float = 0.0) -> float:
     Gram matrix keeps its relative accuracy, so tiny norms do too.
     ``eigvalsh`` may return finite values or NaN for a matrix holding NaN or
     inf, so an m that is not finite, or whose ||m||_F^2 overflows (||m||
-    above about 1e154), raises.  Given a floor, lambda_max of the Hermitian h
-    that ``eigvalsh`` reads from g's lower triangle is at most max_i sum_j
-    |h_ij| (Gershgorin); times 1 + 1e-8 for the backward error of ``eigvalsh``
-    and the sums' rounding (about n eps each), a bound below floor is returned."""
+    above about 1e154), raises.  Given a floor, a bound below it is returned,
+    times 1 + 1e-8 for the rounding of the sums and of ``eigvalsh`` (about
+    n eps each): before the GEMM ||m||^2 <= ||m||_1 ||m||_inf, taken only
+    while n bound^2 >= ||m||_F^2 is far from overflow (NaN fails the test);
+    after it Gershgorin's max_i sum_j |h_ij| of the Hermitian h that
+    ``eigvalsh`` reads from g's lower triangle."""
+    if floor > 0.0:
+        h = np.abs(m)
+        bound = math.sqrt(h.sum(axis=0).max()) * math.sqrt(h.sum(axis=1).max()) * (1.0 + 1e-8)
+        if bound < floor and bound < 1e150 / math.sqrt(len(m)):
+            return bound
     g = m @ m.conj().T
     if not np.isfinite(np.trace(g)):
         raise np.linalg.LinAlgError("probe coupling is not finite or its Gram matrix overflows")
@@ -162,15 +170,44 @@ def _gram_norm(m: np.ndarray, floor: float = 0.0) -> float:
     return math.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0))
 
 
-def _unitary_commutator_norm(a: np.ndarray, u: np.ndarray):
-    """||[a, I (x) u]|| = ||a - (I (x) u) a (I (x) u)^dag|| of a Hermitian a
-    for a unitary u on the trailing factor; the difference is Hermitian."""
+def _unitary_commutator_norm(a: np.ndarray, u: np.ndarray, floor: float = 0.0):
+    """||[a, I (x) u]|| = ||D||, D = a - (I (x) u) a (I (x) u)^dag Hermitian,
+    of a Hermitian a for a unitary u on the trailing factor.  Given a floor,
+    s = floor (1 - 1e-6) is returned when Cholesky factors s I - D and s I + D
+    (D's lower triangle, as ``eigvalsh`` reads it), at half an ``eigvalsh``'s
+    cost: a completed factorization of M is exact for an M + dM with ||dM||
+    <= d (d + 1) u ||M||, u = 2^-53: 6e-8 s at d = 2^14 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.5).  So ||D|| < floor
+    (1 - 9e-7), which ``eigvalsh`` (error about d u ||D||) cannot read above floor.
+    D is shifted in place and restored bitwise (negation is exact, the
+    diagonal is saved) for the ``eigvalsh`` of a probe that fails."""
     dc = u.shape[0]
     dk = a.shape[0] // dc
     a4 = a.reshape(dk, dc, dk, dc)
     diff = np.einsum("ac,icjd,bd->iajb", u, a4, u.conj(), optimize=True)
     np.subtract(a4, diff, out=diff)
-    return _hermitian_norm(diff.reshape(a.shape))
+    diff = diff.reshape(a.shape)
+    if floor > 0.0:
+        s = floor * (1.0 - 1e-6)
+        diagonal = np.einsum("ii->i", diff)  # a writable view
+        saved, below = diagonal.copy(), True
+        for sign in (1.0, -1.0):  # s I + D, then s I - D
+            diagonal[...] = s + sign * saved
+            below = below and _positive_definite(diff)
+            np.negative(diff, out=diff)
+        diagonal[...] = saved
+        if below:
+            return s
+    return _hermitian_norm(diff)
+
+
+def _positive_definite(m: np.ndarray) -> bool:
+    """Cholesky of m's lower triangle completes with a finite factor (it
+    passes NaN and inf through without an error)."""
+    try:
+        return bool(np.isfinite(np.trace(np.linalg.cholesky(m))))
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _hermitian_norm(a: np.ndarray) -> float:
@@ -190,12 +227,18 @@ def local_approximation(
     spectral norm of A - A' (x) I.  eps_hat is the largest sampled
     ||[A, I (x) B]|| over every single-site Pauli B on the complement, then
     ``n_random_probes`` seeded Haar-ish unitaries (all of norm 1); the first
-    largest wins, so a Pauli probe bounded strictly below the running maximum
-    skips its ``eigvalsh`` (``_gram_norm``) and every field stays bitwise.
+    largest wins, so a probe bounded strictly below the running maximum skips
+    its dense step and every field stays bitwise: a Pauli probe its Gram GEMM
+    or its ``eigvalsh`` (``_gram_norm``), a random probe its ``eigvalsh``
+    after two Cholesky factorizations (``_unitary_commutator_norm``).
     A must be Hermitian (``check_hermitian``, ValueError otherwise), a real A
     stays real and no probe matrix is built.
     """
-    if isinstance(n_random_probes, bool) or n_random_probes < 0:
+    try:  # numpy integers pass; bool, 2.5 and "3" do not
+        count = -1 if isinstance(n_random_probes, bool) else operator.index(n_random_probes)
+    except TypeError:
+        count = -1
+    if count < 0:
         raise ValueError(f"n_random_probes must be a non-negative integer, got {n_random_probes!r}")
     A = check_hermitian(A)
     d = A.shape[0]
@@ -216,11 +259,11 @@ def local_approximation(
         for site, axis in product(range(region, n_sites), "XYZ"):
             yield f"pauli:{axis}{site}", _pauli_commutator_norm(A, site, axis, eps_hat)
         rng = np.random.default_rng(probe_seed)
-        for k in range(n_random_probes):
+        for k in range(count):
             g = rng.standard_normal((dc, dc)) + 1j * rng.standard_normal((dc, dc))
             q, r = np.linalg.qr(g)
             q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-            yield f"random:{k}", _unitary_commutator_norm(A, q)
+            yield f"random:{k}", _unitary_commutator_norm(A, q, eps_hat)
 
     max_probe, eps_hat = "", 0.0  # if no norm is positive
     for probe, norm in probe_norms():

@@ -36,10 +36,10 @@ class TimeKernelSpec:
     panels: int
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if not 16 <= self.panels <= PANELS_MAX:
             raise ValueError(f"panels must lie in [16, {PANELS_MAX}], got {self.panels}")
 

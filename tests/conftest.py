@@ -146,9 +146,9 @@ def unpruned_local_approximation(
     n_random_probes: int = 100,
     probe_seed: int = 2024,
 ) -> LocalApproximation:
-    """``local_approximation`` as it was before the Pauli probes were
-    bounded first: every probe's norm is computed, each through its full
-    ``eigvalsh``.  The reference the pruned loop must match bit for bit."""
+    """``local_approximation`` as it was before any probe was bounded: every
+    probe's norm is computed, each through its full ``eigvalsh`` (no floor
+    is passed).  The reference the pruned loop must match bit for bit."""
     A = check_hermitian(A)
     d = A.shape[0]
     n_sites = int(round(math.log2(d)))

@@ -402,6 +402,13 @@ class TestCli:
             pytest.param(["sld-check", "--n-sites", "2", "--beta", "1",
                           "--fd-delta", "1", "--panels", "16"], None,
                          id="sld-check-fd-delta-out-of-range"),
+            # a non-finite horizon gave NaN deviations, RuntimeWarnings and exit 1
+            pytest.param(["sld-check", "--n-sites", "2", "--beta", "1",
+                          "--horizon-betas", "inf", "--panels", "64"], None,
+                         id="sld-check-horizon-inf"),
+            pytest.param(["sld-check", "--n-sites", "2", "--beta", "2",
+                          "--horizon-betas", "1e308", "--panels", "64"], None,
+                         id="sld-check-horizon-overflows"),
             pytest.param(["locality", "--n-sites", "4"], None,
                          id="locality-chain-too-short"),
             pytest.param(["locality", "--n-sites", "6", "--gamma", "1.2", "--mu", "inf"],

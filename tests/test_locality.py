@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import qfibounds as q
 from qfibounds.locality import (
     DressSpec,
     LocalApproximation,
+    _gram_norm,
     _is_hermitian,
     _pauli_commutator_norm,
     _unitary_commutator_norm,
@@ -353,13 +355,19 @@ class TestLocalApproximation:
         with pytest.raises(ValueError):
             local_approximation(a, 4)
 
-    @pytest.mark.parametrize("count", [-3, -1, True, False])
+    @pytest.mark.parametrize("count", [-3, -1, True, False, 2.5])
     def test_probe_count_validation(self, count):
-        # range() would run -3 as zero probes and True as one
+        # range() would run -3 as zero probes and True as one, and raise a
+        # TypeError on 2.5 after every Pauli probe
         a = pauli_string_matrix(PauliString({0: "X"}), 3)
         with pytest.raises(ValueError, match="n_random_probes"):
             local_approximation(a, 2, n_random_probes=count)
         assert local_approximation(a, 2, n_random_probes=0).eps_hat == 0.0
+
+    def test_probe_count_numpy_integer(self):
+        a = random_hermitian(8, seed=3)
+        got = local_approximation(a, 1, n_random_probes=np.int64(2), probe_seed=4)
+        _assert_bitwise(got, local_approximation(a, 1, n_random_probes=2, probe_seed=4), "int64")
 
 
 def _bound_cases(n):
@@ -383,22 +391,52 @@ def _assert_bitwise(got, ref, case):
 
 
 class _EigvalshSpy:
-    """Counts the ``eigvalsh`` calls on matrices of one size."""
+    """Counts the ``eigvalsh`` calls by matrix size."""
 
-    def __init__(self, size):
-        self.size, self.calls, self.inner = size, 0, np.linalg.eigvalsh
+    def __init__(self):
+        self.calls, self.inner = Counter(), np.linalg.eigvalsh
 
     def __call__(self, a, *args, **kwargs):
-        self.calls += a.shape[0] == self.size
+        self.calls[a.shape[0]] += 1
         return self.inner(a, *args, **kwargs)
 
 
+def _drawn_operator(n, kind, seed):
+    """A real symmetric, a complex Hermitian or a Pauli-string A on n sites."""
+    rng = np.random.default_rng(seed)
+    if kind == "pauli":  # a Gram matrix that is a multiple of the identity
+        axes = rng.choice(list("IXYZ"), n)
+        return pauli_string_matrix(PauliString({j: str(x) for j, x in enumerate(axes) if x != "I"}), n)
+    if kind == "real-symmetric":
+        g = rng.standard_normal((1 << n, 1 << n))
+        return (g + g.T) / 2.0
+    return random_hermitian(1 << n, seed)
+
+
+def _assert_floor_kept(norm_at, certified=False):
+    """``norm_at(floor)`` against the unfloored norm, at floors just and well
+    on either side of it: below the norm every bit is kept (the bounds fail
+    and any in-place shift is undone), and a value below its floor is only
+    returned when the norm is not above the floor."""
+    norm = norm_at(0.0)
+    for factor in (1 - 1e-3, 1 - 1e-9, 1 + 1e-9, 1 + 1e-3):
+        floor = norm * factor
+        got = norm_at(floor)
+        if factor < 1:
+            assert got == norm, factor
+        if got < floor:
+            assert norm <= floor, factor
+    if certified and norm > 0:  # a 1e-3 margin is far above the factorization's error
+        assert norm_at(norm * (1 + 1e-3)) < norm * (1 + 1e-3)
+
+
 class TestProbeBound:
-    """A Pauli probe bounded below the running maximum skips its
-    ``eigvalsh``; every field stays bitwise the unpruned loop's."""
+    """A probe bounded below the running maximum skips its dense step;
+    every field stays bitwise the unpruned loop's."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_bitwise_unpruned(self, n):
+        random_won = False
         for name, a in _bound_cases(n):
             for region in range(1, n + 1):
                 for probes in (0, 3) if n < 7 else (0,):  # random probes are slow from n = 7
@@ -406,6 +444,9 @@ class TestProbeBound:
                     got = local_approximation(a, region, n_random_probes=probes, probe_seed=17)
                     ref = unpruned_local_approximation(a, region, probes, 17)
                     _assert_bitwise(got, ref, case)
+                    random_won |= region < n and ref.max_probe.startswith("random:")
+        # a random probe that wins has failed its Cholesky test: the fallback runs
+        assert random_won or n >= 7
 
     def test_bitwise_unpruned_n10(self):
         n = 10
@@ -437,36 +478,71 @@ class TestProbeBound:
         exponent=st.integers(-100, 100),
     )
     def test_bound_covers_norm(self, n, kind, seed, exponent):
-        rng = np.random.default_rng(seed)
-        if kind == "pauli":  # a Gram matrix that is a multiple of the identity
-            axes = rng.choice(list("IXYZ"), n)
-            a = pauli_string_matrix(PauliString({j: str(x) for j, x in enumerate(axes) if x != "I"}), n)
-        elif kind == "real-symmetric":
-            g = rng.standard_normal((1 << n, 1 << n))
-            a = (g + g.T) / 2.0
-        else:
-            a = random_hermitian(1 << n, seed)
-        self._assert_bound_covers(a * 10.0**exponent)
+        self._assert_bound_covers(_drawn_operator(n, kind, seed) * 10.0**exponent)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        kind=st.sampled_from(["real-symmetric", "complex-hermitian", "pauli"]),
+        seed=st.integers(0, 2**16),
+        exponent=st.integers(-100, 100),
+        data=st.data(),
+    )
+    def test_floor_keeps_the_norm(self, n, kind, seed, exponent, data):
+        a = _drawn_operator(n, kind, seed) * 10.0**exponent
+        dc = 1 << data.draw(st.integers(1, n), label="trailing sites")
+        u = _haar_unitary(dc, np.random.default_rng(seed + 1))
+        _assert_floor_kept(lambda floor: _unitary_commutator_norm(a, u, floor), certified=True)
+        for site in range(n):
+            for axis in ("X", "Y", "Z"):
+                _assert_floor_kept(lambda floor: _pauli_commutator_norm(a, site, axis, floor))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("floor", [1.0, math.inf])
+    def test_pauli_bound_keeps_the_finiteness_check(self, bad, floor):
+        a = _operator("complex-hermitian", 4)
+        a[1, 8] = a[8, 1] = bad  # in the site-0 coupling a_01
+        for axis in ("X", "Y", "Z"):
+            with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+                _pauli_commutator_norm(a, 0, axis, floor)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("floor", [0.0, 1.0, math.inf])
+    def test_cholesky_test_refuses_non_finite(self, bad, floor):
+        # Cholesky passes NaN and inf through without an error; the unfloored
+        # eigvalsh raises, and so must a floored call
+        a = _operator("complex-hermitian", 4)
+        a[0, -1] = a[-1, 0] = bad
+        u = _haar_unitary(4, np.random.default_rng(1))
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _unitary_commutator_norm(a, u, floor)
+
+    def test_pauli_bound_keeps_the_overflow_check(self):
+        # ||m|| = 1e153 is below the floor, but ||m||_F^2 = 256e306 overflows
+        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _gram_norm(1e153 * np.eye(256), 2e153)
 
     def test_far_probes_skip_eigvalsh(self, chain8, monkeypatch):
         # region 2 of the dressed sigma^x_0 on 8 sites: 18 Pauli probes, each
-        # Gram matrix 128 x 128; err's and the random probes' are 256 x 256
+        # Gram matrix 128 x 128; err's and the random probes' are 256 x 256,
+        # and both random probes pass their Cholesky test
         n, eigs, a_loc = chain8
         a = dressed_operator(eigs, a_loc, DressSpec(mu=math.pi))
         ref = unpruned_local_approximation(a, 2, 2, 5)
-        spy = _EigvalshSpy(1 << (n - 1))
+        spy = _EigvalshSpy()
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         got = local_approximation(a, 2, n_random_probes=2, probe_seed=5)
-        assert spy.calls < 9
+        assert spy.calls[1 << (n - 1)] < 9
+        assert spy.calls[1 << n] == 1  # err's
         _assert_bitwise(got, ref, "chain8")
 
     def test_profile_computes_every_norm(self, chain8, monkeypatch):
         # the decay profile needs every norm: nothing is skipped there
         n, eigs, a_loc = chain8
-        spy = _EigvalshSpy(1 << (n - 1))
+        spy = _EigvalshSpy()
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         commutator_decay_profile(eigs, a_loc, DressSpec(mu=math.pi), probe_kind="Z")
-        assert spy.calls == n
+        assert spy.calls[1 << (n - 1)] == n
 
 
 def _dense_local_approximation(A, region, n_random_probes, probe_seed):
