@@ -5,7 +5,7 @@ probes, and the finite-support approximation with its sampled commutator bound."
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -138,35 +138,30 @@ def _pauli_commutator_norm(a: np.ndarray, site: int, axis: str, floor: float = 0
     b = a.reshape(lo, 2, half // lo, lo, 2, half // lo)
     a00, a01, a10, a11 = (b[:, s, :, :, t, :] for s in (0, 1) for t in (0, 1))
     c = 1.0 if axis == "X" else 1j
-    m = a01 if axis == "Z" else (a00 - a11 - c * a01 + c.conjugate() * a10) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # _gram_norm refuses a non-finite m
+        m = a01 if axis == "Z" else (a00 - a11 - c * a01 + c.conjugate() * a10) / 2.0
     return 2.0 * _gram_norm(m.reshape(half, half), floor / 2.0)
 
 
 def _gram_norm(m: np.ndarray, floor: float = 0.0) -> float:
     """||m|| = sqrt(lambda_max(m m^H)), a GEMM and an ``eigvalsh`` at about a
-    third of an SVD's cost.  The top eigenvalue of a positive semidefinite
-    Gram matrix keeps its relative accuracy, so tiny norms do too.
-    ``eigvalsh`` may return finite values or NaN for a matrix holding NaN or
-    inf, so an m that is not finite, or whose ||m||_F^2 overflows (||m||
-    above about 1e154), raises.  Given a floor, a bound below it is returned,
-    times 1 + 1e-8 for the rounding of the sums and of ``eigvalsh`` (about
-    n eps each): before the GEMM ||m||^2 <= ||m||_1 ||m||_inf, taken only
-    while n bound^2 >= ||m||_F^2 is far from overflow (NaN fails the test);
-    after it Gershgorin's max_i sum_j |h_ij| of the Hermitian h that
-    ``eigvalsh`` reads from g's lower triangle."""
-    if floor > 0.0:
-        h = np.abs(m)
-        bound = math.sqrt(h.sum(axis=0).max()) * math.sqrt(h.sum(axis=1).max()) * (1.0 + 1e-8)
-        if bound < floor and bound < 1e150 / math.sqrt(len(m)):
-            return bound
-    g = m @ m.conj().T
-    if not np.isfinite(np.trace(g)):
-        raise np.linalg.LinAlgError("probe coupling is not finite or its Gram matrix overflows")
-    if floor > 0.0:
-        h = np.abs(np.tril(g))
-        bound = math.sqrt(np.max(h.sum(axis=0) + h.sum(axis=1) - h.diagonal()) * (1.0 + 1e-8))
-        if bound < floor:
-            return bound
+    third of an SVD's cost; the top eigenvalue of a positive semidefinite Gram
+    matrix keeps its relative accuracy, so tiny norms do too.  An m that is
+    not finite, or whose ||m||_F^2 overflows (||m|| above about 1e154),
+    raises, with no warning first (``eigvalsh`` may return finite values or
+    NaN for it).  Given a floor, ||m||^2 <= ||m||_1 ||m||_inf times 1 + 1e-8
+    (the rounding of the sums and of ``eigvalsh``, about n eps each) is
+    returned before the GEMM when below it, taken only while n bound^2 >=
+    ||m||_F^2 is far from overflow (NaN fails the test)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the trace
+        if floor > 0.0:
+            h = np.abs(m)
+            bound = math.sqrt(h.sum(axis=0).max()) * math.sqrt(h.sum(axis=1).max()) * (1.0 + 1e-8)
+            if bound < floor and bound < 1e150 / math.sqrt(len(m)):
+                return bound
+        g = m @ m.conj().T
+        if not np.isfinite(np.trace(g)):
+            raise np.linalg.LinAlgError("probe coupling is not finite or its Gram matrix overflows")
     return math.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0))
 
 
@@ -184,9 +179,9 @@ def _unitary_commutator_norm(a: np.ndarray, u: np.ndarray, floor: float = 0.0):
     dc = u.shape[0]
     dk = a.shape[0] // dc
     a4 = a.reshape(dk, dc, dk, dc)
-    diff = np.einsum("ac,icjd,bd->iajb", u, a4, u.conj(), optimize=True)
-    np.subtract(a4, diff, out=diff)
-    diff = diff.reshape(a.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite D fails Cholesky and eigvalsh
+        diff = np.einsum("ac,icjd,bd->iajb", u, a4, u.conj(), optimize=True)
+        diff = np.subtract(a4, diff, out=diff).reshape(a.shape)
     if floor > 0.0:
         s = floor * (1.0 - 1e-6)
         diagonal = np.einsum("ii->i", diff)  # a writable view
@@ -215,6 +210,13 @@ def _hermitian_norm(a: np.ndarray) -> float:
     return float(max(-w[0], w[-1]))
 
 
+def _integer(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """value as an int in [lo, hi]: numpy integers pass; bool, 2.5 and "3" do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
+
+
 def local_approximation(
     A: np.ndarray,
     region: int,
@@ -229,28 +231,25 @@ def local_approximation(
     ``n_random_probes`` seeded Haar-ish unitaries (all of norm 1); the first
     largest wins, so a probe bounded strictly below the running maximum skips
     its dense step and every field stays bitwise: a Pauli probe its Gram GEMM
-    or its ``eigvalsh`` (``_gram_norm``), a random probe its ``eigvalsh``
-    after two Cholesky factorizations (``_unitary_commutator_norm``).
+    (``_gram_norm``), a random probe its ``eigvalsh`` after two Cholesky
+    factorizations (``_unitary_commutator_norm``).  A region of every site
+    leaves no complement: A' = A, err = eps_hat = 0.0 and no probe is drawn.
     A must be Hermitian (``check_hermitian``, ValueError otherwise), a real A
     stays real and no probe matrix is built.
     """
-    try:  # numpy integers pass; bool, 2.5 and "3" do not
-        count = -1 if isinstance(n_random_probes, bool) else operator.index(n_random_probes)
-    except TypeError:
-        count = -1
-    if count < 0:
-        raise ValueError(f"n_random_probes must be a non-negative integer, got {n_random_probes!r}")
+    count = _integer(n_random_probes, "n_random_probes", 0)
     A = check_hermitian(A)
     d = A.shape[0]
     n_sites = int(round(math.log2(d)))
     if 1 << n_sites != d:
         raise ValueError("operator dimension is not a power of two")
-    if not (1 <= region <= n_sites):
-        raise ValueError(f"region must be in [1, {n_sites}]")
+    region = _integer(region, "region", 1, n_sites)
     dk = 1 << region
     dc = d // dk
 
     a_prime = np.einsum("ajbj->ab", A.reshape(dk, dc, dk, dc)) / dc
+    if dc == 1:  # no complement: a probe would be a phase, its D = A - A roundoff
+        return LocalApproximation(a_prime=a_prime, err=0.0, eps_hat=0.0, max_probe="")
     rest = A.copy()  # A - A' (x) I; einsum's diagonal is a writable view
     np.einsum("ajbj->jab", rest.reshape(dk, dc, dk, dc))[...] -= a_prime
     err = _hermitian_norm(rest)

@@ -160,10 +160,9 @@ def _kernel_nodes(beta: float, horizon: float, panels: int):
     return t_in, q_in
 
 
-def kernel_g_integral(beta: float, horizon: float | None = None) -> float:
-    """Quadrature of the kernel over |t| <= horizon (None = infinite) on 512
-    panels; the exact infinite-horizon value is -beta."""
-    _, q = _substituted_nodes(beta, horizon, 512)
+def kernel_g_integral(beta: float) -> float:
+    """Quadrature of the kernel over all t on 512 panels; the exact value is -beta."""
+    _, q = _substituted_nodes(beta, None, 512)
     return 2.0 * float(np.sum(q))
 
 

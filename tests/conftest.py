@@ -148,7 +148,9 @@ def unpruned_local_approximation(
 ) -> LocalApproximation:
     """``local_approximation`` as it was before any probe was bounded: every
     probe's norm is computed, each through its full ``eigvalsh`` (no floor
-    is passed).  The reference the pruned loop must match bit for bit."""
+    is passed).  The reference the pruned loop must match bit for bit.  A
+    region of every site leaves no complement and takes the same rule as
+    the code: A' = A, err = eps_hat = 0.0 and no probe."""
     A = check_hermitian(A)
     d = A.shape[0]
     n_sites = int(round(math.log2(d)))
@@ -160,6 +162,8 @@ def unpruned_local_approximation(
     dc = d // dk
 
     a_prime = np.einsum("ajbj->ab", A.reshape(dk, dc, dk, dc)) / dc
+    if dc == 1:
+        return LocalApproximation(a_prime=a_prime, err=0.0, eps_hat=0.0, max_probe="")
     rest = A.copy()  # A - A' (x) I; einsum's diagonal is a writable view
     np.einsum("ajbj->jab", rest.reshape(dk, dc, dk, dc))[...] -= a_prime
     err = _hermitian_norm(rest)

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
+from qfibounds import locality
 from qfibounds.locality import (
     DressSpec,
     LocalApproximation,
@@ -130,6 +133,16 @@ def _assert_refused(a, n_random_probes):
             local_approximation(a, region, n_random_probes=n_random_probes)
 
 
+@contextlib.contextmanager
+def _raises_quietly(exc):
+    """``pytest.raises(exc)``, and no warning is emitted before the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(exc):
+            yield
+    assert not caught, [str(w.message) for w in caught]
+
+
 class TestConjugationNorms:
     """Probe norms from the probe's structure against the dense reference,
     to 1e-12 max(1, ||A||) absolute: a decay profile's tail norms are
@@ -204,7 +217,7 @@ class TestConjugationNorms:
         a = np.zeros((4, 4))
         a[0, 2] = a[2, 0] = 1e160
         a[1, 3] = a[3, 1] = 1.0
-        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError):
+        with _raises_quietly(np.linalg.LinAlgError):
             _pauli_commutator_norm(a, 0, "Z")
 
 
@@ -355,6 +368,37 @@ class TestLocalApproximation:
         with pytest.raises(ValueError):
             local_approximation(a, 4)
 
+    @pytest.mark.parametrize("region", [-1, True, False, 2.5, 2.0, "2", None])
+    def test_region_must_be_an_integer(self, region):
+        # 1 << region raised a TypeError on 2.5, and True ran as region 1
+        a = pauli_string_matrix(PauliString({0: "X"}), 3)
+        with pytest.raises(ValueError, match="region"):
+            local_approximation(a, region, n_random_probes=2)
+
+    def test_region_numpy_integer(self):
+        a = random_hermitian(8, seed=3)
+        got = local_approximation(a, np.int64(2), n_random_probes=2, probe_seed=4)
+        _assert_bitwise(got, local_approximation(a, 2, n_random_probes=2, probe_seed=4), "int64")
+
+    def test_empty_complement(self, monkeypatch):
+        # a random probe over an empty complement is a 1x1 phase whose
+        # D = A - A is roundoff: none is drawn, and err is +0.0, not -0.0
+        def unreachable(*args):
+            raise AssertionError("a random probe was drawn over an empty complement")
+
+        monkeypatch.setattr(locality, "_unitary_commutator_norm", unreachable)
+        for name, a in _bound_cases(6):
+            got = local_approximation(a, 6, n_random_probes=3)
+            assert (got.err, got.eps_hat, got.max_probe) == (0.0, 0.0, ""), name
+            assert math.copysign(1.0, got.err) == math.copysign(1.0, got.eps_hat) == 1.0, name
+            assert got.a_prime.dtype == a.dtype and got.a_prime.tobytes() == a.tobytes(), name
+
+    def test_overflowing_operator_raises_quietly(self):
+        # the first Pauli probe's Gram matrix overflows; no RuntimeWarning
+        # from the GEMM may come before the LinAlgError
+        with _raises_quietly(np.linalg.LinAlgError):
+            local_approximation(1e200 * random_hermitian(64, 3), 3, n_random_probes=1)
+
     @pytest.mark.parametrize("count", [-3, -1, True, False, 2.5])
     def test_probe_count_validation(self, count):
         # range() would run -3 as zero probes and True as one, and raise a
@@ -383,8 +427,9 @@ def _bound_cases(n):
 
 
 def _assert_bitwise(got, ref, case):
-    assert got.err == ref.err, case
-    assert got.eps_hat == ref.eps_hat, case
+    # the floats' bytes, so that a sign of zero counts too
+    assert np.float64(got.err).tobytes() == np.float64(ref.err).tobytes(), case
+    assert np.float64(got.eps_hat).tobytes() == np.float64(ref.eps_hat).tobytes(), case
     assert got.max_probe == ref.max_probe, case
     assert got.a_prime.dtype == ref.a_prime.dtype, case
     assert got.a_prime.tobytes() == ref.a_prime.tobytes(), case
@@ -503,7 +548,7 @@ class TestProbeBound:
         a = _operator("complex-hermitian", 4)
         a[1, 8] = a[8, 1] = bad  # in the site-0 coupling a_01
         for axis in ("X", "Y", "Z"):
-            with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            with _raises_quietly(np.linalg.LinAlgError):
                 _pauli_commutator_norm(a, 0, axis, floor)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -514,12 +559,12 @@ class TestProbeBound:
         a = _operator("complex-hermitian", 4)
         a[0, -1] = a[-1, 0] = bad
         u = _haar_unitary(4, np.random.default_rng(1))
-        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        with _raises_quietly(np.linalg.LinAlgError):
             _unitary_commutator_norm(a, u, floor)
 
     def test_pauli_bound_keeps_the_overflow_check(self):
         # ||m|| = 1e153 is below the floor, but ||m||_F^2 = 256e306 overflows
-        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError):
+        with _raises_quietly(np.linalg.LinAlgError):
             _gram_norm(1e153 * np.eye(256), 2e153)
 
     def test_far_probes_skip_eigvalsh(self, chain8, monkeypatch):
