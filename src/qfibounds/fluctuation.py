@@ -7,7 +7,10 @@ autocorrelation weight pi (p_m + p_n)|O_mn|^2: the autocorrelation spectrum
 all of them, its same-cluster pairs merging into the omega = 0 line, and the
 dissipation spectrum those at omega != 0 times tanh(beta omega / 2), which is
 p_m - p_n = (p_m + p_n) tanh(beta omega / 2) at the cluster-mean levels
-without the difference's cancellation.  The ``moment``s of the
+without the difference's cancellation.  S(omega) is even and Im chi(omega)
+odd (Kubo, Rep. Prog. Phys. 29 (1966) 255), and |O_mn|^2 of the pair table
+is exactly symmetric, so each spectrum is built, sorted and merged from its
+omega > 0 half only and mirrored (``_mirror``).  The ``moment``s of the
 autocorrelation spectrum reproduce F, beta chi and Var line for line;
 ``moment`` takes a ``KernelKind``.
 """
@@ -59,83 +62,120 @@ def _aggregate(omegas, weights, kind: str) -> LineSpectrum:
     counts = np.bincount(group)
     out_o = np.bincount(group, weights=omegas) / counts
     if values > len(counts):
-        # a group of distinct frequencies merges at its |w|-weighted mean unless |w| sums to 0
+        # a group of distinct frequencies merges at its |w|-weighted mean, its
+        # plain mean where |w| sums to 0, each as the first frequency plus the
+        # mean offset from it: negating every line negates the result
         first, last = omegas[np.cumsum(counts) - counts], omegas[np.cumsum(counts) - 1]
         mass = np.bincount(group, weights=np.abs(weights, out=weights))
+        flat = mass == 0.0
+        if flat.any():
+            mass[flat] = counts[flat]
+            weights[flat[group]] = 1.0
         weights *= np.subtract(omegas, first[group], out=omegas)
         lean = np.bincount(group, weights=weights)
-        mixed = (mass > 0) & (last > first)
+        mixed = last > first
         out_o[mixed] = first[mixed] + lean[mixed] / mass[mixed]
     out_o[np.abs(out_o) <= FREQ_MERGE_TOL] = 0.0
     return LineSpectrum(out_o, out_w, kind)
 
 
 def _pair_lines(ens: GibbsEnsemble, O: np.ndarray):
-    """Unaggregated autocorrelation lines (omegas, weights): the line
+    """The omega > 0 half of the autocorrelation lines (omegas, weights) and
+    the omega = 0 weights.  A pair (m, n) of the pair table is the line
     omega = E_n - E_m of the cluster-mean levels with weight
-    pi (p_m + p_n) |O_mn|^2 for every pair of the pair table
-    (``gibbs._pair_table``), block by block in row-major order, an a < b
-    block's pairs then again in the reverse order (n, m) at -omega; then
-    2 pi sum_n p_n (O_nn - <O>)^2 at omega = 0.  The same-cluster pairs sit
-    at omega = 0 too, and with it make the basis-independent zero-frequency
-    weight.  Pairs of sectors that O cannot link emit no line."""
+    pi (p_m + p_n) |O_mn|^2, its reverse the same weight at -omega.  The
+    half takes block by block, in row-major order, the lines at omega > 0,
+    then an a < b block's reversed pairs at -omega > 0: the full set's
+    omega > 0 lines in its order, so the half merges as that side does.
+    The zero weights are the pairs at omega = 0 (same-cluster, in both
+    orders) and last 2 pi sum_n p_n (O_nn - <O>)^2.  Pairs of sectors that
+    O cannot link make no line."""
     t = _pair_table(ens.eigs, O)
     e, p = t.levels, ens.populations
-    omegas, weights = [], []
+    omegas, weights, zero = [], [], []
     for a, b, o2 in t.blocks:
         omega = -np.subtract.outer(e[a.columns], e[b.columns]).ravel()
         w = (math.pi * ((p[a.columns][:, None] + p[b.columns][None, :]) * o2)).ravel()
-        omegas += [omega] if a is b else [omega, -omega]
-        weights += [w] if a is b else [w, w]
-    omegas.append(np.zeros(1))
-    weights.append([2.0 * math.pi * _classical(p, t.diag)])
-    return np.concatenate(omegas), np.concatenate(weights)
+        up, at = omega > 0.0, omega == 0.0
+        omegas.append(omega[up])
+        weights.append(w[up])
+        zero.append(w[at])
+        if a is not b:  # the reversed pairs
+            down = omega < 0.0
+            omegas.append(-omega[down])
+            weights.append(w[down])
+            zero.append(w[at])
+    zero.append([2.0 * math.pi * _classical(p, t.diag)])
+    return np.concatenate(omegas), np.concatenate(weights), np.concatenate(zero)
+
+
+def _mirror(half: LineSpectrum, gap: float, zero=None) -> LineSpectrum:
+    """The spectrum from its merged omega > 0 half: the half reflected to
+    omega < 0, weights even for S and odd for Im chi (0.0 - w keeps a zero
+    +0.0), about an omega = 0 line of weight ``zero`` (None: no line).
+    Where ``gap``, from the half's smallest line to the full set's nearest
+    line at or below 0, is within FREQ_MERGE_TOL, the half's first group
+    chains through 0 to its mirror: one group, merged at 0 with twice its
+    weight for S and weight 0 for Im chi."""
+    odd = half.kind == DISSIPATION
+    o, w = half.omegas, half.weights
+    if len(o) and gap <= FREQ_MERGE_TOL:
+        zero = 0.0 if odd else zero + 2.0 * w[0]
+        o, w = o[1:], w[1:]
+    mid = [] if zero is None else [zero]
+    return LineSpectrum(np.concatenate([0.0 - o[::-1], np.zeros(len(mid)), o]),
+                        np.concatenate([(0.0 - w if odd else w)[::-1], mid, w]), half.kind)
 
 
 def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
-    """Symmetrized fluctuation spectrum S(omega) (``_pair_lines``).
+    """Symmetrized fluctuation spectrum S(omega), even: its omega > 0 half
+    (``_pair_lines``) merged and mirrored about the omega = 0 line, whose
+    weight sums the zero weights one after another as ``_aggregate`` does.
     Sum rule: total weight = 2 pi Var(O)."""
-    return _aggregate(*_pair_lines(ens, O), AUTOCORRELATION)
+    omegas, weights, zero = _pair_lines(ens, O)
+    half = _aggregate(omegas, weights, AUTOCORRELATION)
+    return _mirror(half, np.min(omegas, initial=np.inf), np.cumsum(zero)[-1])
 
 
 def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
-    """Im chi(omega): odd line spectrum, the autocorrelation lines at
-    omega != 0 times tanh(beta omega / 2), which is pi (p_m - p_n) |O_mn|^2
-    without its cancellation; no zero-frequency weight."""
-    omegas, weights = _pair_lines(ens, O)
-    distinct = omegas != 0.0
-    omegas, weights = omegas[distinct], weights[distinct]
+    """Im chi(omega), odd: the autocorrelation lines at omega > 0 times
+    tanh(beta omega / 2), which is pi (p_m - p_n) |O_mn|^2 without its
+    cancellation, merged and mirrored; no zero-frequency weight."""
+    omegas, weights, _ = _pair_lines(ens, O)
     weights *= np.tanh(ens.beta * omegas / 2.0)
-    return _aggregate(omegas, weights, DISSIPATION)
+    half = _aggregate(omegas, weights, DISSIPATION)
+    return _mirror(half, 2.0 * np.min(omegas, initial=np.inf))
 
 
 def generalized_fdt(
     dissipation: LineSpectrum, ens: GibbsEnsemble, O: np.ndarray
 ) -> LineSpectrum:
     """Reconstruct S(omega) as coth(beta omega / 2) Im chi(omega) plus the
-    singular zero-frequency line carrying the classical fluctuations."""
+    singular zero-frequency line carrying the classical fluctuations, line
+    by line from the spectrum given, whatever its symmetry."""
     if dissipation.kind != DISSIPATION:
         raise ValueError("expected a dissipation spectrum")
     if not ens.beta > 0:
         raise ValueError("generalized FDT needs beta > 0")
-    lines, weights = _pair_lines(ens, O)
-    zero = lines == 0.0
+    lines, _, zero = _pair_lines(ens, O)
 
     # Guard against a spectrum from a different ensemble: every line must sit
-    # at the level difference of a pair this (eigensystem, O) links.
-    diffs = np.sort(lines, axis=None)
-    pos = np.searchsorted(diffs, dissipation.omegas)
+    # at the level difference of a pair this (eigensystem, O) links, which is
+    # 0 or +-omega of the half, so |omega| is compared with 0 and the half.
+    diffs = np.concatenate([[0.0], lines])
+    diffs.sort()
+    omegas = np.abs(dissipation.omegas)
+    pos = np.searchsorted(diffs, omegas)
     near = diffs[np.clip([pos - 1, pos], 0, len(diffs) - 1)]  # both neighbours
-    bad = dissipation.omegas[
-        ~(np.min(np.abs(dissipation.omegas - near), axis=0) <= 1e-8)]  # NaN fails
+    bad = dissipation.omegas[~(np.min(np.abs(omegas - near), axis=0) <= 1e-8)]  # NaN fails
     if bad.size:
         raise ValueError(f"dissipation line at omega={bad[0]} does not match any "
                          "energy difference of the ensemble")
 
     nz = dissipation.omegas != 0.0
-    omegas = np.concatenate([dissipation.omegas[nz], lines[zero]])
+    omegas = np.concatenate([dissipation.omegas[nz], np.zeros(len(zero))])
     coth = 1.0 / np.tanh(ens.beta * dissipation.omegas[nz] / 2.0)
-    weights = np.concatenate([coth * dissipation.weights[nz], weights[zero]])
+    weights = np.concatenate([coth * dissipation.weights[nz], zero])
     return _aggregate(omegas, weights, AUTOCORRELATION)
 
 

@@ -206,8 +206,9 @@ def _positive_definite(m: np.ndarray) -> bool:
 
 
 def _hermitian_norm(a: np.ndarray) -> float:
+    """max |eigenvalue|, +0.0 for a zero matrix."""
     w = np.linalg.eigvalsh(a)
-    return float(max(-w[0], w[-1]))
+    return float(max(abs(w[0]), abs(w[-1])))
 
 
 def _integer(value, name: str, lo: int, hi: float = math.inf) -> int:

@@ -6,7 +6,7 @@ import pytest
 
 import qfibounds as q
 from qfibounds.fluctuation import DISSIPATION, FREQ_MERGE_TOL, _aggregate
-from qfibounds.gibbs import _pair_table
+from qfibounds.gibbs import _classical, _pair_table
 from qfibounds.locality import (
     LocalApproximation,
     _hermitian_norm,
@@ -112,6 +112,40 @@ def dense_sqrt_fidelity(a, b):
     u = a.eigs.vectors.conj().T @ b.eigs.vectors
     m = np.sqrt(a.populations)[:, None] * u * np.sqrt(b.populations)[None, :]
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
+def full_pair_lines(ens, O):
+    """Every autocorrelation line, unmerged (omegas, weights): the line
+    omega = E_n - E_m of the cluster-mean levels with weight
+    pi (p_m + p_n) |O_mn|^2 for every pair of the pair table, block by
+    block in row-major order, an a < b block's pairs then again in the
+    reverse order (n, m) at -omega; then 2 pi sum_n p_n (O_nn - <O>)^2 at
+    omega = 0.  The full set the spectra's omega > 0 half is cut from."""
+    t = _pair_table(ens.eigs, O)
+    e, p = t.levels, ens.populations
+    omegas, weights = [], []
+    for a, b, o2 in t.blocks:
+        omega = -np.subtract.outer(e[a.columns], e[b.columns]).ravel()
+        w = (math.pi * ((p[a.columns][:, None] + p[b.columns][None, :]) * o2)).ravel()
+        omegas += [omega] if a is b else [omega, -omega]
+        weights += [w] if a is b else [w, w]
+    omegas.append(np.zeros(1))
+    weights.append([2.0 * math.pi * _classical(p, t.diag)])
+    return np.concatenate(omegas), np.concatenate(weights)
+
+
+def full_spectrum(ens, O, kind):
+    """The spectrum of ``kind`` merged from the full line set by
+    ``_aggregate``: every autocorrelation line, or the dissipation lines at
+    omega != 0 times tanh(beta omega / 2).  The reference for the half
+    merged and mirrored: the same lines and frequencies, and the same
+    weights at omega > 0, bit for bit."""
+    omegas, weights = full_pair_lines(ens, O)
+    if kind == DISSIPATION:
+        distinct = omegas != 0.0
+        omegas, weights = omegas[distinct], weights[distinct]
+        weights *= np.tanh(ens.beta * omegas / 2.0)
+    return _aggregate(omegas, weights, kind)
 
 
 def expm1_dissipation(ens, O):

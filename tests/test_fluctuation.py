@@ -19,7 +19,7 @@ from qfibounds.fluctuation import (
     moment,
 )
 
-from conftest import expm1_dissipation, random_instance, rel_close
+from conftest import expm1_dissipation, full_spectrum, random_instance, rel_close
 
 
 class TestAggregate:
@@ -141,6 +141,71 @@ class TestHighTemperatureWeights:
         assert len(recon) == len(direct)
         assert np.max(np.abs(recon.omegas - direct.omegas)) <= 1e-12
         assert np.all(np.abs(recon.weights - direct.weights) <= 1e-12 * direct.weights)
+
+
+class TestHalfLines:
+    """Each spectrum is its omega > 0 half, merged and mirrored: S even and
+    Im chi odd to the bit, and against the full line set merged by
+    ``_aggregate`` (``full_spectrum``) the same frequencies and the same
+    omega > 0 weights, bit for bit."""
+
+    @pytest.mark.parametrize("n, theta, beta", TestHighTemperatureWeights.GRID)
+    def test_exact_mirror(self, n, theta, beta):
+        ens, O = TestHighTemperatureWeights._ensemble(n, theta, beta)
+        auto, diss = autocorrelation_spectrum(ens, O), dissipation_spectrum(ens, O)
+        for s, sign in ((auto, 1.0), (diss, -1.0), (generalized_fdt(diss, ens, O), 1.0)):
+            assert np.array_equal(s.omegas, -s.omegas[::-1])
+            assert np.array_equal(s.weights, sign * s.weights[::-1])
+        for got in (auto, diss):
+            ref = full_spectrum(ens, O, got.kind)
+            assert got.omegas.tobytes() == ref.omegas.tobytes()
+            pos = ref.omegas > 0.0
+            assert got.weights[pos].tobytes() == ref.weights[pos].tobytes()
+
+    @staticmethod
+    def _doublets(n):
+        # gamma = 0.05 with eps_deg = 1e-14 keeps the ferromagnetic doublets
+        # apart: their splittings put lines within FREQ_MERGE_TOL of 0
+        H, O = q.build_tfim(q.ModelSpec(n, 0.05))
+        return q.prepared_gibbs(H, O, 1.0, eps_deg=1e-14), O
+
+    @staticmethod
+    def _against_full(ens, O):
+        out = []
+        for got in (autocorrelation_spectrum(ens, O), dissipation_spectrum(ens, O)):
+            ref = full_spectrum(ens, O, got.kind)
+            assert len(got) == len(ref)
+            assert got.omegas.tobytes() == ref.omegas.tobytes()
+            assert np.max(np.abs(got.weights - ref.weights)) <= 1e-14 * np.max(np.abs(ref.weights))
+            out.append(got)
+        return out
+
+    def test_two_zero_lines_where_the_mirror_is_apart(self):
+        # N = 8: the doublet lines at +-7.8e-11 lie more than FREQ_MERGE_TOL
+        # apart, so Im chi's two sides merge apart, each snapped to omega = 0
+        auto, diss = self._against_full(*self._doublets(8))
+        assert len(auto) == 3279 and len(diss) == 3280
+        zero = diss.weights[diss.omegas == 0.0]
+        assert len(zero) == 2 and zero[0] == -zero[1] and 3e-9 < zero[1] < 4e-9
+
+    def test_one_zero_line_where_the_group_chains_through_zero(self):
+        # N = 9: splittings of 3.9e-12 chain +-omega through 0 into one group,
+        # its own mirror: S's zero line takes both sides, Im chi's weighs +0.0
+        auto, diss = self._against_full(*self._doublets(9))
+        assert np.count_nonzero(auto.omegas == 0.0) == 1
+        zero = diss.weights[diss.omegas == 0.0]
+        assert len(zero) == 1 and zero.tobytes() == np.zeros(1).tobytes()
+
+    @pytest.mark.parametrize("n, theta", [(4, 0.1), (6, 0.0), (8, 0.1)])
+    def test_no_negative_zero_at_beta_zero(self, n, theta):
+        # every dissipation weight is 0 at beta = 0; none may print as -0
+        H, O = q.tfim_operators(q.ModelSpec(n, 0.9, theta))
+        ens = q.prepared_gibbs(H, O, 0.0)
+        diss = dissipation_spectrum(ens, O)
+        assert np.all(diss.weights == 0.0)
+        for s in (autocorrelation_spectrum(ens, O), diss):
+            assert not np.any(np.signbit(s.weights) & (s.weights == 0.0))
+            assert not np.any(np.signbit(s.omegas) & (s.omegas == 0.0))
 
 
 class TestDissipationRoute:
@@ -318,6 +383,16 @@ class TestGeneralizedFdt:
         diss = dissipation_spectrum(ens, O)
         with pytest.raises(ValueError, match="omega=nan "):
             generalized_fdt(self._moved(diss, len(diss) - 1, math.nan), ens, O)
+
+    def test_guard_accepts_lines_near_zero(self, tfim3):
+        # omega = 0 is a level difference of every ensemble (m = n); the half
+        # the guard searches holds only omega > 0 and takes 0 beside it
+        _, O, ens = tfim3
+        assert np.min(np.abs(np.diff(np.sort(ens.eigs.energies)))) > 1e-6
+        near = LineSpectrum(np.array([-5e-9, 0.0, 5e-9]), np.zeros(3), DISSIPATION)
+        generalized_fdt(near, ens, O)
+        with pytest.raises(ValueError, match="omega=-2e-08 "):
+            generalized_fdt(LineSpectrum(np.array([-2e-8]), np.zeros(1), DISSIPATION), ens, O)
 
     @pytest.mark.parametrize("shift", (-1e-6, -1.1e-8, 9e-9, 1e-9, 1.1e-8, 1e-6))
     def test_guard_matches_line_loop(self, tfim3, shift):

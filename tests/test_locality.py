@@ -393,6 +393,14 @@ class TestLocalApproximation:
             assert math.copysign(1.0, got.err) == math.copysign(1.0, got.eps_hat) == 1.0, name
             assert got.a_prime.dtype == a.dtype and got.a_prime.tobytes() == a.tobytes(), name
 
+    @pytest.mark.parametrize("region", [2, 3])
+    def test_zero_operator_reads_positive_zero(self, region):
+        # below the full region the zero operator's err is a Hermitian norm
+        # of the zero matrix, which read -0.0
+        got = local_approximation(np.zeros((16, 16)), region, 2)
+        assert got.err == got.eps_hat == 0.0
+        assert not np.signbit(got.err) and not np.signbit(got.eps_hat)
+
     def test_overflowing_operator_raises_quietly(self):
         # the first Pauli probe's Gram matrix overflows; no RuntimeWarning
         # from the GEMM may come before the LinAlgError
