@@ -60,6 +60,16 @@ def _aggregate(omegas, weights, kind: str) -> LineSpectrum:
     group = np.concatenate([[0], np.cumsum(np.diff(omegas) > FREQ_MERGE_TOL)])
     out_w = np.bincount(group, weights=weights)
     counts = np.bincount(group)
+    many = counts > 2
+    if many.any():
+        # a sum of three or more lines depends on their order: add each
+        # group's by |w| (one key: the group, then the rank of |w|), so lines
+        # at +-omega with one set of |w| sum to +-one weight in any order
+        sub = np.flatnonzero(many[group])
+        rank = np.empty(len(sub), dtype=np.int64)
+        rank[np.argsort(np.abs(weights[sub]))] = np.arange(len(sub))
+        sub = sub[np.argsort(group[sub] * len(sub) + rank)]
+        out_w[many] = np.bincount(group[sub], weights=weights[sub], minlength=len(counts))[many]
     out_o = np.bincount(group, weights=omegas) / counts
     if values > len(counts):
         # a group of distinct frequencies merges at its |w|-weighted mean, its
@@ -109,17 +119,18 @@ def _pair_lines(ens: GibbsEnsemble, O: np.ndarray):
     return np.concatenate(omegas), np.concatenate(weights), np.concatenate(zero)
 
 
-def _mirror(half: LineSpectrum, gap: float, zero=None) -> LineSpectrum:
+def _mirror(half: LineSpectrum, lowest: float, zero=None) -> LineSpectrum:
     """The spectrum from its merged omega > 0 half: the half reflected to
     omega < 0, weights even for S and odd for Im chi (0.0 - w keeps a zero
     +0.0), about an omega = 0 line of weight ``zero`` (None: no line).
-    Where ``gap``, from the half's smallest line to the full set's nearest
-    line at or below 0, is within FREQ_MERGE_TOL, the half's first group
+    ``lowest`` is the half's smallest unmerged line.  Where it lies within
+    FREQ_MERGE_TOL of the full set's nearest line at or below 0 (the zero
+    line for S, its own mirror -lowest for Im chi), the half's first group
     chains through 0 to its mirror: one group, merged at 0 with twice its
     weight for S and weight 0 for Im chi."""
     odd = half.kind == DISSIPATION
     o, w = half.omegas, half.weights
-    if len(o) and gap <= FREQ_MERGE_TOL:
+    if len(o) and (2.0 * lowest if odd else lowest) <= FREQ_MERGE_TOL:
         zero = 0.0 if odd else zero + 2.0 * w[0]
         o, w = o[1:], w[1:]
     mid = [] if zero is None else [zero]
@@ -130,11 +141,11 @@ def _mirror(half: LineSpectrum, gap: float, zero=None) -> LineSpectrum:
 def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     """Symmetrized fluctuation spectrum S(omega), even: its omega > 0 half
     (``_pair_lines``) merged and mirrored about the omega = 0 line, whose
-    weight sums the zero weights one after another as ``_aggregate`` does.
+    weight adds the zero weights in order of size, as ``_aggregate`` adds a group.
     Sum rule: total weight = 2 pi Var(O)."""
     omegas, weights, zero = _pair_lines(ens, O)
     half = _aggregate(omegas, weights, AUTOCORRELATION)
-    return _mirror(half, np.min(omegas, initial=np.inf), np.cumsum(zero)[-1])
+    return _mirror(half, np.min(omegas, initial=np.inf), np.cumsum(np.sort(zero))[-1])
 
 
 def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
@@ -144,7 +155,7 @@ def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     omegas, weights, _ = _pair_lines(ens, O)
     weights *= np.tanh(ens.beta * omegas / 2.0)
     half = _aggregate(omegas, weights, DISSIPATION)
-    return _mirror(half, 2.0 * np.min(omegas, initial=np.inf))
+    return _mirror(half, np.min(omegas, initial=np.inf))
 
 
 def generalized_fdt(
@@ -166,8 +177,9 @@ def generalized_fdt(
     diffs.sort()
     omegas = np.abs(dissipation.omegas)
     pos = np.searchsorted(diffs, omegas)
-    near = diffs[np.clip([pos - 1, pos], 0, len(diffs) - 1)]  # both neighbours
-    bad = dissipation.omegas[~(np.min(np.abs(omegas - near), axis=0) <= 1e-8)]  # NaN fails
+    gap = np.minimum(omegas - diffs.take(pos - 1, mode="clip"),  # at or below omega
+                     np.abs(diffs.take(pos, mode="clip") - omegas))  # above, or the last
+    bad = dissipation.omegas[~(gap <= 1e-8)]  # NaN fails
     if bad.size:
         raise ValueError(f"dissipation line at omega={bad[0]} does not match any "
                          "energy difference of the ensemble")

@@ -188,9 +188,11 @@ def _pair_table(eigs: EigenSystem, O: np.ndarray) -> _PairTable:
     transform's roundoff leaves |O_nm| and |O_mn| of an a = b block unequal
     (by up to 5e-11 relative on entries above 1e-12 of the largest at
     N=8-10, theta=0.1), so the entries above the diagonal are copied onto
-    those below it: |O_mn|^2 is then exactly symmetric, as the kernel pass
-    assumes and the spectra's mirror needs.  Each eigenbasis block is
-    dropped once its |O_mn|^2 exists."""
+    those below it: both triangles then give one |O_mn|^2 per pair.  The
+    spectra read the entries above the diagonal only, the kernel pass's row
+    sums both, and a full line set built from the table reads those below
+    for its omega < 0 lines.  Each eigenbasis block is dropped once its
+    |O_mn|^2 exists."""
     diag = np.zeros(eigs.dim)
     blocks = []
     for a, b, ob in eigenbasis_blocks(eigs, O):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -49,6 +50,15 @@ class TestAggregate:
         assert len(s) == 2 and s.weights[0] == -2.0
         assert abs(s.omegas[0] - (1.0 + 1e-11)) <= 1e-15
         assert abs(s.omegas[1] - (2.0 + 2e-11)) <= 1e-15
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_group_weight_independent_of_line_order(self, order):
+        # (1 + 1e-16) + 1e-16 rounds to 1, the two small lines added first
+        # do not: a group sums by |w| whatever order its lines arrive in
+        w = np.array([1.0, 1e-16, 1e-16])[list(order)]
+        s = _aggregate([-2.0, -2.0, -2.0, 2.0, 2.0 + 1e-11, 2.0], np.concatenate([-w, w]),
+                       DISSIPATION)
+        assert s.weights.tolist() == [-(2e-16 + 1.0), 2e-16 + 1.0]
 
 
 class TestAutocorrelationSpectrum:
