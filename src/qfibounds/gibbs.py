@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import TILE, ModelSpec, tfim_operators
-from .spectral import EigenSystem, _operator, eigenbasis_blocks, eigendecompose, from_eigenbasis
-
-_IMAG_TOL = 1e-10
+from .spectral import EigenSystem, eigenbasis_blocks, eigendecompose, from_eigenbasis
 
 
 @dataclass(frozen=True)
@@ -78,27 +76,16 @@ def _shifted_gibbs(H, O, beta, shifts):
         yield gibbs_ensemble(eigendecompose(H + s * O), beta)
 
 
-def _real_or_raise(value: complex, scale: float, what: str) -> float:
-    if not abs(value.imag) <= _IMAG_TOL * max(1.0, scale):  # NaN fails
-        raise ValueError(f"{what} has non-negligible imaginary part {value.imag:.3e}")
-    return float(value.real)
-
-
 def thermal_average(ens: GibbsEnsemble, A) -> float:
     """<A> = sum_n p_n <n|A|n> of a Hermitian A (a matrix or a
-    ``FlipOperator``) of the ensemble's dimension, from the diagonals of its
-    a = b eigenbasis blocks.  Only complex blocks (a complex A or
-    eigensystem) give the sum an imaginary part, and only one above 1e-10
-    needs the scale max|A_ij| of its tolerance."""
+    ``FlipOperator``) of the ensemble's dimension, from the real diagonals
+    of its a = b eigenbasis blocks; a sum that is not finite raises."""
     p = ens.populations
-    val = sum(complex(np.dot(p[a.columns], x.diagonal()))
-              for a, b, x in eigenbasis_blocks(ens.eigs, A) if a is b)
-    scale = 1.0
-    if not abs(val.imag) <= _IMAG_TOL:  # NaN reads the scale too
-        _, sub, d = _operator(A)
-        idx = np.arange(d)
-        scale = float(np.max(np.abs(sub(idx, idx))))
-    return _real_or_raise(val, scale, "thermal average")
+    val = float(sum(np.dot(p[a.columns], x.diagonal().real)
+                    for a, b, x in eigenbasis_blocks(ens.eigs, A) if a is b))
+    if not math.isfinite(val):
+        raise ValueError(f"thermal average is not finite: {val}")
+    return val
 
 
 def _tanh_over_omega(omega: np.ndarray, beta: float) -> np.ndarray:
@@ -184,15 +171,8 @@ class _PairTable:
 
 def _pair_table(eigs: EigenSystem, O: np.ndarray) -> _PairTable:
     """Validate O, transform the sector blocks it links to the eigenbasis
-    (``eigenbasis_blocks``) and keep their diagonal and |O_mn|^2.  The
-    transform's roundoff leaves |O_nm| and |O_mn| of an a = b block unequal
-    (by up to 5e-11 relative on entries above 1e-12 of the largest at
-    N=8-10, theta=0.1), so the entries above the diagonal are copied onto
-    those below it: both triangles then give one |O_mn|^2 per pair.  The
-    spectra read the entries above the diagonal only, the kernel pass's row
-    sums both, and a full line set built from the table reads those below
-    for its omega < 0 lines.  Each eigenbasis block is dropped once its
-    |O_mn|^2 exists."""
+    (``eigenbasis_blocks``) and keep their diagonal and |O_mn|^2.  Each
+    eigenbasis block is dropped once its |O_mn|^2 exists."""
     diag = np.zeros(eigs.dim)
     blocks = []
     for a, b, ob in eigenbasis_blocks(eigs, O):
@@ -200,9 +180,6 @@ def _pair_table(eigs: EigenSystem, O: np.ndarray) -> _PairTable:
         if a is b:
             diag[a.columns] = ob.diagonal().real
             np.fill_diagonal(o2, 0.0)
-            for i in range(0, len(o2), TILE):
-                lower = o2[i:, i:i + TILE]
-                np.copyto(lower, o2[i:i + TILE, i:].T, where=np.tri(*lower.shape, -1, dtype=bool))
         del ob
         np.square(o2, out=o2)
         blocks.append((a, b, o2))

@@ -5,13 +5,12 @@ probes, and the finite-support approximation with its sampled commutator bound."
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .operators import _hermitian_deviation, check_hermitian
+from .operators import _hermitian_deviation, _integer, check_hermitian
 from .spectral import EigenSystem, eigenbasis_blocks, filter_blocks, from_eigenbasis
 
 
@@ -103,7 +102,7 @@ def commutator_decay_profile(
         raise ValueError("eigensystem dimension is not a power of two")
     if probe_kind not in ("X", "Y", "Z"):
         raise ValueError(f"unknown Pauli axis {probe_kind!r}")
-    # Hermitian by construction: dressed_operator symmetrizes in the eigenbasis
+    # Hermitian by construction: the even Lorentzian keeps exact a = b blocks exact
     dressed = dressed_operator(eigs, A_loc, spec)
     distances = np.arange(n_sites)
     norms = np.array([_pauli_commutator_norm(dressed, j, probe_kind) for j in range(n_sites)])
@@ -209,13 +208,6 @@ def _hermitian_norm(a: np.ndarray) -> float:
     """max |eigenvalue|, +0.0 for a zero matrix."""
     w = np.linalg.eigvalsh(a)
     return float(max(abs(w[0]), abs(w[-1])))
-
-
-def _integer(value, name: str, lo: int, hi: float = math.inf) -> int:
-    """value as an int in [lo, hi]: numpy integers pass; bool, 2.5 and "3" do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
-    return int(value)
 
 
 def local_approximation(

@@ -12,6 +12,7 @@ significant bit of the basis index.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,13 @@ PAULI = {
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+
+
+def _integer(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """value as an int in [lo, hi]: numpy integers pass; bool, 2.5 and "3" do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
 def _hermitian_deviation(a: np.ndarray) -> tuple[float, float]:
@@ -75,10 +83,7 @@ class ModelSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not (1 <= self.n_sites <= HARD_SITE_CAP):
-            raise ValueError(
-                f"n_sites must be in [1, {HARD_SITE_CAP}], got {self.n_sites}"
-            )
+        _integer(self.n_sites, "n_sites", 1, HARD_SITE_CAP)
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
         if not math.isfinite(self.theta):
@@ -111,8 +116,7 @@ class PauliString:
 def pauli_string_matrix(ps: PauliString, n_sites: int) -> np.ndarray:
     """Dense matrix of a Pauli string on an ``n_sites`` chain: float64 unless
     a factor is Y (or the coefficient is complex), complex then."""
-    if not (1 <= n_sites <= HARD_SITE_CAP):
-        raise ValueError(f"n_sites must be in [1, {HARD_SITE_CAP}]")
+    _integer(n_sites, "n_sites", 1, HARD_SITE_CAP)
     if ps.factors and max(ps.factors) >= n_sites:
         raise ValueError(
             f"site index {max(ps.factors)} out of range for n_sites={n_sites}"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ModelSpec, check_hermitian, tfim_operators
+from .operators import ModelSpec, _integer, check_hermitian, tfim_operators
 from .gibbs import GibbsEnsemble, KernelKind, _shifted_gibbs
 from .spectral import eigenbasis_blocks, filter_blocks, from_eigenbasis
 
@@ -40,8 +40,7 @@ class TimeKernelSpec:
             raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
-        if not 16 <= self.panels <= PANELS_MAX:
-            raise ValueError(f"panels must lie in [16, {PANELS_MAX}], got {self.panels}")
+        _integer(self.panels, "panels", 16, PANELS_MAX)
 
 
 def energy_kernel(omega: np.ndarray, beta: float) -> np.ndarray:

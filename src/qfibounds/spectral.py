@@ -8,11 +8,12 @@ diagonalized on its own; the eigensystem keeps per sector its adapted basis
 S, eigenvectors W and states' positions in the ascending order.  An operator
 (``_operator``: bit terms, or a Hermitian matrix with no parity) links the
 sector pairs its parities allow, and its blocks go into the eigenbasis as
-W_a^H A_ab W_b (``eigenbasis_blocks``), through elementwise filters
-(``filter_blocks``) and back as S_a W_a X_ab W_b^H S_b^T (``from_eigenbasis``)
-with no d x d eigenbasis matrix; ``to_eigenbasis`` is their dense view.  An
-H with neither symmetry is one sector with the identity map, the reference
-every block path is tested against.
+W_a^H A_ab W_b (``eigenbasis_blocks``, an a = b one exactly Hermitian),
+through elementwise filters (``filter_blocks``) and back as S_a W_a X_ab
+W_b^H S_b^T (``from_eigenbasis``) with no d x d eigenbasis matrix;
+``to_eigenbasis`` is their dense view.  An H with neither symmetry is one
+sector with the identity map, the reference every block path is tested
+against.
 
 Eigenvalues that coincide within a tolerance are grouped into clusters, and
 every formula downstream reads each state's cluster-mean energy
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import FlipOperator, check_hermitian
+from .operators import TILE, FlipOperator, check_hermitian
 
 
 def resolve_eps_deg(energies: np.ndarray, eps_deg: float | None) -> float:
@@ -42,8 +43,8 @@ def resolve_eps_deg(energies: np.ndarray, eps_deg: float | None) -> float:
     tolerance to be treated as non-degenerate.
     """
     if eps_deg is not None:
-        if eps_deg <= 0:
-            raise ValueError("eps_deg must be positive")
+        if not 0 < eps_deg < np.inf:  # NaN fails
+            raise ValueError(f"eps_deg must be finite and positive, got {eps_deg}")
         return eps_deg
     if len(energies) == 0:
         return 1e-8
@@ -312,24 +313,38 @@ def _linked_sectors(eigs: EigenSystem, A: FlipOperator | None):
 def eigenbasis_blocks(eigs: EigenSystem, A):
     """A's eigenbasis blocks (a, b, W_a^H A_ab W_b) for the sector pairs a <= b
     it links (``_linked_sectors``); (b, a) is the conjugate transpose, and the
-    pairs not listed are zero.  A (``_operator``) is validated at the call as
-    Hermitian of the eigensystem's dimension; the blocks come lazily."""
+    pairs not listed are zero.  An a = b block is made exactly Hermitian as it
+    is formed, TILE columns at a time: its diagonal real and each entry below
+    the diagonal the conjugate of its mirror above.  A (``_operator``) is
+    validated at the call as Hermitian of the eigensystem's dimension; the
+    blocks come lazily."""
     terms, sub, d = _operator(A)
     if d != eigs.dim:
         raise ValueError("dimension mismatch")
     pairs, sign = _linked_sectors(eigs, terms)
     rev, mirrored = eigs.symmetries[1], sign is not None
-    return ((a, b, a.vectors.conj().T @ _gather(sub, a.basis, b.basis, rev, mirrored) @ b.vectors)
-            for a, b in pairs)
+
+    def block(a, b):
+        x = a.vectors.conj().T @ _gather(sub, a.basis, b.basis, rev, mirrored) @ b.vectors
+        if a is b:
+            if np.iscomplexobj(x):
+                np.fill_diagonal(x.imag, 0.0)
+            for i in range(0, len(x), TILE):
+                lower = x[i:, i:i + TILE]
+                np.copyto(lower, x[i:i + TILE, i:].T.conj(), where=np.tri(*lower.shape, -1, dtype=bool))
+        return x
+
+    return ((a, b, block(a, b)) for a, b in pairs)
 
 
 def filter_blocks(blocks, e: np.ndarray, kernel):
     """kernel(e_a, e_b) X_ab per block (a, b, X_ab), e_a the values e at
     sector a's states, lazily: a filter even in e_m - e_n, elementwise in the
-    eigenbasis, with the a = b blocks made Hermitian, (Y + Y^H) / 2."""
+    eigenbasis.  A kernel bitwise even (the SLD's energy kernel, the
+    Lorentzian) keeps an a = b block exactly Hermitian; the time-domain
+    cosine kernel keeps it Hermitian to roundoff."""
     for a, b, x in blocks:
-        y = kernel(e[a.columns], e[b.columns]) * x
-        yield a, b, (y + y.conj().T) / 2.0 if a is b else y
+        yield a, b, kernel(e[a.columns], e[b.columns]) * x
 
 
 def rotate_within_clusters(eigs: EigenSystem, O: np.ndarray) -> EigenSystem:

@@ -29,7 +29,7 @@ from qfibounds.operators import (
     random_hermitian,
 )
 from qfibounds.sld import _cosine_kernel, _gauss_panels
-from qfibounds.spectral import eigendecompose, to_eigenbasis
+from qfibounds.spectral import eigendecompose, from_eigenbasis, to_eigenbasis
 
 from conftest import dense_from_eigenbasis, unpruned_local_approximation
 
@@ -239,6 +239,23 @@ class TestDressedOperator:
         _, eigs, a_loc = chain8
         d = dressed_operator(eigs, a_loc, DressSpec(mu=1.0))
         assert np.max(np.abs(d - d.conj().T)) < 1e-12
+
+    def test_filtered_a_equals_b_blocks_exactly_hermitian(self, monkeypatch):
+        # at theta = 0.1 sigma^x_0 links the a = b blocks; the Lorentzian is
+        # bitwise even, so they stay exactly Hermitian with no symmetrization
+        seen = []
+
+        def capture(eigs, blocks):
+            seen.extend(blocks)
+            return from_eigenbasis(eigs, seen)
+
+        monkeypatch.setattr(locality, "from_eigenbasis", capture)
+        eigs = eigendecompose(q.tfim_operators(q.ModelSpec(8, 0.9, 0.1))[0])
+        dressed_operator(eigs, pauli_string_matrix(PauliString({0: "X"}), 8), DressSpec(mu=0.7))
+        diagonal = [x for a, b, x in seen if a is b]
+        assert diagonal
+        for x in diagonal:
+            assert np.array_equal(x, x.conj().T)
 
     def test_large_mu_proportional_to_undressed(self, chain8):
         n, eigs, a_loc = chain8

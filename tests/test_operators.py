@@ -130,6 +130,18 @@ class TestBuildTfim:
         with pytest.raises(ValueError):
             ModelSpec(4, math.nan)
 
+    @pytest.mark.parametrize("n_sites", [3.5, 4.0, True, "4"])
+    def test_spec_refuses_non_integer_sizes(self, n_sites):
+        # 3.5 used to pass and fail later in .dim; True ran as one site
+        with pytest.raises(ValueError, match="n_sites must be an integer"):
+            ModelSpec(n_sites, 0.9)
+        with pytest.raises(ValueError, match="n_sites must be an integer"):
+            pauli_string_matrix(PauliString({0: "X"}), n_sites)
+
+    def test_spec_takes_numpy_integer_sizes(self):
+        assert ModelSpec(np.int64(4), 0.9).dim == 16
+        assert pauli_string_matrix(PauliString({0: "X"}), np.int32(2)).shape == (4, 4)
+
 
 class TestRandomHermitian:
     def test_scalar_case_reproducible(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfibounds as q
+from qfibounds import sld
 from qfibounds.locality import DressSpec, dressed_operator
 from qfibounds.sld import (
     TimeKernelSpec,
@@ -20,7 +21,7 @@ from qfibounds.sld import (
     sld_matrix,
     sld_time_domain,
 )
-from qfibounds.spectral import to_eigenbasis
+from qfibounds.spectral import from_eigenbasis, to_eigenbasis
 
 from conftest import dense_from_eigenbasis, random_instance, rel_close
 
@@ -30,9 +31,12 @@ class TestEnergyKernel:
         assert energy_kernel(np.array([0.0]), 2.0)[0] == -2.0
 
     def test_odd_in_omega_times_sign(self):
-        # f is even: f(-w) = f(w)
-        w = np.array([0.3, 1.7, 5.0])
-        assert np.allclose(energy_kernel(w, 1.5), energy_kernel(-w, 1.5))
+        # f is even: f(-w) = f(w) bit for bit, on which filter_blocks relies
+        # to keep an a = b block exactly Hermitian
+        rng = np.random.default_rng(0)
+        for beta in (1e-8, 0.3, 1.5, 7.3, 300.0):
+            w = rng.standard_normal(20000) * np.repeat([1e-9, 1e-6 / beta, 1e-3, 1.0, 40.0], 4000)
+            assert np.array_equal(energy_kernel(w, beta), energy_kernel(-w, beta))
 
     @given(omega=st.floats(1e-6, 0.5), beta=st.floats(0.1, 5.0))
     @settings(max_examples=60, deadline=None)
@@ -52,6 +56,24 @@ class TestSldMatrix:
         res = sld_matrix(ens, O)
         assert abs(res.trace_rho_L) < 1e-9
         assert rel_close(res.trace_rho_L2, q.qfi_spectral(ens, O), rel=1e-8)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["terms", "dense"])
+    def test_filtered_a_equals_b_blocks_exactly_hermitian(self, monkeypatch, dense):
+        # the bitwise even energy kernel keeps the exact a = b blocks exact:
+        # filter_blocks does not symmetrize
+        seen = []
+
+        def capture(eigs, blocks):
+            seen.extend(blocks)
+            return from_eigenbasis(eigs, seen)
+
+        monkeypatch.setattr(sld, "from_eigenbasis", capture)
+        H, O = q.tfim_operators(q.ModelSpec(9, 0.9, 0.1))
+        sld_matrix(q.prepared_gibbs(H, O, 1.0), O.dense() if dense else O)
+        diagonal = [x for a, b, x in seen if a is b]
+        assert diagonal
+        for x in diagonal:
+            assert np.array_equal(x, x.conj().T)
 
     def test_hermitian_output(self, tfim3):
         _, O, ens = tfim3
@@ -161,6 +183,15 @@ class TestTimeKernel:
             for h in (2.0, 5.0, 10.0)
         ]
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("panels", [16.5, 64.0, "64"])
+    def test_spec_refuses_non_integer_panels(self, panels):
+        # 16.5 used to pass and fail later in sld_time_domain
+        with pytest.raises(ValueError, match="panels must be an integer in \\[16, 1048576\\]"):
+            TimeKernelSpec(1.0, 8.0, panels)
+
+    def test_spec_takes_numpy_integer_panels(self):
+        assert TimeKernelSpec(1.0, 8.0, np.int64(64)).panels == 64
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

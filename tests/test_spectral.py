@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,16 @@ class TestClusterDegeneracies:
     def test_policy_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             resolve_eps_deg(np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_policy_rejects_non_finite(self, eps):
+        # either would chain every state into one cluster (F = 4.0 for 6.111
+        # at N=4, gamma=0.9, theta=0.1, beta=1)
+        with pytest.raises(ValueError, match="finite and positive"):
+            resolve_eps_deg(np.zeros(2), eps)
+        H, _ = q.tfim_operators(q.ModelSpec(4, 0.9, 0.1))
+        with pytest.raises(ValueError, match="finite and positive"):
+            eigendecompose(H, eps)
 
 
 class TestEigendecompose:
@@ -195,6 +206,43 @@ class TestBasisTransforms:
         eigs = eigendecompose(q.random_hermitian(4, 1))
         with pytest.raises(ValueError):
             to_eigenbasis(eigs, np.eye(8))
+
+    def test_bad_operator_raises_at_the_call(self):
+        # validated before a block is formed: the generator is never read
+        eigs = eigendecompose(q.random_hermitian(4, 1))
+        skewed = q.random_hermitian(4, 2)
+        skewed[0, 1] += 1.0
+        for bad in (skewed, np.eye(8)):
+            with pytest.raises(ValueError):
+                eigenbasis_blocks(eigs, bad)
+
+
+def _real_symmetric(d, seed):
+    g = np.random.default_rng(seed).standard_normal((d, d))
+    return g + g.T
+
+
+class TestExactlyHermitianBlocks:
+    """Every a = b eigenbasis block equals its conjugate transpose exactly,
+    with a zero imaginary diagonal; W^H A W alone leaves the two triangles
+    apart by roundoff.  Each case has a block wider than one TILE (128)."""
+
+    CASES = {
+        "tfim9-theta0.1-terms": lambda: q.tfim_operators(q.ModelSpec(9, 0.9, 0.1)),
+        "tfim9-theta0.1-dense": lambda: q.build_tfim(q.ModelSpec(9, 0.9, 0.1)),
+        "random-complex": lambda: (q.random_hermitian(300, 3), q.random_hermitian(300, 4)),
+        "tfim8-theta0.1-real-not-terms": lambda: (
+            q.tfim_operators(q.ModelSpec(8, 0.9, 0.1))[0], _real_symmetric(256, 5)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_equals_b_blocks(self, case):
+        H, A = self.CASES[case]()
+        blocks = [x for a, b, x in eigenbasis_blocks(eigendecompose(H), A) if a is b]
+        assert blocks and max(len(x) for x in blocks) > 128
+        for x in blocks:
+            assert np.array_equal(x, x.conj().T)
+            assert np.all(x.diagonal().imag == 0.0)
 
 
 def _dense_eigensystem(H):
