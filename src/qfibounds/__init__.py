@@ -20,7 +20,9 @@ from .spectral import (
 )
 from .gibbs import (
     GibbsEnsemble,
+    PairTable,
     gibbs_ensemble,
+    pair_table,
     prepared_gibbs,
     susceptibility,
     susceptibility_fd,

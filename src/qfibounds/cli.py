@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .operators import FlipOperator, ModelSpec, tfim_operators
-from .gibbs import prepared_gibbs
+from .gibbs import pair_table, prepared_gibbs
 from .qfi import bounds_chain, check_bounds_report, uncertainty_report
 from .fluctuation import autocorrelation_spectrum, dissipation_spectrum
 from .sld import (PANELS_MAX, TimeKernelSpec, kernel_g_integral, lyapunov_residual, sld_matrix,
@@ -230,8 +230,10 @@ def _dispatch(args) -> int:
                 raise ConfigError(f"beta x (E_max - E_min) x horizon-betas needs {need:.4g} "
                                   f"panels, above the cap of {PANELS_MAX}; lower --horizon-betas")
             tks = _spec(TimeKernelSpec, args.beta, horizon, max(PANELS_FLOOR, math.ceil(need)))
-        res = sld_matrix(ens, O)
-        deviation = float(np.max(np.abs(sld_time_domain(ens, O, tks) - res.L)))
+        table = pair_table(ens.eigs, O)  # both SLDs read one transform of O
+        res = sld_matrix(ens, table)
+        deviation = float(np.max(np.abs(sld_time_domain(ens, table, tks) - res.L)))
+        del table  # gone before the residual's d x d arrays
         summary = {
             "trace_rho_L": res.trace_rho_L,
             "trace_rho_L2": res.trace_rho_L2,

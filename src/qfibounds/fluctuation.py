@@ -2,17 +2,19 @@
 generalized fluctuation-dissipation relation with its zero-frequency
 correction, and kernel moments that reproduce the QFI and both bounds.
 
-Both spectra read one set of lines (``_pair_lines``), each with the
-autocorrelation weight pi (p_m + p_n)|O_mn|^2: the autocorrelation spectrum
-all of them, its same-cluster pairs merging into the omega = 0 line, and the
-dissipation spectrum those at omega != 0 times tanh(beta omega / 2), which is
-p_m - p_n = (p_m + p_n) tanh(beta omega / 2) at the cluster-mean levels
-without the difference's cancellation.  S(omega) is even and Im chi(omega)
-odd (Kubo, Rep. Prog. Phys. 29 (1966) 255), and |O_mn|^2 of the pair table
-is exactly symmetric, so each spectrum is built, sorted and merged from its
-omega > 0 half only and mirrored (``_mirror``).  The ``moment``s of the
-autocorrelation spectrum reproduce F, beta chi and Var line for line;
-``moment`` takes a ``KernelKind``.
+Both spectra read one set of lines (``_pair_lines``) from O's pair table,
+which a caller may pass in O's place, each with the autocorrelation weight
+pi (p_m + p_n)|O_mn|^2, squared from a block as it is read: the
+autocorrelation spectrum all of them, its same-cluster pairs merging into
+the omega = 0 line, and the dissipation spectrum those at omega != 0 times
+tanh(beta omega / 2), which is p_m - p_n = (p_m + p_n) tanh(beta omega / 2)
+at the cluster-mean levels without the difference's cancellation.  S(omega)
+is even and Im chi(omega) odd (Kubo, Rep. Prog. Phys. 29 (1966) 255), and
+the a = b blocks are exactly Hermitian, so |O_mn|^2 is exactly symmetric
+and each spectrum is built, sorted and merged from its omega > 0 half only
+and mirrored (``_mirror``).  The ``moment``s of the autocorrelation
+spectrum reproduce F, beta chi and Var line for line; ``moment`` takes a
+``KernelKind``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import GibbsEnsemble, KernelKind, _classical, _pair_table
+from .gibbs import GibbsEnsemble, KernelKind, _classical, pair_table
 
 FREQ_MERGE_TOL = 1e-10
 
@@ -89,7 +91,7 @@ def _aggregate(omegas, weights, kind: str) -> LineSpectrum:
     return LineSpectrum(out_o, out_w, kind)
 
 
-def _pair_lines(ens: GibbsEnsemble, O: np.ndarray):
+def _pair_lines(ens: GibbsEnsemble, O):
     """The omega > 0 half of the autocorrelation lines (omegas, weights) and
     the omega = 0 weights.  A pair (m, n) of the pair table is the line
     omega = E_n - E_m of the cluster-mean levels with weight
@@ -100,12 +102,15 @@ def _pair_lines(ens: GibbsEnsemble, O: np.ndarray):
     The zero weights are the pairs at omega = 0 (same-cluster, in both
     orders) and last 2 pi sum_n p_n (O_nn - <O>)^2.  Pairs of sectors that
     O cannot link make no line."""
-    t = _pair_table(ens.eigs, O)
+    t = pair_table(ens.eigs, O)
     e, p = t.levels, ens.populations
     omegas, weights, zero = [], [], []
-    for a, b, o2 in t.blocks:
+    for a, b, x in t.blocks:
         omega = -np.subtract.outer(e[a.columns], e[b.columns]).ravel()
-        w = (math.pi * ((p[a.columns][:, None] + p[b.columns][None, :]) * o2)).ravel()
+        w = np.abs(x)
+        if a is b:
+            np.fill_diagonal(w, 0.0)
+        w = (math.pi * ((p[a.columns][:, None] + p[b.columns]) * np.square(w, out=w))).ravel()
         up, at = omega > 0.0, omega == 0.0
         omegas.append(omega[up])
         weights.append(w[up])
@@ -138,7 +143,7 @@ def _mirror(half: LineSpectrum, lowest: float, zero=None) -> LineSpectrum:
                         np.concatenate([(0.0 - w if odd else w)[::-1], mid, w]), half.kind)
 
 
-def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
+def autocorrelation_spectrum(ens: GibbsEnsemble, O) -> LineSpectrum:
     """Symmetrized fluctuation spectrum S(omega), even: its omega > 0 half
     (``_pair_lines``) merged and mirrored about the omega = 0 line, whose
     weight adds the zero weights in order of size, as ``_aggregate`` adds a group.
@@ -148,7 +153,7 @@ def autocorrelation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
     return _mirror(half, np.min(omegas, initial=np.inf), np.cumsum(np.sort(zero))[-1])
 
 
-def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
+def dissipation_spectrum(ens: GibbsEnsemble, O) -> LineSpectrum:
     """Im chi(omega), odd: the autocorrelation lines at omega > 0 times
     tanh(beta omega / 2), which is pi (p_m - p_n) |O_mn|^2 without its
     cancellation, merged and mirrored; no zero-frequency weight."""
@@ -159,7 +164,7 @@ def dissipation_spectrum(ens: GibbsEnsemble, O: np.ndarray) -> LineSpectrum:
 
 
 def generalized_fdt(
-    dissipation: LineSpectrum, ens: GibbsEnsemble, O: np.ndarray
+    dissipation: LineSpectrum, ens: GibbsEnsemble, O
 ) -> LineSpectrum:
     """Reconstruct S(omega) as coth(beta omega / 2) Im chi(omega) plus the
     singular zero-frequency line carrying the classical fluctuations, line

@@ -1,17 +1,18 @@
 """Gibbs ensembles, thermal averages, and the one beta-independent pair
-table per (eigensystem, O) that feeds F, chi, Var and both line spectra.
+table per (eigensystem, O) that feeds <O>, F, chi, Var, both line spectra
+and the SLD.
 
 Populations and gaps are read from the cluster-mean ``levels``, so every
 state of a cluster has the same population and every same-cluster pair sits
-at omega = 0 exactly.  The table is O's eigenbasis diagonal, the levels and,
-for each symmetry-sector pair (a, b) that O links, the block |O_mn|^2 of
-m in a, n in b, with only the diagonal of an a = b block zeroed; the pairs O
-cannot link are never formed.  One pass of the kernel
-x = tanh(beta omega / 2) / omega over the blocks gives F, beta chi and Var,
-the three ``KernelKind`` moments of the autocorrelation spectrum.  The
-same-cluster entries enter that pass at x = beta / 2, which turns the
-diagonal's classical weight into the basis-independent
-sum_c p_c ||O_cc||_F^2 - <O>^2 over the clusters c, with no special case."""
+at omega = 0 exactly.  The table (``pair_table``) is O's eigenbasis blocks,
+one per symmetry-sector pair (a, b) that O links, and the a = b blocks'
+real diagonals; the pairs O cannot link are never formed.  Every reader of
+(ensemble, O) takes the table in O's place.  One pass of the kernel
+x = tanh(beta omega / 2) / omega over |O_mn|^2, m != n, squared as the
+blocks are read, gives F, beta chi and Var, the three ``KernelKind``
+moments of the autocorrelation spectrum.  The same-cluster entries enter
+that pass at x = beta / 2, which turns the diagonal's classical weight into
+the basis-independent sum_c p_c ||O_cc||_F^2 - <O>^2 over the clusters c."""
 
 from __future__ import annotations
 
@@ -77,12 +78,10 @@ def _shifted_gibbs(H, O, beta, shifts):
 
 
 def thermal_average(ens: GibbsEnsemble, A) -> float:
-    """<A> = sum_n p_n <n|A|n> of a Hermitian A (a matrix or a
-    ``FlipOperator``) of the ensemble's dimension, from the real diagonals
-    of its a = b eigenbasis blocks; a sum that is not finite raises."""
-    p = ens.populations
-    val = float(sum(np.dot(p[a.columns], x.diagonal().real)
-                    for a, b, x in eigenbasis_blocks(ens.eigs, A) if a is b))
+    """<A> = sum_n p_n <n|A|n> of a Hermitian A (a matrix, a
+    ``FlipOperator`` or its pair table) of the ensemble's dimension
+    (``PairTable.mean``); a sum that is not finite raises."""
+    val = pair_table(ens.eigs, A).mean(ens.populations)
     if not math.isfinite(val):
         raise ValueError(f"thermal average is not finite: {val}")
     return val
@@ -125,17 +124,25 @@ def _classical(p: np.ndarray, diag: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class _PairTable:
-    """The beta-independent lines of O over one eigensystem: ``diag`` = O_nn,
-    the cluster-mean ``levels`` and ``blocks``, one (a, b, o2) per sector
-    pair a <= b that O links, o2 = |O_mn|^2 for m in sector a and n in
-    sector b, exactly symmetric with its diagonal zero when a is b.  An
-    a < b block stands for the pairs in both orders; every pair outside the
-    blocks has O_mn = 0."""
+class PairTable:
+    """The beta-independent lines of O over the eigensystem ``eigs``:
+    ``blocks``, O's eigenbasis blocks (a, b, O_ab) for the sector pairs
+    a <= b that O links (``eigenbasis_blocks``, an a = b block exactly
+    Hermitian), ``diag`` = O_nn and the cluster-mean ``levels``.  An a < b
+    block stands for the pairs in both orders, O_ba = O_ab^H; every pair
+    outside the blocks has O_mn = 0.  The lines are the pairs m != n, so a
+    reader squaring an a = b block zeroes its diagonal."""
 
+    eigs: EigenSystem
     diag: np.ndarray
     levels: np.ndarray
     blocks: tuple
+
+    def mean(self, p: np.ndarray) -> float:
+        """<O> = sum_n p_n O_nn, summed over the a = b blocks' diagonals: O
+        links all of them or none, and then <O> = 0.0."""
+        return sum((float(np.dot(p[a.columns], x.diagonal().real))
+                    for a, b, x in self.blocks if a is b), 0.0)
 
     def moments(self, p: np.ndarray, beta: float) -> tuple[float, float, float]:
         """F, beta chi and Var at populations p: the QFI-, susceptibility- and
@@ -144,55 +151,59 @@ class _PairTable:
         2 pi times the diagonal's classical weight at omega = 0.  |O_mn|^2 is
         symmetric and the kernels are even, so each pair sum is 2 p . (row
         sums of |O_mn|^2 times the kernel), an a < b block adding its row
-        sums to a's states and its column sums to b's.  The kernel is
-        evaluated over TILE rows of a block at a time, so its temporaries are
-        TILE x (block width) whatever d is."""
+        sums to a's states and its column sums to b's.  |O_mn|^2 and the
+        kernel are formed over TILE rows of a block at a time, so their
+        temporaries are TILE x (block width) whatever d is."""
         c = _classical(p, self.diag)
         e = self.levels
         ox2, ox, o0 = np.zeros(len(e)), np.zeros(len(e)), np.zeros(len(e))
-        for a, b, o2 in self.blocks:
+        for a, b, block in self.blocks:
             ea, eb = e[a.columns], e[b.columns]
             for i in range(0, len(ea), TILE):
                 rows = slice(i, i + TILE)
                 m = a.columns[rows]
+                o2 = np.abs(block[rows])
+                if a is b:
+                    np.fill_diagonal(o2[:, i:], 0.0)
+                np.square(o2, out=o2)
                 x = _tanh_over_omega(np.subtract.outer(ea[rows], eb), beta)
-                o2x = o2[rows] * x
+                o2x = o2 * x
                 ox2[m] += np.einsum("mn,mn->m", o2x, x)
                 ox[m] += o2x.sum(axis=1)
-                o0[m] += o2[rows].sum(axis=1)
+                o0[m] += o2.sum(axis=1)
                 if a is not b:
                     ox2[b.columns] += np.einsum("mn,mn->n", o2x, x)
                     ox[b.columns] += o2x.sum(axis=0)
-                    o0[b.columns] += o2[rows].sum(axis=0)
+                    o0[b.columns] += o2.sum(axis=0)
         return (beta**2 * c + 4.0 * float(p @ ox2),
                 beta**2 * c + 2.0 * beta * float(p @ ox),
                 c + float(p @ o0))
 
 
-def _pair_table(eigs: EigenSystem, O: np.ndarray) -> _PairTable:
-    """Validate O, transform the sector blocks it links to the eigenbasis
-    (``eigenbasis_blocks``) and keep their diagonal and |O_mn|^2.  Each
-    eigenbasis block is dropped once its |O_mn|^2 exists."""
+def pair_table(eigs: EigenSystem, O) -> PairTable:
+    """O's pair table over ``eigs``: O's linked eigenbasis blocks
+    (``eigenbasis_blocks``, which validates O) and the a = b blocks' real
+    diagonals.  A table of ``eigs`` itself is returned as it is, and a table
+    of another eigensystem raises ``ValueError``."""
+    if isinstance(O, PairTable):
+        if O.eigs is not eigs:
+            raise ValueError("the pair table belongs to another eigensystem")
+        return O
     diag = np.zeros(eigs.dim)
-    blocks = []
-    for a, b, ob in eigenbasis_blocks(eigs, O):
-        o2 = np.abs(ob)
+    blocks = tuple(eigenbasis_blocks(eigs, O))
+    for a, b, x in blocks:
         if a is b:
-            diag[a.columns] = ob.diagonal().real
-            np.fill_diagonal(o2, 0.0)
-        del ob
-        np.square(o2, out=o2)
-        blocks.append((a, b, o2))
-    return _PairTable(diag, eigs.levels, tuple(blocks))
+            diag[a.columns] = x.diagonal().real
+    return PairTable(eigs, diag, eigs.levels, blocks)
 
 
-def variance(ens: GibbsEnsemble, O: np.ndarray) -> float:
+def variance(ens: GibbsEnsemble, O) -> float:
     """<(O - <O>)^2>, the variance-kernel moment over beta^2: that kernel is
     beta^2 / 4 at every frequency, so Var is beta-independent given p."""
-    return _pair_table(ens.eigs, O).moments(ens.populations, ens.beta)[2]
+    return pair_table(ens.eigs, O).moments(ens.populations, ens.beta)[2]
 
 
-def susceptibility(ens: GibbsEnsemble, O: np.ndarray) -> float:
+def susceptibility(ens: GibbsEnsemble, O) -> float:
     """Thermodynamic susceptibility of <O>, the susceptibility-kernel moment
     over beta: the Lehmann sum of (p_m - p_n) / (E_n - E_m) |O_mn|^2 written
     as (p_m + p_n) tanh(beta dE / 2) / dE |O_mn|^2, free of the population
@@ -200,7 +211,7 @@ def susceptibility(ens: GibbsEnsemble, O: np.ndarray) -> float:
     equilibrium; with the +theta O coupling this equals -(d<O>/dtheta)
     (cross-checked by ``susceptibility_fd``).
     """
-    beta_chi = _pair_table(ens.eigs, O).moments(ens.populations, ens.beta)[1]
+    beta_chi = pair_table(ens.eigs, O).moments(ens.populations, ens.beta)[1]
     return beta_chi / ens.beta if ens.beta > 0 else 0.0
 
 

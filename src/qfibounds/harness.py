@@ -13,16 +13,10 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .operators import ModelSpec, single_qubit_model, tfim_operators
-from .gibbs import _pair_table, gibbs_ensemble, prepared_gibbs
+from .operators import ModelSpec, _integer, single_qubit_model, tfim_operators
+from .gibbs import gibbs_ensemble, pair_table, prepared_gibbs
 from .gibbs import susceptibility, susceptibility_fd, variance
-from .qfi import (
-    BoundsReport,
-    _chain_report,
-    bounds_chain,
-    check_bounds_report,
-    qfi_spectral,
-)
+from .qfi import BoundsReport, bounds_chain, check_bounds_report, qfi_spectral
 from .fluctuation import (
     KernelKind,
     autocorrelation_spectrum,
@@ -94,12 +88,6 @@ def checked_number(value, what: str, positive: bool = False, most: float = math.
     return x
 
 
-def _checked_int(value, what: str) -> int:  # a bool or a fraction is refused, not truncated
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _resolve_grid(raw) -> tuple:
     if isinstance(raw, (list, tuple)):
         if len(raw) > GRID_POINTS_MAX:
@@ -108,12 +96,10 @@ def _resolve_grid(raw) -> tuple:
     if isinstance(raw, dict):
         try:
             start, stop = float(raw["start"]), float(raw["stop"])
-            points = _checked_int(raw["points"], "grid points")
+            points = _integer(raw["points"], "grid points", 1, GRID_POINTS_MAX)
         except KeyError as exc:
             raise ConfigError(f"grid dict missing key {exc}") from exc
         spacing = raw.get("spacing", "linear")
-        if not 1 <= points <= GRID_POINTS_MAX:
-            raise ConfigError(f"grid points must lie in [1, {GRID_POINTS_MAX}], got {points}")
         if spacing == "log":
             if start <= 0 or stop <= 0:
                 raise ConfigError("log spacing needs positive endpoints")
@@ -139,7 +125,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
     try:
         m = raw["model"]
         model = ModelSpec(
-            n_sites=_checked_int(m["n_sites"], "n_sites"),
+            n_sites=m["n_sites"],
             gamma=float(m["gamma"]),
             theta=float(m.get("theta", 0.0)),
         )
@@ -191,11 +177,11 @@ def _hamiltonian_rows(config: SweepConfig, points: list) -> list[SweepRow]:
         betas = [config.fixed_beta]
     H, O = tfim_operators(model)
     eigs = eigendecompose(H, config.eps_deg)
-    table = _pair_table(eigs, O)
+    table = pair_table(eigs, O)
     rows = []
     for x, beta in zip(points, betas):
         t0 = time.perf_counter()
-        report = _chain_report(table, gibbs_ensemble(eigs, beta))
+        report = bounds_chain(gibbs_ensemble(eigs, beta), table)
         try:
             check_bounds_report(report)
         except RuntimeError as exc:
@@ -323,33 +309,34 @@ def selftest() -> list[tuple[str, bool, str]]:
         < 1e-12,
     )
 
-    # route equivalence on a small TFIM
+    # route equivalence on a small TFIM, every route from one pair table
     Hr, Or = tfim_operators(ModelSpec(3, 0.4, 0.05))
     ensr = prepared_gibbs(Hr, Or, 1.5)
-    s = autocorrelation_spectrum(ensr, Or)
+    tr = pair_table(ensr.eigs, Or)
+    s = autocorrelation_spectrum(ensr, tr)
     record(
         "route_qfi",
-        _close(moment(s, KernelKind.QFI, 1.5), qfi_spectral(ensr, Or)),
+        _close(moment(s, KernelKind.QFI, 1.5), qfi_spectral(ensr, tr)),
     )
     record(
         "route_susceptibility",
-        _close(moment(s, KernelKind.SUSCEPTIBILITY, 1.5) / 1.5, susceptibility(ensr, Or)),
+        _close(moment(s, KernelKind.SUSCEPTIBILITY, 1.5) / 1.5, susceptibility(ensr, tr)),
     )
     record(
         "route_variance",
-        _close(moment(s, KernelKind.VARIANCE, 1.5) / 1.5**2, variance(ensr, Or)),
+        _close(moment(s, KernelKind.VARIANCE, 1.5) / 1.5**2, variance(ensr, tr)),
     )
     record(
         "route_fd_susceptibility",
         _close(
-            susceptibility(ensr, Or),
+            susceptibility(ensr, tr),
             susceptibility_fd(ModelSpec(3, 0.4, 0.05), 1.5, 1e-4),
             rel=1e-5,
             abs_=1e-8,
         ),
     )
-    recon = generalized_fdt(dissipation_spectrum(ensr, Or), ensr, Or)
-    direct = autocorrelation_spectrum(ensr, Or)
+    recon = generalized_fdt(dissipation_spectrum(ensr, tr), ensr, tr)
+    direct = autocorrelation_spectrum(ensr, tr)
     same = len(recon) == len(direct) and np.allclose(
         recon.weights, direct.weights, rtol=1e-9, atol=1e-12
     )

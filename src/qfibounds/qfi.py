@@ -9,11 +9,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .operators import ModelSpec, tfim_operators
-from .gibbs import (
-    GibbsEnsemble,
-    _pair_table,
-    _shifted_gibbs,
-)
+from .gibbs import GibbsEnsemble, _shifted_gibbs, pair_table
 
 
 @dataclass(frozen=True)
@@ -37,25 +33,20 @@ class BoundsReport:
         return asdict(self)
 
 
-def qfi_spectral(ens: GibbsEnsemble, O: np.ndarray) -> float:
+def qfi_spectral(ens: GibbsEnsemble, O) -> float:
     """Spectral QFI of a Gibbs state, the QFI-kernel moment: the Lehmann sum
     of 2 (p_m - p_n)^2 / (p_m + p_n) / dE^2 |O_mn|^2 written as
     2 (p_m + p_n) tanh^2(beta dE / 2) / dE^2 |O_mn|^2, free of the
     population difference's cancellation, plus beta^2 times the classical
     weight."""
-    return _pair_table(ens.eigs, O).moments(ens.populations, ens.beta)[0]
+    return pair_table(ens.eigs, O).moments(ens.populations, ens.beta)[0]
 
 
-def bounds_chain(ens: GibbsEnsemble, O: np.ndarray) -> BoundsReport:
+def bounds_chain(ens: GibbsEnsemble, O) -> BoundsReport:
     """Assemble LB <= F <= UB1 <= UB2 with the geometric-mean lower bound,
     from the three kernel moments of one pair table."""
-    return _chain_report(_pair_table(ens.eigs, O), ens)
-
-
-def _chain_report(table, ens: GibbsEnsemble) -> BoundsReport:
-    """The bounds chain of ``ens`` from a pair table of its eigensystem."""
     beta = ens.beta
-    qfi, ub1, var = table.moments(ens.populations, beta)
+    qfi, ub1, var = pair_table(ens.eigs, O).moments(ens.populations, beta)
     chi = ub1 / beta if beta > 0 else 0.0
     ub2 = beta**2 * var
     if ub2 > 0:

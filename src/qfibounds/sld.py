@@ -1,8 +1,9 @@
 """Symmetric logarithmic derivative of a Gibbs state: exact energy-domain
 construction, the time-domain integral representation with its log-tanh
-kernel, and the optimal estimator built from it.  Both filter O - <O>'s
-linked eigenbasis blocks (``filter_blocks``) and take them back block by
-block (``from_eigenbasis``), with no d x d eigenbasis or kernel matrix."""
+kernel, and the optimal estimator built from it.  Both read O's pair table
+(``pair_table``, which a caller may pass in O's place), filter O - <O> on
+its blocks (``filter_blocks``) and take them back block by block
+(``from_eigenbasis``), with no d x d eigenbasis or kernel matrix."""
 
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import ModelSpec, _integer, check_hermitian, tfim_operators
-from .gibbs import GibbsEnsemble, KernelKind, _shifted_gibbs
-from .spectral import eigenbasis_blocks, filter_blocks, from_eigenbasis
+from .gibbs import GibbsEnsemble, KernelKind, _shifted_gibbs, pair_table
+from .spectral import filter_blocks, from_eigenbasis
 
 PANELS_MAX = 1 << 20  # 8.4e6 nodes: the node tables peak at 336 MB
 
@@ -49,18 +50,19 @@ def energy_kernel(omega: np.ndarray, beta: float) -> np.ndarray:
     return -(4.0 / beta) * KernelKind.SUSCEPTIBILITY.evaluate(omega, beta)
 
 
-def _centered_blocks(ens: GibbsEnsemble, O) -> list:
-    """O - <O> on O's linked eigenbasis blocks: <O> comes off the diagonals of
-    the a = b blocks, which O links all or none of (and then <O> = 0)."""
-    blocks = list(eigenbasis_blocks(ens.eigs, O))
-    diagonals = [(a.columns, x) for a, b, x in blocks if a is b]
-    mean = sum(float(np.dot(ens.populations[c], x.diagonal().real)) for c, x in diagonals)
-    for _, x in diagonals:
-        np.fill_diagonal(x, x.diagonal() - mean)
-    return blocks
+def _centered_blocks(ens: GibbsEnsemble, O):
+    """O - <O> on O's pair table, lazily: each a = b block a copy with <O>
+    taken off its diagonal, each a < b block the table's own."""
+    t = pair_table(ens.eigs, O)
+    mean = t.mean(ens.populations)
+    for a, b, x in t.blocks:
+        if a is b:
+            x = x.copy()
+            np.fill_diagonal(x, x.diagonal() - mean)
+        yield a, b, x
 
 
-def sld_matrix(ens: GibbsEnsemble, O: np.ndarray) -> SldResult:
+def sld_matrix(ens: GibbsEnsemble, O) -> SldResult:
     """L_mn = f(E_m - E_n) (O - <O>)_mn in the eigenbasis, with E the
     cluster-mean levels: every same-cluster pair takes the degenerate limit
     f(0) = -beta whatever its residual numerical splitting.  Tr rho L^2 =
@@ -70,7 +72,7 @@ def sld_matrix(ens: GibbsEnsemble, O: np.ndarray) -> SldResult:
     blocks = list(filter_blocks(_centered_blocks(ens, O), ens.eigs.levels,
                                 lambda ea, eb: energy_kernel(np.subtract.outer(ea, eb), ens.beta)))
     p = ens.populations
-    tr_l = sum(float(np.dot(p[a.columns], x.diagonal().real)) for a, b, x in blocks if a is b)
+    tr_l = sum((float(np.dot(p[a.columns], x.diagonal().real)) for a, b, x in blocks if a is b), 0.0)
     tr_l2 = sum(float(np.sum(np.abs(x) ** 2 * (p[b.columns] + (a is not b) * p[a.columns, None])))
                 for a, b, x in blocks)
     return SldResult(from_eigenbasis(ens.eigs, blocks), tr_l, tr_l2)
@@ -177,7 +179,7 @@ def _cosine_kernel(ea: np.ndarray, eb: np.ndarray, t: np.ndarray, q: np.ndarray)
 
 
 def sld_time_domain(
-    ens: GibbsEnsemble, O: np.ndarray, spec: TimeKernelSpec
+    ens: GibbsEnsemble, O, spec: TimeKernelSpec
 ) -> np.ndarray:
     """Reconstruct the SLD as the kernel-weighted time average of O(t).
 

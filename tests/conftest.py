@@ -6,7 +6,7 @@ import pytest
 
 import qfibounds as q
 from qfibounds.fluctuation import DISSIPATION, FREQ_MERGE_TOL, _aggregate
-from qfibounds.gibbs import _classical, _pair_table
+from qfibounds.gibbs import _classical, pair_table
 from qfibounds.locality import (
     LocalApproximation,
     _hermitian_norm,
@@ -121,10 +121,13 @@ def full_pair_lines(ens, O):
     block in row-major order, an a < b block's pairs then again in the
     reverse order (n, m) at -omega; then 2 pi sum_n p_n (O_nn - <O>)^2 at
     omega = 0.  The full set the spectra's omega > 0 half is cut from."""
-    t = _pair_table(ens.eigs, O)
+    t = pair_table(ens.eigs, O)
     e, p = t.levels, ens.populations
     omegas, weights = [], []
-    for a, b, o2 in t.blocks:
+    for a, b, x in t.blocks:
+        o2 = np.abs(x) ** 2
+        if a is b:
+            np.fill_diagonal(o2, 0.0)
         omega = -np.subtract.outer(e[a.columns], e[b.columns]).ravel()
         w = (math.pi * ((p[a.columns][:, None] + p[b.columns][None, :]) * o2)).ravel()
         omegas += [omega] if a is b else [omega, -omega]
@@ -158,10 +161,11 @@ def expm1_dissipation(ens, O):
     ordered pair of the pair table at omega = E_n - E_m != 0 of the
     cluster-mean levels, with weight pi (p_m - p_n) |O_mn|^2, merged by
     ``_aggregate`` like the spectrum."""
-    t = _pair_table(ens.eigs, O)
+    t = pair_table(ens.eigs, O)
     e, p = t.levels, ens.populations
     omegas, weights = [], []
-    for a, b, o2 in t.blocks:
+    for a, b, block in t.blocks:
+        o2 = np.abs(block) ** 2  # its diagonal, at omega = 0, is dropped below
         for rows, cols, x in ((a, b, o2), (b, a, o2.T))[: 1 if a is b else 2]:
             m, n = np.meshgrid(rows.columns, cols.columns, indexing="ij")
             omega = e[n] - e[m]

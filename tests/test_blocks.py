@@ -15,7 +15,7 @@ import pytest
 
 import qfibounds as q
 from qfibounds.cli import main
-from qfibounds.gibbs import _pair_table, _shifted_gibbs, gibbs_ensemble
+from qfibounds.gibbs import _shifted_gibbs, gibbs_ensemble, pair_table
 from qfibounds.locality import DressSpec, dressed_operator
 from qfibounds.operators import FlipOperator, PauliString, pauli_string_matrix
 from qfibounds.qfi import _sqrt_fidelity, qfi_fidelity_oracle_generic
@@ -141,19 +141,20 @@ def test_linked_sector_pairs(n, theta, operator, sectors, blocks):
     H, _ = q.build_tfim(q.ModelSpec(n, 0.9, theta))
     O = OPERATORS[operator](n)
     eigs = eigendecompose(H)
-    table = _pair_table(eigs, O)
+    table = pair_table(eigs, O)
     assert len(eigs.sectors) == sectors and len(table.blocks) == blocks
 
-    # the blocks hold the dense |O_mn|^2, and every pair outside them weighs
+    # the blocks squared are the dense |O_mn|^2, and every pair outside them weighs
     # nothing against the total
     v = eigs.vectors
     o2 = np.abs(v.T @ O @ v) ** 2
     inside = np.zeros(o2.shape, dtype=bool)
     for a, b, block in table.blocks:
-        want = o2[np.ix_(a.columns, b.columns)]
+        want, got = o2[np.ix_(a.columns, b.columns)], np.abs(block) ** 2
         if a is b:
             np.fill_diagonal(want, 0.0)
-        assert close_arrays(block, want)
+            np.fill_diagonal(got, 0.0)
+        assert close_arrays(got, want)
         inside[np.ix_(a.columns, b.columns)] = inside[np.ix_(b.columns, a.columns)] = True
     assert np.sum(o2[~inside]) <= 1e-26 * np.sum(o2)
 
@@ -520,13 +521,13 @@ def test_unmirrored_gather_matches_dense(n, theta):
 @pytest.mark.parametrize("theta", [0.0, 0.1])
 def test_terms_eigensystem_matches_dense(theta):
     # the dense H and O are read as the same terms: the same eigensystem
-    # and pair table, bit for bit
+    # and pair table (O's blocks), bit for bit
     H, O = q.tfim_operators(q.ModelSpec(8, 0.3, theta))
     Hd, Od = H.dense(), O.dense()
     got, want = eigendecompose(H), eigendecompose(Hd)
     assert _same_bits(got.energies, want.energies) and got.clusters == want.clusters
     assert all(_same_bits(x.vectors, y.vectors) for x, y in zip(got.sectors, want.sectors))
-    t_got, t_want = _pair_table(got, O), _pair_table(want, Od)
+    t_got, t_want = pair_table(got, O), pair_table(want, Od)
     assert _same_bits(t_got.diag, t_want.diag)
     assert all(_same_bits(x[2], y[2]) for x, y in zip(t_got.blocks, t_want.blocks))
     assert _same_bits(to_eigenbasis(got, O), to_eigenbasis(want, Od))
@@ -645,7 +646,7 @@ def test_transforms_read_no_dense_vectors(no_dense_vectors, theta):
               q.random_hermitian(1 << n, 5)):
         assert to_eigenbasis(ens.eigs, A).shape == (1 << n,) * 2
         assert math.isfinite(q.thermal_average(ens, A))
-        assert _pair_table(ens.eigs, A).blocks
+        assert pair_table(ens.eigs, A).blocks
         assert sld_matrix(ens, A).L.shape == (1 << n,) * 2
         assert sld_time_domain(ens, A, TimeKernelSpec(1.5, 18.0, 16)).shape == (1 << n,) * 2
         assert dressed_operator(ens.eigs, A, DressSpec(1.0)).shape == (1 << n,) * 2
@@ -684,3 +685,29 @@ def test_oracles_read_no_dense_vectors(no_dense_vectors, theta):
     assert math.isfinite(qfi_fidelity_oracle_generic(
         q.random_hermitian(16, 3), q.random_hermitian(16, 4), 1.5, 1e-3))
     assert math.isfinite(q.susceptibility_fd(model, 1.5, 1e-4))
+
+
+@pytest.mark.parametrize("theta", ["0", "0.1"])
+@pytest.mark.parametrize("argv, hamiltonians", [
+    (["bounds", "--beta", "2"], 1),
+    (["spectrum", "--beta", "1"], 1),
+    (["spectrum", "--beta", "1", "--kind", "dissipation"], 1),
+    (["sld-check", "--beta", "1", "--panels", "64"], 1),
+    (["sweep-temperature", "--points", "3"], 1),
+    (["sweep-gamma", "--points", "3"], 3),
+], ids=["bounds", "spectrum", "dissipation", "sld-check", "sweep-temperature", "sweep-gamma"])
+def test_commands_transform_o_once(monkeypatch, tmp_path, capsys, argv, hamiltonians, theta):
+    # one eigenbasis transform of O per (eigensystem, O): every reader of a
+    # command takes the one pair table; counted in every module that holds
+    # eigenbasis_blocks, so a second transform anywhere shows
+    calls = []
+
+    def counted(eigs, A):
+        calls.append(A)
+        return eigenbasis_blocks(eigs, A)
+
+    for module in (q.gibbs, q.spectral, q.sld, q.locality, q.fluctuation, q.qfi, q.harness):
+        monkeypatch.setattr(module, "eigenbasis_blocks", counted, raising=False)
+    out = [] if argv[0] in ("bounds", "sld-check") else ["--out", str(tmp_path)]
+    assert main([*argv, "--n-sites", "6", "--theta", theta, *out]) == 0
+    assert len(calls) == hamiltonians

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,11 @@ import qfibounds as q
 from qfibounds.fluctuation import _aggregate
 from qfibounds.gibbs import (
     _classical,
-    _pair_table,
+    _shifted_gibbs,
     _tanh_over_omega,
     gibbs_ensemble,
+    pair_table,
 )
-from qfibounds.qfi import _chain_report
 from qfibounds.spectral import (
     cluster_degeneracies,
     dense_eigensystem,
@@ -126,7 +127,7 @@ def _held_pairs(table):
 class TestDistinctClusterPairs:
     def test_pair_count_no_degeneracies(self, tfim3):
         _, O, ens = tfim3
-        held, distinct = _held_pairs(_pair_table(ens.eigs, O))
+        held, distinct = _held_pairs(pair_table(ens.eigs, O))
         n_in_cluster = sum((b - a) ** 2 for a, b in ens.eigs.clusters)
         assert distinct == held - n_in_cluster
 
@@ -156,7 +157,7 @@ class TestNearDegenerate:
             eigs = eigendecompose(H, eps)
             joined = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6))
             assert cluster_degeneracies(eigs.energies, eps) == eigs.clusters == joined
-            held, distinct = _held_pairs(_pair_table(eigs, O))
+            held, distinct = _held_pairs(pair_table(eigs, O))
             assert held == 6**2 and distinct == 6**2 - (2**2 + 4)  # minus within-cluster pairs
 
             # the joined pair is one level, so no line resolves its splitting;
@@ -203,7 +204,8 @@ def _reference_pair_sums(table, p, beta):
     order: every pair for the autocorrelation, those at omega != 0 times
     tanh(beta omega / 2) for the dissipation."""
     ms, ns, o2s = [], [], []
-    for a, b, o2 in table.blocks:
+    for a, b, x in table.blocks:
+        o2 = np.abs(x) ** 2
         m, n = np.meshgrid(a.columns, b.columns, indexing="ij")
         off = m != n
         ms.append(m[off]), ns.append(n[off]), o2s.append(o2[off])
@@ -226,7 +228,7 @@ def _reference_pair_sums(table, p, beta):
 
 
 class TestDensePairTable:
-    """The block |O_mn|^2 table against the flat ordered-pair sums."""
+    """The block pair table against the flat ordered-pair sums."""
 
     CASES = {
         "tfim6_theta0.1": lambda: q.build_tfim(q.ModelSpec(6, 0.9, 0.1)),
@@ -240,14 +242,14 @@ class TestDensePairTable:
         H, O = self.CASES[case]()
         eigs = q.prepared_gibbs(H, O, beta).eigs
         ens = gibbs_ensemble(eigs, beta)
-        table = _pair_table(eigs, O)
+        table = pair_table(eigs, O)
         (f, beta_chi, var), auto, diss = _reference_pair_sums(
             table, ens.populations, beta)
 
         def close(a, b):
             return math.isclose(a, b, rel_tol=1e-13, abs_tol=0.0)
 
-        rep = _chain_report(table, ens)
+        rep = q.bounds_chain(ens, table)
         assert close(rep.qfi, f) and close(rep.ub1, beta_chi)
         assert close(rep.ub2, beta**2 * var)
         assert close(q.qfi_spectral(ens, O), f)
@@ -268,7 +270,7 @@ class TestDensePairTable:
 
 
 class TestRowBlockedKernel:
-    """``_PairTable.moments`` over TILE-row slices against the kernel pass
+    """``PairTable.moments`` over TILE-row slices against the kernel pass
     over each whole block: the same per-row sums, so the same bits."""
 
     CASES = {
@@ -281,13 +283,15 @@ class TestRowBlockedKernel:
     def test_matches_whole_table_pass(self, case, beta):
         H, O = self.CASES[case]()
         ens = q.prepared_gibbs(H, O, beta)
-        table = _pair_table(ens.eigs, O)
+        table = pair_table(ens.eigs, O)
         p, e = ens.populations, table.levels
         c = _classical(p, table.diag)
         ox2, ox, o0 = np.zeros(len(p)), np.zeros(len(p)), np.zeros(len(p))
-        for a, b, o2 in table.blocks:
+        for a, b, block in table.blocks:
             # both cases link only diagonal blocks, which take row sums alone
             assert a is b
+            o2 = np.abs(block) ** 2
+            np.fill_diagonal(o2, 0.0)
             x = _tanh_over_omega(np.subtract.outer(e[a.columns], e[b.columns]), beta)
             o2x = o2 * x
             ox2[a.columns] = np.einsum("mn,mn->m", o2x, x)
@@ -297,6 +301,54 @@ class TestRowBlockedKernel:
                 beta**2 * c + 2.0 * beta * float(p @ ox),
                 c + float(p @ o0))
         assert table.moments(p, beta) == want
+
+
+# Every (ensemble, O) reader, called as reader(ens, O, t) on t = O or on
+# O's pair table t
+READERS = {
+    "qfi_spectral": lambda ens, O, t: q.qfi_spectral(ens, t),
+    "susceptibility": lambda ens, O, t: q.susceptibility(ens, t),
+    "variance": lambda ens, O, t: q.variance(ens, t),
+    "bounds_chain": lambda ens, O, t: q.bounds_chain(ens, t),
+    "autocorrelation": lambda ens, O, t: q.autocorrelation_spectrum(ens, t),
+    "dissipation": lambda ens, O, t: q.dissipation_spectrum(ens, t),
+    "generalized_fdt": lambda ens, O, t: q.generalized_fdt(q.dissipation_spectrum(ens, O), ens, t),
+    "sld_matrix": lambda ens, O, t: q.sld_matrix(ens, t),
+    "sld_time_domain": lambda ens, O, t: q.sld_time_domain(
+        ens, t, q.TimeKernelSpec(ens.beta, 3.0, 16)),
+    "thermal_average": lambda ens, O, t: q.thermal_average(ens, t),
+}
+
+
+def _bits(value):
+    """The bytes of a result, field by field, NaN included."""
+    if dataclasses.is_dataclass(value):
+        return b"".join(_bits(v) for v in dataclasses.astuple(value))
+    return np.asarray(value).tobytes()
+
+
+class TestTableInPlaceOfO:
+    """Each reader takes O's pair table in O's place."""
+
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 20.0])
+    @pytest.mark.parametrize("case", sorted(TestDensePairTable.CASES))
+    def test_same_bits_from_the_table(self, case, beta):
+        H, O = TestDensePairTable.CASES[case]()
+        ens = q.prepared_gibbs(H, O, beta)
+        table = pair_table(ens.eigs, O)
+        assert pair_table(ens.eigs, table) is table
+        for name, reader in READERS.items():
+            assert _bits(reader(ens, O, table)) == _bits(reader(ens, O, O)), name
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_table_of_another_eigensystem_raises(self, reader):
+        # the theta + delta state has the same dimension and sectors, but
+        # its own eigensystem
+        H, O = q.tfim_operators(q.ModelSpec(6, 0.9, 0.1))
+        ens = q.prepared_gibbs(H, O, 1.5)
+        (shifted,) = _shifted_gibbs(H, O, 1.5, (1e-4,))
+        with pytest.raises(ValueError, match="another eigensystem"):
+            READERS[reader](ens, O, pair_table(shifted.eigs, O))
 
 
 class TestSusceptibility:

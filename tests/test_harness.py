@@ -369,6 +369,13 @@ class TestCli:
                      id="n-sites-bool"),
         pytest.param("temperature", "{n_sites: 2, gamma: 0.5}",
                      "{start: 0.5, stop: 2.0, points: 2.9}", id="points-fraction"),
+        # a whole float or a numeric string is refused too, as ModelSpec does
+        pytest.param("temperature", "{n_sites: 4.0, gamma: 0.5}", "[1.0]",
+                     id="n-sites-whole-float"),
+        pytest.param("temperature", "{n_sites: 2, gamma: 0.5}",
+                     "{start: 0.5, stop: 2.0, points: 40.0}", id="points-whole-float"),
+        pytest.param("temperature", "{n_sites: 2, gamma: 0.5}",
+                     "{start: 0.5, stop: 2.0, points: \"3\"}", id="points-string"),
     ])
     def test_bad_sweep_config_exit_two(self, tmp_path, capsys, axis, model, grid):
         # refused up front: no traceback, and no value silently truncated

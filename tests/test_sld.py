@@ -57,6 +57,14 @@ class TestSldMatrix:
         assert abs(res.trace_rho_L) < 1e-9
         assert rel_close(res.trace_rho_L2, q.qfi_spectral(ens, O), rel=1e-8)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.1])
+    def test_trace_rho_l_is_a_float(self, theta):
+        # at theta = 0 O = sum X links no a = b block, and the trace is 0.0
+        H, O = q.tfim_operators(q.ModelSpec(6, 0.9, theta))
+        res = sld_matrix(q.prepared_gibbs(H, O, 1.5), O)
+        assert type(res.trace_rho_L) is float
+        assert type(res.trace_rho_L2) is float
+
     @pytest.mark.parametrize("dense", [False, True], ids=["terms", "dense"])
     def test_filtered_a_equals_b_blocks_exactly_hermitian(self, monkeypatch, dense):
         # the bitwise even energy kernel keeps the exact a = b blocks exact:
