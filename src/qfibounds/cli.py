@@ -266,24 +266,9 @@ def _dispatch(args) -> int:
         write_csv(csv_path, "r,norm", "%d,%.12g\n",
                   (profile.distances, profile.commutator_norms))
         fit_path = args.out / "locality_fit.json"
-        fit_path.write_text(
-            json.dumps(
-                {
-                    "lambda": profile.fitted_rate,
-                    "r2": profile.fit_r2,
-                    "mu": mu,
-                    "model": {
-                        "n_sites": model.n_sites,
-                        "gamma": model.gamma,
-                        "theta": model.theta,
-                        "beta": args.beta,
-                    },
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        fit = {"lambda": profile.fitted_rate, "r2": profile.fit_r2, "mu": mu,
+               "model": {**dataclasses.asdict(model), "beta": args.beta}}
+        fit_path.write_text(json.dumps(fit, indent=2, sort_keys=True) + "\n")
         print(json.dumps({"csv": str(csv_path), "fit": str(fit_path)}))
         return 0
 

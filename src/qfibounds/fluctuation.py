@@ -108,8 +108,6 @@ def _pair_lines(ens: GibbsEnsemble, O):
     for a, b, x in t.blocks:
         omega = -np.subtract.outer(e[a.columns], e[b.columns]).ravel()
         w = np.abs(x)
-        if a is b:
-            np.fill_diagonal(w, 0.0)
         w = (math.pi * ((p[a.columns][:, None] + p[b.columns]) * np.square(w, out=w))).ravel()
         up, at = omega > 0.0, omega == 0.0
         omegas.append(omega[up])

@@ -5,14 +5,14 @@ and the SLD.
 Populations and gaps are read from the cluster-mean ``levels``, so every
 state of a cluster has the same population and every same-cluster pair sits
 at omega = 0 exactly.  The table (``pair_table``) is O's eigenbasis blocks,
-one per symmetry-sector pair (a, b) that O links, and the a = b blocks'
-real diagonals; the pairs O cannot link are never formed.  Every reader of
-(ensemble, O) takes the table in O's place.  One pass of the kernel
-x = tanh(beta omega / 2) / omega over |O_mn|^2, m != n, squared as the
-blocks are read, gives F, beta chi and Var, the three ``KernelKind``
-moments of the autocorrelation spectrum.  The same-cluster entries enter
-that pass at x = beta / 2, which turns the diagonal's classical weight into
-the basis-independent sum_c p_c ||O_cc||_F^2 - <O>^2 over the clusters c."""
+one per symmetry-sector pair (a, b) that O links, the a = b diagonals moved
+out into ``diag``; the pairs O cannot link are never formed.  Every reader
+of (ensemble, O) takes the table in O's place.  One pass of the kernel
+x = tanh(beta omega / 2) / omega over |O_mn|^2, each pair m != n read once,
+gives F, beta chi and Var, the three ``KernelKind`` moments of the
+autocorrelation spectrum.  The same-cluster entries enter that pass at
+x = beta / 2, which turns the diagonal's classical weight into the
+basis-independent sum_c p_c ||O_cc||_F^2 - <O>^2 over the clusters c."""
 
 from __future__ import annotations
 
@@ -128,10 +128,10 @@ class PairTable:
     """The beta-independent lines of O over the eigensystem ``eigs``:
     ``blocks``, O's eigenbasis blocks (a, b, O_ab) for the sector pairs
     a <= b that O links (``eigenbasis_blocks``, an a = b block exactly
-    Hermitian), ``diag`` = O_nn and the cluster-mean ``levels``.  An a < b
-    block stands for the pairs in both orders, O_ba = O_ab^H; every pair
-    outside the blocks has O_mn = 0.  The lines are the pairs m != n, so a
-    reader squaring an a = b block zeroes its diagonal."""
+    Hermitian, its diagonal 0.0), ``diag`` = O_nn and the cluster-mean
+    ``levels``.  An a < b block stands for the pairs in both orders,
+    O_ba = O_ab^H; every pair outside the blocks has O_mn = 0.  The blocks
+    hold the lines, the pairs m != n, and ``diag`` the classical weight."""
 
     eigs: EigenSystem
     diag: np.ndarray
@@ -139,42 +139,39 @@ class PairTable:
     blocks: tuple
 
     def mean(self, p: np.ndarray) -> float:
-        """<O> = sum_n p_n O_nn, summed over the a = b blocks' diagonals: O
-        links all of them or none, and then <O> = 0.0."""
-        return sum((float(np.dot(p[a.columns], x.diagonal().real))
-                    for a, b, x in self.blocks if a is b), 0.0)
+        """<O> = p . diag, the mean the classical weight is centred on."""
+        return float(np.dot(p, self.diag))
 
     def moments(self, p: np.ndarray, beta: float) -> tuple[float, float, float]:
         """F, beta chi and Var at populations p: the QFI-, susceptibility- and
         variance-kernel sums (2/pi) sum kernel(omega) weight over the
         autocorrelation lines, pi (p_m + p_n)|O_mn|^2 per pair m != n and
         2 pi times the diagonal's classical weight at omega = 0.  |O_mn|^2 is
-        symmetric and the kernels are even, so each pair sum is 2 p . (row
-        sums of |O_mn|^2 times the kernel), an a < b block adding its row
-        sums to a's states and its column sums to b's.  |O_mn|^2 and the
-        kernel are formed over TILE rows of a block at a time, so their
-        temporaries are TILE x (block width) whatever d is."""
+        symmetric and the kernels are even, so each pair is read once, TILE
+        rows at a time (temporaries of TILE x block width whatever d is): an
+        a = b block from the tile's diagonal on with its strict lower triangle
+        masked (the pairs m < n), an a < b block whole.  Each tile adds its
+        row sums to a's states and its column sums to b's."""
         c = _classical(p, self.diag)
         e = self.levels
         ox2, ox, o0 = np.zeros(len(e)), np.zeros(len(e)), np.zeros(len(e))
         for a, b, block in self.blocks:
             ea, eb = e[a.columns], e[b.columns]
             for i in range(0, len(ea), TILE):
-                rows = slice(i, i + TILE)
-                m = a.columns[rows]
-                o2 = np.abs(block[rows])
+                rows, j = slice(i, i + TILE), i if a is b else 0
+                m, n = a.columns[rows], b.columns[j:]
+                o2 = np.abs(block[rows, j:])
                 if a is b:
-                    np.fill_diagonal(o2[:, i:], 0.0)
+                    o2[:, :len(o2)][np.tri(len(o2), k=-1, dtype=bool)] = 0.0
                 np.square(o2, out=o2)
-                x = _tanh_over_omega(np.subtract.outer(ea[rows], eb), beta)
+                x = _tanh_over_omega(np.subtract.outer(ea[rows], eb[j:]), beta)
                 o2x = o2 * x
                 ox2[m] += np.einsum("mn,mn->m", o2x, x)
                 ox[m] += o2x.sum(axis=1)
                 o0[m] += o2.sum(axis=1)
-                if a is not b:
-                    ox2[b.columns] += np.einsum("mn,mn->n", o2x, x)
-                    ox[b.columns] += o2x.sum(axis=0)
-                    o0[b.columns] += o2.sum(axis=0)
+                ox2[n] += np.einsum("mn,mn->n", o2x, x)
+                ox[n] += o2x.sum(axis=0)
+                o0[n] += o2.sum(axis=0)
         return (beta**2 * c + 4.0 * float(p @ ox2),
                 beta**2 * c + 2.0 * beta * float(p @ ox),
                 c + float(p @ o0))
@@ -182,9 +179,9 @@ class PairTable:
 
 def pair_table(eigs: EigenSystem, O) -> PairTable:
     """O's pair table over ``eigs``: O's linked eigenbasis blocks
-    (``eigenbasis_blocks``, which validates O) and the a = b blocks' real
-    diagonals.  A table of ``eigs`` itself is returned as it is, and a table
-    of another eigensystem raises ``ValueError``."""
+    (``eigenbasis_blocks``, which validates O), each a = b block's real
+    diagonal moved into ``diag``.  A table of ``eigs`` itself is returned as
+    it is, and a table of another eigensystem raises ``ValueError``."""
     if isinstance(O, PairTable):
         if O.eigs is not eigs:
             raise ValueError("the pair table belongs to another eigensystem")
@@ -194,6 +191,7 @@ def pair_table(eigs: EigenSystem, O) -> PairTable:
     for a, b, x in blocks:
         if a is b:
             diag[a.columns] = x.diagonal().real
+            np.fill_diagonal(x, 0.0)
     return PairTable(eigs, diag, eigs.levels, blocks)
 
 

@@ -74,28 +74,44 @@ class SweepConfig:
         return {**asdict(self), "grid": list(self.grid)}
 
 
-def checked_number(value, what: str, positive: bool = False, most: float = math.inf) -> float:
-    """``value`` as a finite float >= 0 (> 0 if ``positive``) and <= ``most``,
-    else ConfigError.  Numeric strings pass: YAML 1.1 reads ``1e-8`` as one.
-    Booleans are refused: YAML reads ``yes`` and ``true`` as one."""
+def _number(value, what: str) -> float:
+    """float(value), else ConfigError naming ``what``.  Numeric strings pass:
+    YAML 1.1 reads ``1e-8`` as one.  Booleans (``yes``, ``true``) do not."""
     try:
-        x = math.nan if isinstance(value, bool) else float(value)
+        return float(None if isinstance(value, bool) else value)
     except (TypeError, ValueError):
-        x = math.nan
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def checked_number(value, what: str, positive: bool = False, most: float = math.inf) -> float:
+    """``value`` (``_number``) as a finite float >= 0 (> 0 if ``positive``)
+    and <= ``most``, else ConfigError."""
+    x = _number(value, what)
     if not (math.isfinite(x) and (x > 0 if positive else x >= 0) and x <= most):
         bound = ("> 0" if positive else ">= 0") + (f", <= {most:g}" if most < math.inf else "")
         raise ConfigError(f"{what} must be a finite number {bound}, got {value!r}")
     return x
 
 
+def _mapping(raw, what: str, keys: tuple) -> dict:
+    """raw as a mapping of the schema's ``keys`` only, else ConfigError: a
+    misspelt key would otherwise leave its default in force."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a mapping")
+    if unknown := [key for key in raw if key not in keys]:
+        raise ConfigError(f"{what} takes {', '.join(keys)}, not {unknown}")
+    return raw
+
+
 def _resolve_grid(raw) -> tuple:
     if isinstance(raw, (list, tuple)):
         if len(raw) > GRID_POINTS_MAX:
             raise ConfigError(f"grid has {len(raw)} points, above the cap of {GRID_POINTS_MAX}")
-        return tuple(float(x) for x in raw)
+        return tuple(_number(x, "a grid value") for x in raw)
     if isinstance(raw, dict):
+        _mapping(raw, "grid", ("start", "stop", "points", "spacing"))
         try:
-            start, stop = float(raw["start"]), float(raw["stop"])
+            start, stop = _number(raw["start"], "grid start"), _number(raw["stop"], "grid stop")
             points = _integer(raw["points"], "grid points", 1, GRID_POINTS_MAX)
         except KeyError as exc:
             raise ConfigError(f"grid dict missing key {exc}") from exc
@@ -116,26 +132,25 @@ def load_config(path) -> SweepConfig:
         raw = yaml.safe_load(Path(path).read_text())
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a mapping")
     return config_from_dict(raw)
 
 
 def config_from_dict(raw: dict) -> SweepConfig:
+    _mapping(raw, "config", ("model", "sweep_axis", "grid", "fixed", "eps_deg", "outputs"))
     try:
-        m = raw["model"]
+        m = _mapping(raw["model"], "model", ("n_sites", "gamma", "theta"))
         model = ModelSpec(
             n_sites=m["n_sites"],
-            gamma=float(m["gamma"]),
-            theta=float(m.get("theta", 0.0)),
+            gamma=_number(m["gamma"], "model gamma"),
+            theta=_number(m.get("theta", 0.0), "model theta"),
         )
         axis = raw["sweep_axis"]
         grid = _resolve_grid(raw["grid"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    fixed = raw.get("fixed") or {}
-    if not isinstance(fixed, dict):
-        raise ConfigError("fixed must be a mapping")
+    fixed = _mapping(raw.get("fixed") or {}, "fixed", ("beta", "temperature"))
+    if len(fixed) > 1:
+        raise ConfigError("fixed takes beta or temperature, not both")
     if fixed.get("beta") is not None:
         fixed_beta = checked_number(fixed["beta"], "fixed beta", most=BETA_MAX)
     elif "temperature" in fixed:
@@ -143,14 +158,16 @@ def config_from_dict(raw: dict) -> SweepConfig:
         fixed_beta = checked_number(1.0 / t, "1 / fixed temperature", most=BETA_MAX)
     else:
         fixed_beta = None
-    eps_deg = raw.get("eps_deg")
+    eps_deg, outputs = raw.get("eps_deg"), raw.get("outputs", "out")
+    if not isinstance(outputs, str):
+        raise ConfigError(f"outputs must be a directory name, got {outputs!r}")
     return SweepConfig(
         model=model,
         sweep_axis=axis,
         grid=grid,
         fixed_beta=fixed_beta,
         eps_deg=None if eps_deg is None else checked_number(eps_deg, "eps_deg", True),
-        outputs=str(raw.get("outputs", "out")),
+        outputs=outputs,
     )
 
 

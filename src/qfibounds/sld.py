@@ -51,14 +51,14 @@ def energy_kernel(omega: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _centered_blocks(ens: GibbsEnsemble, O):
-    """O - <O> on O's pair table, lazily: each a = b block a copy with <O>
-    taken off its diagonal, each a < b block the table's own."""
+    """O - <O> on O's pair table, lazily: each a = b block a copy with
+    diag - <O> on its diagonal, each a < b block the table's own."""
     t = pair_table(ens.eigs, O)
-    mean = t.mean(ens.populations)
+    centred = t.diag - t.mean(ens.populations)
     for a, b, x in t.blocks:
         if a is b:
             x = x.copy()
-            np.fill_diagonal(x, x.diagonal() - mean)
+            np.fill_diagonal(x, centred[a.columns])
         yield a, b, x
 
 

@@ -16,11 +16,12 @@ sector with the identity map, the reference every block path is tested
 against.
 
 Eigenvalues that coincide within a tolerance are grouped into clusters, and
-every formula downstream reads each state's cluster-mean energy
-(``EigenSystem.levels``) instead of its own.  The outputs are sums over pairs
-of clusters, so they do not depend on the basis chosen inside a cluster: no
-gauge is fixed.  A cluster may straddle symmetry sectors (the ferromagnetic
-doublet pairs the two parities).
+every formula downstream but ``locality.dressed_operator``, whose filter
+reads the raw ``energies``, reads each state's cluster-mean energy
+(``EigenSystem.levels``).  The outputs are sums over pairs of clusters, so
+they do not depend on the basis chosen inside a cluster: no gauge is fixed.
+A cluster may straddle symmetry sectors (the ferromagnetic doublet pairs
+the two parities).
 """
 
 from __future__ import annotations

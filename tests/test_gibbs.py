@@ -14,6 +14,7 @@ from qfibounds.gibbs import (
     gibbs_ensemble,
     pair_table,
 )
+from qfibounds.operators import TILE
 from qfibounds.spectral import (
     cluster_degeneracies,
     dense_eigensystem,
@@ -270,8 +271,11 @@ class TestDensePairTable:
 
 
 class TestRowBlockedKernel:
-    """``PairTable.moments`` over TILE-row slices against the kernel pass
-    over each whole block: the same per-row sums, so the same bits."""
+    """``PairTable.moments`` over TILE-row tiles of each block against the
+    upper-triangle kernel pass over each whole block, reduced in the same
+    TILE-row slices: the same sums in the same order, so the same bits.  (A
+    single whole-block reduction adds a state's row and column sums in
+    another order, an ulp apart.)"""
 
     CASES = {
         "tfim8_theta0.1": lambda: q.build_tfim(q.ModelSpec(8, 0.9, 0.1)),  # 2 blocks
@@ -288,19 +292,47 @@ class TestRowBlockedKernel:
         c = _classical(p, table.diag)
         ox2, ox, o0 = np.zeros(len(p)), np.zeros(len(p)), np.zeros(len(p))
         for a, b, block in table.blocks:
-            # both cases link only diagonal blocks, which take row sums alone
+            # both cases link only diagonal blocks: each pair m < n is read
+            # once, into its row's sums and its column's
             assert a is b
-            o2 = np.abs(block) ** 2
-            np.fill_diagonal(o2, 0.0)
+            o2 = np.triu(np.abs(block) ** 2)
             x = _tanh_over_omega(np.subtract.outer(e[a.columns], e[b.columns]), beta)
             o2x = o2 * x
-            ox2[a.columns] = np.einsum("mn,mn->m", o2x, x)
-            ox[a.columns] = o2x.sum(axis=1)
-            o0[a.columns] = o2.sum(axis=1)
+            for i in range(0, len(o2), TILE):
+                tile, m, n = np.s_[i:i + TILE, i:], a.columns[i:i + TILE], b.columns[i:]
+                ox2[m] += np.einsum("mn,mn->m", o2x[tile], x[tile])
+                ox[m] += o2x[tile].sum(axis=1)
+                o0[m] += o2[tile].sum(axis=1)
+                ox2[n] += np.einsum("mn,mn->n", o2x[tile], x[tile])
+                ox[n] += o2x[tile].sum(axis=0)
+                o0[n] += o2[tile].sum(axis=0)
         want = (beta**2 * c + 4.0 * float(p @ ox2),
                 beta**2 * c + 2.0 * beta * float(p @ ox),
                 c + float(p @ o0))
         assert table.moments(p, beta) == want
+
+
+class TestOneMean:
+    """<O> is one float: ``thermal_average``, ``PairTable.mean`` and the mean
+    the classical weight is centred on, at a point where two formulas for
+    it once differed in the last bit."""
+
+    def test_one_mean_and_zero_block_diagonals(self):
+        H, O = q.tfim_operators(q.ModelSpec(10, 0.35 * math.pi, 0.1))
+        ens = q.prepared_gibbs(H, O, 1.5)
+        table = pair_table(ens.eigs, O)
+        p, mean = ens.populations, table.mean(ens.populations)
+        assert _bits(q.thermal_average(ens, O)) == _bits(mean)
+        assert _bits(_classical(p, table.diag)) == _bits(
+            float(np.dot(p, (table.diag - mean) ** 2)))
+        # the a = b blocks hold the pairs m != n only, their diagonals +0.0,
+        # and ``diag`` is the eigenbasis diagonal
+        same = [x for a, b, x in table.blocks if a is b]
+        assert same
+        for x in same:
+            d = x.diagonal()
+            assert np.all(d == 0.0) and not np.any(np.signbit(d.real))
+        assert _bits(table.diag) == _bits(to_eigenbasis(ens.eigs, O).diagonal().real.copy())
 
 
 # Every (ensemble, O) reader, called as reader(ens, O, t) on t = O or on

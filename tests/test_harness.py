@@ -104,6 +104,34 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             config_from_dict({**SMALL, "grid": {"start": 1.0, "stop": 2.0}})
 
+    @pytest.mark.parametrize("change, key", [
+        ({"model": {"n_sites": 3, "gamma": True}}, "gamma"),
+        ({"model": {"n_sites": 3, "gamma": 0.4, "theta": False}}, "theta"),
+        ({"grid": {"start": True, "stop": 2.0, "points": 2}}, "start"),
+        ({"grid": {"start": 0.5, "stop": True, "points": 2}}, "stop"),
+        ({"grid": [0.5, True]}, "grid value"),
+        ({"outputs": ["a", "b"]}, "outputs"),
+        ({"outputs": None}, "outputs"),
+        ({"epsdeg": 1e-3}, "epsdeg"),
+        ({"model": {"n_sites": 3, "gamma": 0.4, "thetta": 0.1}}, "thetta"),
+        ({"grid": {"start": 0.5, "stop": 2.0, "points": 2, "spacng": "log"}}, "spacng"),
+        ({"sweep_axis": "gamma", "grid": [0.2], "fixed": {"beta": 1.0, "temp": 2.0}}, "temp"),
+        ({"sweep_axis": "gamma", "grid": [0.2], "fixed": {"beta": 1.0, "temperature": 2.0}},
+         "beta or temperature"),
+    ], ids=["gamma-bool", "theta-bool", "start-bool", "stop-bool", "grid-value-bool",
+            "outputs-list", "outputs-null", "unknown-key", "unknown-model-key",
+            "unknown-grid-key", "unknown-fixed-key", "beta-and-temperature"])
+    def test_refuses_what_it_would_reinterpret(self, change, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({**SMALL, **change})
+
+    def test_numeric_strings_and_negative_angles_stay_valid(self):
+        cfg = config_from_dict({**SMALL, "model": {"n_sites": 3, "gamma": "-0.4", "theta": -0.05},
+                                "grid": ["0.5", 1.0, "2e0"]})
+        assert (cfg.model.gamma, cfg.model.theta, cfg.grid) == (-0.4, -0.05, (0.5, 1.0, 2.0))
+        grid = {"start": "0.5", "stop": "2", "points": 3}
+        assert config_from_dict({**SMALL, "grid": grid}).grid == (0.5, 1.25, 2.0)
+
     def test_load_yaml_round_trip(self, tmp_path):
         import yaml
 
@@ -452,6 +480,27 @@ class TestCli:
             pytest.param(["sweep-gamma"], "fixed: {beta: yes}", id="config-fixed-beta-bool"),
             pytest.param(["sweep-gamma"], "fixed: {beta: 1.0}\neps_deg: true",
                          id="config-eps-deg-bool"),
+            # each of these ran, reinterpreted: gamma = 1.0, a directory
+            # named "['a', 'b']", the default tolerance, beta over temperature
+            pytest.param(["sweep-gamma"], "model: {n_sites: 2, gamma: yes}\nfixed: {beta: 1.0}",
+                         id="config-model-gamma-bool"),
+            pytest.param(["sweep-gamma"],
+                         "model: {n_sites: 2, gamma: 0.5, theta: true}\nfixed: {beta: 1.0}",
+                         id="config-model-theta-bool"),
+            pytest.param(["sweep-gamma"],
+                         "fixed: {beta: 1.0}\ngrid: {start: yes, stop: 2.0, points: 2}",
+                         id="config-grid-start-bool"),
+            pytest.param(["sweep-gamma"],
+                         "fixed: {beta: 1.0}\ngrid: {start: 0.1, stop: true, points: 2}",
+                         id="config-grid-stop-bool"),
+            pytest.param(["sweep-gamma"], "fixed: {beta: 1.0}\ngrid: [0.3, yes]",
+                         id="config-grid-value-bool"),
+            pytest.param(["sweep-gamma"], "fixed: {beta: 1.0}\noutputs: [a, b]",
+                         id="config-outputs-list"),
+            pytest.param(["sweep-gamma"], "fixed: {beta: 1.0}\nepsdeg: 1e-3",
+                         id="config-unknown-key"),
+            pytest.param(["sweep-gamma"], "fixed: {beta: 1.0, temperature: 2.0}",
+                         id="config-fixed-beta-and-temperature"),
         ],
     )
     def test_bad_input_exit_two(self, tmp_path, capsys, argv, config):
